@@ -12,6 +12,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+# A bump whose exponent (z - c)^2 / (2 h^2) exceeds this is dropped by the
+# banded evaluation: its value is below exp(-40) ~ 4.2e-18 of its weight.
+BAND_CUTOFF = 40.0
 
 __all__ = [
     "ActivationGrid",
@@ -19,6 +24,7 @@ __all__ = [
     "build_grid",
     "rbf_features",
     "rbf_features_batch",
+    "banded_bumps",
     "eval_activation",
     "activation_curve",
     "quadrature_weights",
@@ -60,6 +66,17 @@ class ActivationGrid:
     @property
     def support_len(self) -> float:
         return self.support_hi - self.support_lo
+
+    @property
+    def band_width(self) -> int:
+        """Centers evaluated per point by banded_bumps.
+
+        Each center lies in its own partition cell, so every center more than
+        ceil(sqrt(2 * BAND_CUTOFF) h / spacing) cells from a point's cell is at
+        least sqrt(2 * BAND_CUTOFF) h away from it.
+        """
+        reach = math.ceil(math.sqrt(2.0 * BAND_CUTOFF) * self.width / self.spacing)
+        return min(self.n_basis, 2 * reach + 1)
 
 
 @dataclass(frozen=True)
@@ -110,6 +127,28 @@ def rbf_features_batch(grid: ActivationGrid, zs: np.ndarray) -> np.ndarray:
     zs = np.asarray(zs, dtype=float)
     d = zs[:, None] - grid.centers[None, :]
     return np.exp(-(d * d) / (2.0 * grid.width * grid.width))
+
+
+def banded_bumps(grid: ActivationGrid, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Window starts s (P,) and the (P, W) block exp(-(z_p - c_{s_p + j})^2 / (2 h^2)).
+
+    W = grid.band_width.  Window p covers the centers within W // 2 cells of
+    z_p's cell, clipped to [0, N - W], so every center left out contributes
+    at most exp(-BAND_CUTOFF) times its weight; with W = N every s is 0 and
+    the block is the dense basis.  z and the centers are pre-scaled by
+    1/(sqrt(2) h) so the exponent is just the squared gap.  A NaN or
+    infinite z still gets a window inside the grid.
+    """
+    z = np.asarray(z, dtype=float).reshape(-1)
+    w = grid.band_width
+    cell = np.floor((z - grid.support_lo) / grid.spacing)
+    s = np.fmin(np.fmax(cell - (w // 2), 0.0), grid.n_basis - w).astype(np.intp)
+    k = 1.0 / (math.sqrt(2.0) * grid.width)
+    block = sliding_window_view(k * grid.centers, w)[s]
+    np.subtract((k * z)[:, None], block, out=block)
+    block *= block
+    np.negative(block, out=block)
+    return s, np.exp(block, out=block)
 
 
 def eval_activation(grid: ActivationGrid, weights: ActivationWeights, z: float) -> float:

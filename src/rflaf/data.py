@@ -213,10 +213,16 @@ class Dataset:
     test_fraction: float
 
     def __post_init__(self):
+        if self.X.ndim != 2:
+            raise ValueError(f"X must be a 2-D array, got shape {self.X.shape}")
         n = self.X.shape[0]
         if self.y.shape != (n,):
             raise ValueError("y length must match X rows")
+        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
+            raise ValueError("X and y must be finite")
         joined = np.concatenate([self.train_idx, self.test_idx])
+        if not np.issubdtype(joined.dtype, np.integer) or np.any((joined < 0) | (joined >= n)):
+            raise ValueError(f"train and test indices must be integers in [0, {n})")
         if np.unique(joined).shape[0] != n or joined.shape[0] != n:
             raise ValueError("train and test indices must partition the rows")
 

@@ -236,25 +236,48 @@ def poly_Q(k: int) -> list[int]:
     return list(_poly_Q_cached(k))
 
 
-def _horner(coeffs: tuple[int, ...], p: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * p + c
-    return acc
+def _r_n_ratio(p: float, n: int) -> tuple[int, int]:
+    """R_n(p) as an exact integer ratio (numerator, denominator).
+
+    Uses the exact binary value pn / pd of p: with acc = pd^k * poly(p) by
+    integer Horner, R_n(p) = acc^2 / pd^n for even n = 2k and
+    pn * acc^2 / pd^n for odd n = 2k + 1.
+    """
+    pn, pd = float(p).as_integer_ratio()
+    k, odd = divmod(n, 2)
+    acc, pd_pow = 0, 1
+    for c in reversed(_poly_Q_cached(k) if odd else _poly_P_cached(k)):
+        acc = acc * pn + c * pd_pow
+        pd_pow *= pd
+    return acc * acc * (pn if odd else 1), pd**n
 
 
 def r_n(p: float, n: int) -> float:
     """n-th derivative polynomial evaluated at p: P_{n/2}(p)^2 or p*Q_{(n-1)/2}(p)^2.
 
-    Nonnegative for all p >= 0 by construction.
+    Nonnegative for all p >= 0 by construction; computed exactly and rounded
+    once.
     """
     if n < 0:
         raise ValueError(f"derivative order must be nonnegative, got {n}")
-    if n % 2 == 0:
-        v = _horner(_poly_P_cached(n // 2), p)
-        return v * v
-    v = _horner(_poly_Q_cached((n - 1) // 2), p)
-    return p * v * v
+    num, den = _r_n_ratio(p, n)
+    return num / den
+
+
+@lru_cache(maxsize=128)
+def _taylor_coeffs(p: float, one_h2: float, n_terms: int) -> tuple[float, ...]:
+    """Scaled coefficients R_n(p) / (n! (1+h^2)^n) for n < n_terms.
+
+    Each is formed exactly from the exact binary values of p and 1+h^2 and
+    rounded to float once, so no intermediate can overflow however many
+    terms are asked for.
+    """
+    hn, hd = one_h2.as_integer_ratio()
+    out = []
+    for n in range(n_terms):
+        num, den = _r_n_ratio(p, n)
+        out.append(num * hd**n / (den * math.factorial(n) * hn**n))
+    return tuple(out)
 
 
 def kernel_taylor(r: float, params: RbfParams, n_terms: int = 60) -> float:
@@ -264,8 +287,9 @@ def kernel_taylor(r: float, params: RbfParams, n_terms: int = 60) -> float:
         e^-p * h^2/(1+h^2) * sum_n R_n(p) / (n! (1+h^2)^n) * r^n
     with p = c^2 / (1+h^2).  Converges to kernel_rot(r) as n_terms grows;
     the default of 60 terms resolves h >= ~0.7 to ~1e-12 but leaves a
-    truncation error of order 1e-7 near |r| = 1 when h = 0.5.  r has the
-    same domain as in kernel_rot.
+    truncation error of order 1e-7 near |r| = 1 when h = 0.5.  The scaled
+    coefficients are computed exactly and cached per (p, h, n_terms), so
+    any number of terms is safe.  r has the same domain as in kernel_rot.
     """
     r = _unit_inner(r)
     if n_terms < 1:
@@ -274,10 +298,10 @@ def kernel_taylor(r: float, params: RbfParams, n_terms: int = 60) -> float:
     one_h2 = 1.0 + h * h
     p = c * c / one_h2
     total = 0.0
-    term_scale = 1.0  # r^n / (n! (1+h^2)^n), updated incrementally
-    for n in range(n_terms):
-        total += r_n(p, n) * term_scale
-        term_scale *= r / ((n + 1) * one_h2)
+    r_pow = 1.0
+    for coeff in _taylor_coeffs(p, one_h2, n_terms):
+        total += coeff * r_pow
+        r_pow *= r
     return h * h / one_h2 * math.exp(-p) * total
 
 

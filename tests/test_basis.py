@@ -9,7 +9,9 @@ from rflaf.basis import (
     ActivationGrid,
     ActivationWeights,
     activation_curve,
+    BAND_CUTOFF,
     approximation_schedule,
+    banded_bumps,
     build_grid,
     eval_activation,
     export_activation_table,
@@ -77,6 +79,35 @@ class TestRbfFeatures:
         batch = rbf_features_batch(g, zs)
         for i, z in enumerate(zs):
             assert np.array_equal(batch[i], rbf_features(g, float(z)))
+
+
+class TestBandedBumps:
+    def test_window_holds_every_bump_above_cutoff(self):
+        grid = build_grid(-2.0, 2.0, 200, 0.04)
+        # every cell boundary and midpoint, past both ends of the support
+        z = np.linspace(-3.0, 3.0, 601)
+        s, e = banded_bumps(grid, z)
+        assert e.shape == (601, 37) and s.min() == 0 and s.max() == 200 - 37
+        dense = rbf_features_batch(grid, z)
+        inside = s[:, None] + np.arange(37)
+        # the block uses the pre-scaled exponent (z/(sqrt(2) h) - c/(sqrt(2) h))^2,
+        # which differs by a few ulp; x e^-x <= 1/e bounds the absolute effect
+        np.testing.assert_allclose(e, np.take_along_axis(dense, inside, axis=1), rtol=0, atol=1e-14)
+        dense[np.arange(601)[:, None], inside] = 0.0
+        assert dense.max() <= math.exp(-BAND_CUTOFF)
+
+    def test_full_width_band_is_dense(self):
+        grid = build_grid(-2.0, 2.0, 7, 0.5)
+        z = np.array([-5.0, -0.3, 0.0, 1.9, 7.0])
+        s, e = banded_bumps(grid, z)
+        assert grid.band_width == 7 and np.all(s == 0)
+        np.testing.assert_allclose(e, rbf_features_batch(grid, z), rtol=0, atol=1e-14)
+
+    def test_non_finite_inputs_stay_in_range(self):
+        grid = build_grid(-2.0, 2.0, 200, 0.04)
+        s, e = banded_bumps(grid, np.array([np.nan, np.inf, -np.inf]))
+        assert s.tolist() == [0, 200 - 37, 0]
+        assert np.all(np.isnan(e[0])) and np.all(e[1:] == 0.0)
 
 
 class TestEvalActivation:

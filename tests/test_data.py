@@ -275,3 +275,67 @@ class TestDatasetInvariants:
                 seed=0,
                 test_fraction=0.5,
             )
+
+    @pytest.mark.parametrize(
+        "train_idx, test_idx",
+        [([1, 2, 3], [4]), ([-1, 0, 1], [2]), ([0.0, 1.0, 2.0], [3.0])],
+        ids=["past-end", "negative", "float"],
+    )
+    def test_rejects_indices_outside_rows(self, train_idx, test_idx):
+        with pytest.raises(ValueError, match=r"integers in \[0, 4\)"):
+            Dataset(
+                X=np.zeros((4, 2)),
+                y=np.zeros(4),
+                train_idx=np.array(train_idx),
+                test_idx=np.array(test_idx),
+                spec=_spec(mc=1000),
+                seed=0,
+                test_fraction=0.25,
+            )
+
+    @pytest.mark.parametrize(
+        "X, y",
+        [(np.full((4, 2), np.nan), np.zeros(4)), (np.zeros((4, 2)), np.array([0.0, np.inf, 0.0, 0.0]))],
+        ids=["nan-X", "inf-y"],
+    )
+    def test_rejects_non_finite_data(self, X, y):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(
+                X=X,
+                y=y,
+                train_idx=np.array([0, 1, 2]),
+                test_idx=np.array([3]),
+                spec=_spec(mc=1000),
+                seed=0,
+                test_fraction=0.25,
+            )
+
+    def test_rejects_one_dimensional_X(self):
+        with pytest.raises(ValueError, match="2-D"):
+            Dataset(
+                X=np.zeros(4),
+                y=np.zeros(4),
+                train_idx=np.array([0, 1, 2]),
+                test_idx=np.array([3]),
+                spec=_spec(mc=1000),
+                seed=0,
+                test_fraction=0.25,
+            )
+
+    @pytest.mark.parametrize("field", ["test_idx", "X"])
+    def test_load_rejects_crafted_file(self, tmp_path, field):
+        ds = gen_dataset(_spec(mc=1000), 15, 2, 0.2, seed=10)
+        path = tmp_path / "data.rfds"
+        save_dataset(ds, path)
+        blob = bytearray(path.read_bytes())
+        if field == "test_idx":
+            # last int64 of the file is the last test index; point it past the rows
+            blob[-8:] = np.array([ds.n], dtype="<i8").tobytes()
+        else:
+            # X is the first payload after the header; overwrite its last entry
+            x_end = len(blob) - 8 * (ds.n + ds.n)
+            blob[x_end - 8 : x_end] = np.array([np.nan], dtype="<f8").tobytes()
+        crafted = tmp_path / "crafted.rfds"
+        crafted.write_bytes(bytes(blob))
+        with pytest.raises(ValueError):
+            load_dataset(crafted)

@@ -367,6 +367,14 @@ class TestKernelTaylor:
             gaps = [abs(b - a) for a, b in zip(sums, sums[1:])]
             assert gaps[0] >= gaps[1] >= gaps[2] or gaps[2] <= 1e-12
 
+    @pytest.mark.parametrize("n_terms", [200, 400])
+    def test_long_series_stay_finite(self, n_terms):
+        # the exact integer coefficients outgrow float range near 200 terms;
+        # the scaled coefficients must not
+        params = RbfParams(center=1.0, width=0.5)
+        for r in (-1.0, -0.5, 0.5, 1.0):
+            assert abs(kernel_taylor(r, params, n_terms) - kernel_rot(r, params)) <= 1e-12
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             kernel_taylor(1.5, UNIT, 10)

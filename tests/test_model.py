@@ -197,12 +197,18 @@ class TestForwardBatch:
         assert np.array_equal(batch, loop)
 
     def test_predict_batch_agrees(self):
-        rng = np.random.default_rng(33)
-        model = _random_model(rng, dim=2, m=11, n_basis=7)
-        X = rng.standard_normal((57, 2))
-        fused = predict_batch(model, X)
-        exact = forward_batch(model, X)
-        assert np.allclose(fused, exact, rtol=1e-12, atol=1e-12)
+        # The second case is the shipped geometry (N=200, h=0.04), where each
+        # pre-activation is evaluated against a 37-center band; rows scaled by
+        # 4 put pre-activations past both ends of the support [-2, 2].
+        for seed, n_basis, width, scale in [(33, 7, 0.5, 1.0), (34, 200, 0.04, 4.0)]:
+            rng = np.random.default_rng(seed)
+            model = _random_model(rng, dim=2, m=11, n_basis=n_basis, width=width)
+            X = scale * rng.standard_normal((57, 2))
+            fused = predict_batch(model, X)
+            exact = forward_batch(model, X)
+            assert np.allclose(fused, exact, rtol=1e-12, atol=1e-12)
+        z = X @ model.bank.weights.T
+        assert model.grid.band_width < n_basis and z.min() < -2.5 and z.max() > 2.5
 
 
 class TestBaselines:

@@ -17,6 +17,7 @@ from rflaf.optim import (
     loss,
     new_baseline_model,
     new_rflaf_model,
+    predict_batch,
     train,
     train_baseline,
 )
@@ -142,6 +143,61 @@ class TestGrad:
             model, X, y = _instance(rng, min_abs_a=0.1)
             cfg = TrainConfig(lambda1=1e-2, lambda2=1e-3)
             assert grad_check(model, X, y, cfg, step=1e-5) <= 1e-5
+
+
+def _banded_instance(rng, m, n, min_abs_a=0.05):
+    """Shipped grid geometry (N=200, h=0.04 on [-2, 2]): a 37-center band.
+
+    Inputs are scaled so that pre-activations fall past both ends of the
+    support, where the band is clipped to the first or last 37 centers.
+    """
+    bank = sample_features(2, m, seed=int(rng.integers(2**31)))
+    grid = build_grid(-2.0, 2.0, 200, 0.04)
+    assert grid.band_width == 37
+    a = rng.standard_normal(200)
+    a = np.sign(a) * (np.abs(a) + min_abs_a)
+    model = RflafModel(bank=bank, grid=grid, a=a, v=rng.standard_normal(m))
+    X = 2.5 * rng.standard_normal((n, 2))
+    z = X @ bank.weights.T
+    assert z.min() < -2.0 and z.max() > 2.0
+    return model, X, rng.standard_normal(n)
+
+
+class TestBandedGrad:
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(13)
+        model, X, y = _banded_instance(rng, m=20, n=16)
+        cfg = TrainConfig(lambda1=1e-2, lambda2=1e-3)
+        assert grad_check(model, X, y, cfg, step=1e-5) <= 1e-5
+
+    def test_matches_dense_reference(self):
+        # M=300 and 100 rows span several row chunks of the banded kernel
+        from rflaf.model import feature_matrix
+
+        rng = np.random.default_rng(14)
+        model, X, y = _banded_instance(rng, m=300, n=100)
+        m = model.bank.n_features
+        want_a = np.zeros(200)
+        want_v = np.zeros(m)
+        for x, target in zip(X, y):
+            b = feature_matrix(model.grid, model.bank, x)  # dense (N, M)
+            resid = model.a @ b @ model.v / m - target
+            want_a += resid * (b @ model.v)
+            want_v += resid * (b.T @ model.a)
+        want_a *= 2.0 / (X.shape[0] * m)
+        want_v *= 2.0 / (X.shape[0] * m)
+        g_a, g_v = grad(model, X, y, PLAIN)
+        for got, want in ((g_a, want_a), (g_v, want_v)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_repeat_calls_byte_identical(self):
+        rng = np.random.default_rng(15)
+        model, X, y = _banded_instance(rng, m=300, n=100)
+        cfg = TrainConfig(lambda1=1e-2, lambda2=1e-3)
+        first = grad(model, X, y, cfg)
+        second = grad(model, X, y, cfg)
+        assert all(f.tobytes() == s.tobytes() for f, s in zip(first, second))
+        assert predict_batch(model, X).tobytes() == predict_batch(model, X).tobytes()
 
 
 class TestGradCheck:
