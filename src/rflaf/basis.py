@@ -221,6 +221,8 @@ def approximation_schedule(
     ]:
         if v <= 0 or not math.isfinite(v):
             raise ValueError(f"{name} must be positive and finite, got {v}")
+    if epsilon >= 16.0 * sigma_sup * radius:
+        raise ValueError(f"epsilon must be below 16 sigma_sup radius = {16.0 * sigma_sup * radius}, got {epsilon}")
     lr = lipschitz_sigma * radius
     h_max = epsilon / (4.0 * math.sqrt(2.0) * lr * math.sqrt(math.log(16.0 * sigma_sup * radius / epsilon)))
     log_term = math.log(

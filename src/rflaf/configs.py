@@ -1,0 +1,281 @@
+"""Typed configs of the CLI modes: a frozen dataclass per mode and section.
+
+parse builds one from JSON; every invalid config raises ConfigError naming
+the key before the mode samples anything.  experiments imports this module
+on first use, since building these classes takes ~10 ms that `import rflaf`
+need not pay.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import sys
+import types
+import typing
+from dataclasses import dataclass, field
+from typing import Annotated, Literal
+
+import numpy as np
+
+from . import basis, data, kernel, model, optim
+from .experiments import BoundsReport, ConfigError, theory_bounds
+
+# Field types with the lower bound the parser enforces.
+Seed = Annotated[int, 0]
+Count = Annotated[int, 1]
+NonNegative = Annotated[float, 0.0]
+
+
+def _value(tp, v, key: str, where: str):
+    """The JSON value v as field type tp, or ConfigError naming the key."""
+    what = f"key '{key}' in {where}"
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return parse(tp, v, f"{where}: {key}")
+    if origin in (typing.Union, types.UnionType):  # `T | None`: the key may be left out, not set to null
+        return _value(args[0], v, key, where)
+    if origin is Annotated:
+        v = _value(args[0], v, key, where)
+        if v < args[1]:
+            raise ConfigError(f"{what} must be >= {args[1]}, got {v!r}")
+        return v
+    if origin is Literal:
+        if v not in args:
+            raise ConfigError(f"{what} must be one of {', '.join(args)}, got {v!r}")
+        return v
+    if origin is tuple:
+        n = None if args[-1] is Ellipsis else len(args)
+        if not isinstance(v, list) or not v or n not in (None, len(v)):
+            raise ConfigError(f"{what} must be a list of {n or 'one or more'} values, got {v!r}")
+        return tuple(_value(args[0], x, key, where) for x in v)
+    if tp is float and type(v) in (int, float) and abs(v) <= sys.float_info.max:  # finite, and no int overflows
+        return float(v)
+    if type(v) is tp and tp is not float:  # type(True) is bool, so a bool is never an int
+        return v
+    raise ConfigError(f"{what} must be {'a finite number' if tp is float else tp.__name__}, got {v!r}")
+
+
+def parse(cls, raw, where: str):
+    """Build the config dataclass cls from a JSON object.
+
+    Keys are the init fields of cls and their types its annotations; a field
+    without a default is required.  __post_init__ checks and the domain
+    constructors they call raise ValueError, reported as ConfigError.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    hints = typing.get_type_hints(cls, include_extras=True)
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    for key in raw:
+        if key not in fields:
+            raise ConfigError(f"unknown key '{key}' in {where}")
+    for key, f in fields.items():
+        if key not in raw and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"missing required key '{key}' in {where}")
+    values = {key: _value(hints[key], v, key, where) for key, v in raw.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _derive(config, **values) -> None:
+    """Store values derived in __post_init__ on a frozen config."""
+    for name, value in values.items():
+        object.__setattr__(config, name, value)
+
+
+@dataclass(frozen=True)
+class KernelVerifyConfig:
+    seed: Seed
+    trials: Count = 20
+    samples: Annotated[int, 2] = 1_000_000
+    dims: tuple[Count, ...] = (2, 5)
+    centers: tuple[float, ...] = (0.0, 1.0)
+    widths: tuple[float, ...] = (0.5, 1.0)
+    min_passes: int | None = None  # max(1, trials - 1) when left out
+    rbfs: tuple[kernel.RbfParams, ...] = field(init=False)  # centers x widths
+
+    def __post_init__(self):
+        min_passes = max(1, self.trials - 1) if self.min_passes is None else self.min_passes
+        _check(1 <= min_passes <= self.trials, f"min_passes must lie in [1, trials={self.trials}], got {min_passes}")
+        rbfs = tuple(kernel.RbfParams(c, h) for c in self.centers for h in self.widths)
+        _derive(self, min_passes=min_passes, rbfs=rbfs)
+
+
+@dataclass(frozen=True)
+class SeriesSection:
+    widths: tuple[float, ...] = (0.5, 1.0)
+    centers: tuple[float, ...] = (0.0, 1.0, 2.0)
+    n_terms: Count = 60
+    grid_points: Count = 101
+    tol: NonNegative = 1e-8
+    rbfs: tuple[kernel.RbfParams, ...] = field(init=False)  # widths x centers
+
+    def __post_init__(self):
+        _derive(self, rbfs=tuple(kernel.RbfParams(c, h) for h in self.widths for c in self.centers))
+
+
+@dataclass(frozen=True)
+class TaylorVerifyConfig:
+    seed: Seed | None = None  # accepted so that --seed applies to every mode; nothing is drawn
+    p_values: tuple[NonNegative, ...] = (0.0, 0.5, 1.0, 2.0, 5.0)
+    n_max: Annotated[int, 2] = 16
+    rel_tol: NonNegative = 1e-8
+    series: SeriesSection = field(default_factory=SeriesSection)
+
+
+@dataclass(frozen=True)
+class RbfSection(kernel.RbfParams):  # rate-study's rbf: either key may be left out
+    center: float = 1.0
+    width: float = 1.0
+
+
+@dataclass(frozen=True)
+class RateStudyConfig:
+    seed: Seed
+    m_values: tuple[Count, ...] = (32, 64, 128, 256, 512, 1024, 2048)
+    trials: Count = 10
+    test_points: Count = 2000
+    ref_samples: Count = 1_000_000
+    rbf: RbfSection = field(default_factory=RbfSection)
+    b1: tuple[float, ...] = (1.0, 0.0)
+    b2: tuple[float, ...] = (0.0, 1.0)
+    v_scale: float = 1.0
+    slope_range: tuple[float, float] = (-0.65, -0.35)
+
+    def __post_init__(self):
+        _check(len(set(self.m_values)) >= 2, f"m_values must hold two distinct widths, got {list(self.m_values)}")
+        _check(len(self.b1) == len(self.b2), "b1 and b2 must have equal length")
+        lo, hi = self.slope_range
+        _check(lo <= hi, f"slope_range must be [lo, hi] with lo <= hi, got {[lo, hi]}")
+
+
+@dataclass(frozen=True)
+class TargetSection:
+    sigma: Literal["s1", "s2", "s3"]
+    b1: tuple[float, ...]
+    b2: tuple[float, ...]
+    mc_samples: int = data.TargetSpec.mc_samples
+    seed: Seed | None = None  # the mode's default seed when left out
+    calib: float = data.TargetSpec.calib
+
+    def spec(self, default_seed: int) -> data.TargetSpec:
+        seed = default_seed if self.seed is None else self.seed
+        return data.TargetSpec(
+            sigma_kind=self.sigma, b1=self.b1, b2=self.b2, calib=self.calib, mc_samples=self.mc_samples, seed=seed
+        )
+
+
+@dataclass(frozen=True)
+class DataSection:
+    n: Annotated[int, 2]
+    dim: int
+    test_fraction: float = 0.2
+    seed: Seed | None = None  # the config seed + 1 when left out
+
+    def __post_init__(self):
+        data.holdout_size(self.n, self.test_fraction)
+
+
+@dataclass(frozen=True)
+class ModelSection:
+    n_features: Count
+    n_basis: Annotated[int, 2]
+    support: tuple[float, float] = (-2.0, 2.0)
+    width: float | None = None  # two grid spacings when left out
+    grid: basis.ActivationGrid = field(init=False)
+
+    def __post_init__(self):
+        lo, hi = self.support
+        width = 2.0 * (hi - lo) / self.n_basis if self.width is None else self.width
+        _derive(self, grid=basis.build_grid(lo, hi, self.n_basis, width))
+
+
+# optim.TrainConfig without its seed, which train-compare derives from the config seed.
+TrainSection = dataclasses.make_dataclass(
+    "TrainSection",
+    [
+        (name, tp, field(default=getattr(optim.TrainConfig, name)))
+        for name, tp in typing.get_type_hints(optim.TrainConfig).items()
+        if name != "seed"
+    ],
+    frozen=True,
+)
+
+
+@dataclass(frozen=True)
+class TrainCompareConfig:
+    seed: Seed
+    target: TargetSection
+    data: DataSection
+    model: ModelSection
+    train: TrainSection = field(default_factory=TrainSection)
+    baselines: tuple[Literal[tuple(model.BASELINE_ACTIVATIONS)], ...] = ("relu", "tanh", "rbf1", "rbf2")
+    baseline_width: int | None = None  # must equal n_features + n_basis when given
+    mse_ratio_max: float = 0.5
+    activation_grid_points: Annotated[int, 2] = 401
+    min_activation_correlation: float = 0.9
+    spec: data.TargetSpec = field(init=False)
+    train_config: optim.TrainConfig = field(init=False)
+    child_seeds: tuple[int, ...] = field(init=False)  # train shuffle, bank, init, then two per baseline
+
+    def __post_init__(self):
+        spec = self.target.spec(default_seed=self.seed)
+        _check(spec.calib == 1.0, "target calib must stay 1; calibration is automatic in train-compare")
+        _check(self.data.dim == spec.dim, f"data dim {self.data.dim} does not match len(target b1) = {spec.dim}")
+        width = self.model.n_features + self.model.n_basis
+        _check(self.baseline_width in (None, width), f"baseline_width must equal n_features + n_basis = {width}")
+        _check(self.train.epochs >= 1, f"train epochs must be >= 1, got {self.train.epochs}")
+        ss = np.random.SeedSequence([self.seed, 0x7121]).spawn(3 + 2 * len(self.baselines))
+        seeds = tuple(int(s.generate_state(1)[0]) for s in ss)
+        tc = optim.TrainConfig(**dataclasses.asdict(self.train), seed=seeds[0])
+        _derive(self, spec=spec, train_config=tc, child_seeds=seeds)
+
+
+@dataclass(frozen=True)
+class ExportActivationConfig:
+    checkpoint: str
+    seed: Seed | None = None  # accepted so that --seed applies to every mode; nothing is drawn
+    grid_points: Annotated[int, 2] = 401
+    target: TargetSection | None = None
+    min_activation_correlation: float | None = None  # checked only against a target
+    spec: data.TargetSpec | None = field(init=False)
+
+    def __post_init__(self):
+        if self.target is None:
+            _check(self.min_activation_correlation is None, "min_activation_correlation needs a target")
+        _derive(self, spec=None if self.target is None else self.target.spec(default_seed=0))
+
+
+@dataclass(frozen=True)
+class BoundsConfig:
+    width: float
+    n_basis: int
+    n_features: int
+    delta: float
+    sigma_sup: float
+    support_len: float
+    radius: float
+    seed: Seed | None = None  # accepted so that --seed applies to every mode; nothing is drawn
+    epsilon: float | None = None  # with lipschitz_sigma: the approximation schedule
+    lipschitz_sigma: float | None = None
+    report: BoundsReport = field(init=False)
+    schedule: tuple[float, float] | None = field(init=False)  # (h_max, spacing_max)
+
+    def __post_init__(self):
+        report = theory_bounds(
+            self.width, self.n_basis, self.n_features, self.delta, self.sigma_sup, self.support_len, self.radius
+        )
+        _check((self.epsilon is None) == (self.lipschitz_sigma is None), "give epsilon and lipschitz_sigma together")
+        schedule = None
+        if self.epsilon is not None:
+            schedule = basis.approximation_schedule(
+                self.epsilon, self.lipschitz_sigma, self.radius, self.sigma_sup, self.support_len
+            )
+        _derive(self, report=report, schedule=schedule)

@@ -30,6 +30,7 @@ __all__ = [
     "TargetSampler",
     "target_eval",
     "calibrate",
+    "holdout_size",
     "gen_dataset",
     "save_dataset",
     "load_dataset",
@@ -235,6 +236,15 @@ class Dataset:
         return self.X.shape[1]
 
 
+def holdout_size(n: int, test_fraction: float) -> int:
+    """Rows gen_dataset puts in the test split: round(n * test_fraction), in [1, n-1]."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    if n < 2:
+        raise ValueError(f"need at least 2 samples, got {n}")
+    return min(max(int(round(n * test_fraction)), 1), n - 1)
+
+
 def gen_dataset(
     spec: TargetSpec,
     n: int,
@@ -245,12 +255,7 @@ def gen_dataset(
     """Draw Gaussian inputs, label them with the frozen target, split by permutation."""
     if d != spec.dim:
         raise ValueError(f"requested dim {d} does not match spec dim {spec.dim}")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
-    n_test = int(round(n * test_fraction))
-    n_test = min(max(n_test, 1), n - 1)
+    n_test = holdout_size(n, test_fraction)
     rng_x = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     rng_split = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     X = rng_x.standard_normal((n, d))

@@ -11,11 +11,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import basis, data, kernel, model, optim
+
+if typing.TYPE_CHECKING:
+    from . import configs
 
 __all__ = [
     "ConfigError",
@@ -23,6 +27,7 @@ __all__ = [
     "theory_bounds",
     "RateStudyResult",
     "rate_study",
+    "parse_config",
     "run",
     "MODES",
 ]
@@ -39,13 +44,6 @@ class BoundsReport:
     a_norm_bound: float
     v_norm_bound: float
     f_sup_bound: float
-    width: float
-    n_basis: int
-    n_features: int
-    delta: float
-    sigma_sup: float
-    support_len: float
-    radius: float
 
 
 def theory_bounds(
@@ -64,7 +62,7 @@ def theory_bounds(
         |f|_inf <= 7 sigma_sup |K| R sqrt(log(2/delta)) / (h sqrt(2 pi))
     """
     for name, val in [
-        ("h", h),
+        ("width h", h),
         ("n_basis", n_basis),
         ("n_features", n_features),
         ("sigma_sup", sigma_sup),
@@ -79,18 +77,7 @@ def theory_bounds(
     a_bound = sigma_sup * support_len / (h * math.sqrt(2.0 * math.pi * n_basis))
     v_bound = 7.0 * radius * math.sqrt(n_features * log_term)
     f_bound = 7.0 * sigma_sup * support_len * radius * math.sqrt(log_term) / (h * math.sqrt(2.0 * math.pi))
-    return BoundsReport(
-        a_norm_bound=a_bound,
-        v_norm_bound=v_bound,
-        f_sup_bound=f_bound,
-        width=h,
-        n_basis=n_basis,
-        n_features=n_features,
-        delta=delta,
-        sigma_sup=sigma_sup,
-        support_len=support_len,
-        radius=radius,
-    )
+    return BoundsReport(a_norm_bound=a_bound, v_norm_bound=v_bound, f_sup_bound=f_bound)
 
 
 @dataclass(frozen=True)
@@ -164,52 +151,7 @@ def rate_study(
     return RateStudyResult(m_values=list(m_values), mean_abs_err=errs, slope=slope)
 
 
-# ---------------------------------------------------------------------------
-# config plumbing
-# ---------------------------------------------------------------------------
-
-
-def _child_seed(ss: np.random.SeedSequence) -> int:
-    return int(ss.generate_state(1)[0])
-
-
-def _check_keys(cfg: dict, where: str, required: set[str], optional: set[str]) -> None:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    for k in cfg:
-        if k not in required and k not in optional:
-            raise ConfigError(f"unknown key '{k}' in {where}")
-    for k in required:
-        if k not in cfg:
-            raise ConfigError(f"missing required key '{k}' in {where}")
-
-
-def _as_number(cfg: dict, key: str, where: str) -> float:
-    v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"key '{key}' in {where} must be a number, got {v!r}")
-    return float(v)
-
-
-def _as_int(cfg: dict, key: str, where: str) -> int:
-    v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"key '{key}' in {where} must be an integer, got {v!r}")
-    return v
-
-
-def _as_number_list(cfg: dict, key: str, where: str) -> list[float]:
-    v = cfg[key]
-    if not isinstance(v, list) or not v or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v):
-        raise ConfigError(f"key '{key}' in {where} must be a non-empty list of numbers")
-    return [float(x) for x in v]
-
-
-def _as_int_list(cfg: dict, key: str, where: str) -> list[int]:
-    v = cfg[key]
-    if not isinstance(v, list) or not v or any(isinstance(x, bool) or not isinstance(x, int) for x in v):
-        raise ConfigError(f"key '{key}' in {where} must be a non-empty list of integers")
-    return list(v)
+# --- mode runners, each taking its parsed config (rflaf.configs) ---------------
 
 
 def _fmt(x) -> str:
@@ -220,420 +162,201 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_table(path, columns: list[str], rows) -> None:
-    with open(path, "w") as f:
-        f.write("\t".join(columns) + "\n")
-        for row in rows:
-            f.write("\t".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_lines(path, lines: list[str]) -> None:
-    with open(path, "w") as f:
+def _write_lines(out_dir: str, name: str, lines) -> None:
+    with open(os.path.join(out_dir, name), "w") as f:
         for line in lines:
             f.write(line + "\n")
 
 
-def _target_spec_from_config(cfg: dict, where: str, default_seed: int) -> data.TargetSpec:
-    _check_keys(cfg, where, {"sigma", "b1", "b2"}, {"mc_samples", "seed", "calib"})
-    kind = cfg["sigma"]
-    if kind not in ("s1", "s2", "s3"):
-        raise ConfigError(f"key 'sigma' in {where} must be one of s1, s2, s3, got {kind!r}")
-    return data.TargetSpec(
-        sigma_kind=kind,
-        b1=np.asarray(_as_number_list(cfg, "b1", where)),
-        b2=np.asarray(_as_number_list(cfg, "b2", where)),
-        calib=float(cfg.get("calib", 1.0)),
-        mc_samples=int(cfg.get("mc_samples", 100_000)),
-        seed=int(cfg.get("seed", default_seed)),
-    )
+def _write_table(out_dir: str, name: str, columns: list[str], rows) -> None:
+    _write_lines(out_dir, name, ["\t".join(columns), *("\t".join(_fmt(v) for v in row) for row in rows)])
 
 
-# ---------------------------------------------------------------------------
-# mode runners
-# ---------------------------------------------------------------------------
+def _verdict(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
 
 
-def _run_kernel_verify(cfg: dict, out_dir: str) -> int:
-    where = "kernel-verify config"
-    _check_keys(cfg, where, {"seed"}, {"trials", "samples", "dims", "centers", "widths", "min_passes"})
-    seed = _as_int(cfg, "seed", where)
-    trials = int(cfg.get("trials", 20))
-    samples = int(cfg.get("samples", 1_000_000))
-    dims = _as_int_list(cfg, "dims", where) if "dims" in cfg else [2, 5]
-    centers = _as_number_list(cfg, "centers", where) if "centers" in cfg else [0.0, 1.0]
-    widths = _as_number_list(cfg, "widths", where) if "widths" in cfg else [0.5, 1.0]
-    min_passes = int(cfg.get("min_passes", trials - 1))
-
-    root = np.random.SeedSequence([seed, 0x5EED])
+def _run_kernel_verify(cfg: configs.KernelVerifyConfig, out_dir: str) -> int:
+    root = np.random.SeedSequence([cfg.seed, 0x5EED])
     pair_rng = np.random.default_rng(root.spawn(1)[0])
-    n_settings = len(dims) * len(centers) * len(widths)
-    mc_seeds = iter(int(s) for s in root.generate_state(n_settings * trials))
-    rows = []
-    summary = []
-    all_ok = True
-    for d in dims:
-        for c in centers:
-            for h in widths:
-                params = kernel.RbfParams(center=c, width=h)
-                passes = 0
-                for t in range(trials):
-                    x = pair_rng.standard_normal(d)
-                    x2 = pair_rng.standard_normal(d)
-                    closed = kernel.kernel_closed(x, x2, params)
-                    est = kernel.kernel_mc(x, x2, params, samples, next(mc_seeds))
-                    diff = abs(closed - est.mean)
-                    ok = diff <= 4.0 * est.stderr
-                    passes += ok
-                    rows.append((d, c, h, t, closed, est.mean, est.stderr, diff, 4.0 * est.stderr, ok))
-                setting_ok = passes >= min_passes
-                all_ok = all_ok and setting_ok
-                summary.append(
-                    f"setting d={d} c={_fmt(c)} h={_fmt(h)}: {passes}/{trials} trials pass "
-                    f"(need >= {min_passes}): {'PASS' if setting_ok else 'FAIL'}"
-                )
-    _write_table(
-        os.path.join(out_dir, "kernel_verify.txt"),
-        ["d", "c", "h", "trial", "closed", "mc_mean", "mc_stderr", "abs_diff", "four_stderr", "pass"],
-        rows,
-    )
-    summary.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
-    _write_lines(os.path.join(out_dir, "kernel_verify_summary.txt"), summary)
+    mc_seeds = iter(int(s) for s in root.generate_state(len(cfg.dims) * len(cfg.rbfs) * cfg.trials))
+    rows, summary, all_ok = [], [], True
+    for d in cfg.dims:
+        for params in cfg.rbfs:
+            passes = 0
+            for t in range(cfg.trials):
+                x = pair_rng.standard_normal(d)
+                x2 = pair_rng.standard_normal(d)
+                closed = kernel.kernel_closed(x, x2, params)
+                est = kernel.kernel_mc(x, x2, params, cfg.samples, next(mc_seeds))
+                diff = abs(closed - est.mean)
+                ok = diff <= 4.0 * est.stderr
+                passes += ok
+                rows.append((d, params.center, params.width, t, closed, est.mean, est.stderr, diff, 4.0 * est.stderr, ok))
+            setting_ok = passes >= cfg.min_passes
+            all_ok = all_ok and setting_ok
+            summary.append(
+                f"setting d={d} c={_fmt(params.center)} h={_fmt(params.width)}: {passes}/{cfg.trials} trials pass "
+                f"(need >= {cfg.min_passes}): {_verdict(setting_ok)}"
+            )
+    columns = ["d", "c", "h", "trial", "closed", "mc_mean", "mc_stderr", "abs_diff", "four_stderr", "pass"]
+    _write_table(out_dir, "kernel_verify.txt", columns, rows)
+    _write_lines(out_dir, "kernel_verify_summary.txt", [*summary, f"overall: {_verdict(all_ok)}"])
     return 0 if all_ok else 1
 
 
-def _run_taylor_verify(cfg: dict, out_dir: str) -> int:
-    where = "taylor-verify config"
-    _check_keys(cfg, where, set(), {"seed", "p_values", "n_max", "rel_tol", "series"})
-    p_values = _as_number_list(cfg, "p_values", where) if "p_values" in cfg else [0.0, 0.5, 1.0, 2.0, 5.0]
-    n_max = int(cfg.get("n_max", 16))
-    rel_tol = float(cfg.get("rel_tol", 1e-8))
-    series_cfg = cfg.get("series", {})
-    _check_keys(series_cfg, "taylor-verify config: series", set(), {"widths", "centers", "n_terms", "grid_points", "tol"})
-    s_widths = _as_number_list(series_cfg, "widths", "series") if "widths" in series_cfg else [0.5, 1.0]
-    s_centers = _as_number_list(series_cfg, "centers", "series") if "centers" in series_cfg else [0.0, 1.0, 2.0]
-    n_terms = int(series_cfg.get("n_terms", 60))
-    grid_points = int(series_cfg.get("grid_points", 101))
-    s_tol = float(series_cfg.get("tol", 1e-8))
-
+def _run_taylor_verify(cfg: configs.TaylorVerifyConfig, out_dir: str) -> int:
     rec_rows = []
-    rec_ok = True
-    for p in p_values:
-        derivs = kernel.taylor_derivs(p, n_max)
+    for p in cfg.p_values:
+        derivs = kernel.taylor_derivs(p, cfg.n_max)
         ep = math.exp(-p)
-        for n in range(n_max + 1):
+        for n in range(cfg.n_max + 1):
             closed = ep * kernel.r_n(p, n)
             denom = max(abs(closed), abs(derivs[n]))
             rel = abs(derivs[n] - closed) / denom if denom > 0 else 0.0
-            ok = rel <= rel_tol
-            rec_ok = rec_ok and ok
-            rec_rows.append((p, n, derivs[n], closed, rel, ok))
-    _write_table(
-        os.path.join(out_dir, "taylor_recurrence.txt"),
-        ["p", "n", "recurrence", "closed_form", "rel_err", "pass"],
-        rec_rows,
-    )
+            rec_rows.append((p, n, derivs[n], closed, rel, rel <= cfg.rel_tol))
+    _write_table(out_dir, "taylor_recurrence.txt", ["p", "n", "recurrence", "closed_form", "rel_err", "pass"], rec_rows)
 
+    series = cfg.series
     series_rows = []
-    series_ok = True
-    rs = np.linspace(-1.0, 1.0, grid_points)
-    for h in s_widths:
-        for c in s_centers:
-            params = kernel.RbfParams(center=c, width=h)
-            worst = 0.0
-            for r in rs:
-                err = abs(kernel.kernel_taylor(float(r), params, n_terms) - kernel.kernel_rot(float(r), params))
-                worst = max(worst, err)
-            ok = worst <= s_tol
-            series_ok = series_ok and ok
-            series_rows.append((h, c, n_terms, worst, s_tol, ok))
-    _write_table(
-        os.path.join(out_dir, "taylor_series.txt"),
-        ["h", "c", "n_terms", "max_abs_err", "tol", "pass"],
-        series_rows,
-    )
-    all_ok = rec_ok and series_ok
-    _write_lines(
-        os.path.join(out_dir, "taylor_verify_summary.txt"),
-        [
-            f"derivative recurrence vs closed form (rel tol {_fmt(rel_tol)}): {'PASS' if rec_ok else 'FAIL'}",
-            f"series partial sums vs closed form (abs tol {_fmt(s_tol)}, {n_terms} terms): "
-            f"{'PASS' if series_ok else 'FAIL'}",
-            f"overall: {'PASS' if all_ok else 'FAIL'}",
-        ],
-    )
-    return 0 if all_ok else 1
+    for params in series.rbfs:
+        worst = 0.0
+        for r in np.linspace(-1.0, 1.0, series.grid_points):
+            err = abs(kernel.kernel_taylor(float(r), params, series.n_terms) - kernel.kernel_rot(float(r), params))
+            worst = max(worst, err)
+        series_rows.append((params.width, params.center, series.n_terms, worst, series.tol, worst <= series.tol))
+    _write_table(out_dir, "taylor_series.txt", ["h", "c", "n_terms", "max_abs_err", "tol", "pass"], series_rows)
+    rec_ok = all(row[-1] for row in rec_rows)
+    series_ok = all(row[-1] for row in series_rows)
+    lines = [
+        f"derivative recurrence vs closed form (rel tol {_fmt(cfg.rel_tol)}): {_verdict(rec_ok)}",
+        f"series partial sums vs closed form (abs tol {_fmt(series.tol)}, {series.n_terms} terms): {_verdict(series_ok)}",
+        f"overall: {_verdict(rec_ok and series_ok)}",
+    ]
+    _write_lines(out_dir, "taylor_verify_summary.txt", lines)
+    return 0 if rec_ok and series_ok else 1
 
 
-def _run_rate_study(cfg: dict, out_dir: str) -> int:
-    where = "rate-study config"
-    _check_keys(
-        cfg,
-        where,
-        {"seed"},
-        {"m_values", "trials", "test_points", "ref_samples", "rbf", "b1", "b2", "v_scale", "slope_range"},
-    )
-    seed = _as_int(cfg, "seed", where)
-    m_values = _as_int_list(cfg, "m_values", where) if "m_values" in cfg else [32, 64, 128, 256, 512, 1024, 2048]
-    trials = int(cfg.get("trials", 10))
-    test_points = int(cfg.get("test_points", 2000))
-    ref_samples = int(cfg.get("ref_samples", 1_000_000))
-    rbf_cfg = cfg.get("rbf", {"center": 1.0, "width": 1.0})
-    _check_keys(rbf_cfg, "rate-study config: rbf", set(), {"center", "width"})
-    params = kernel.RbfParams(center=float(rbf_cfg.get("center", 1.0)), width=float(rbf_cfg.get("width", 1.0)))
-    b1 = np.asarray(_as_number_list(cfg, "b1", where)) if "b1" in cfg else np.array([1.0, 0.0])
-    b2 = np.asarray(_as_number_list(cfg, "b2", where)) if "b2" in cfg else np.array([0.0, 1.0])
-    v_scale = float(cfg.get("v_scale", 1.0))
-    slope_range = cfg.get("slope_range", [-0.65, -0.35])
-
+def _run_rate_study(cfg: configs.RateStudyConfig, out_dir: str) -> int:
     result = rate_study(
-        params, b1, b2, m_values, trials, seed, test_points=test_points, ref_samples=ref_samples, v_scale=v_scale
+        cfg.rbf, cfg.b1, cfg.b2, cfg.m_values, cfg.trials, cfg.seed, cfg.test_points, cfg.ref_samples, cfg.v_scale
     )
-    _write_table(
-        os.path.join(out_dir, "rate_study.txt"),
-        ["m", "mean_abs_err"],
-        list(zip(result.m_values, result.mean_abs_err)),
-    )
-    ok = True
-    lines = [f"fitted log-log slope: {_fmt(result.slope)}"]
-    if slope_range is not None:
-        lo, hi = float(slope_range[0]), float(slope_range[1])
-        ok = math.isfinite(result.slope) and lo <= result.slope <= hi
-        lines.append(f"expected slope range: [{_fmt(lo)}, {_fmt(hi)}]: {'PASS' if ok else 'FAIL'}")
-    _write_lines(os.path.join(out_dir, "rate_study_summary.txt"), lines)
+    _write_table(out_dir, "rate_study.txt", ["m", "mean_abs_err"], zip(result.m_values, result.mean_abs_err))
+    lo, hi = cfg.slope_range
+    ok = math.isfinite(result.slope) and lo <= result.slope <= hi
+    lines = [
+        f"fitted log-log slope: {_fmt(result.slope)}",
+        f"expected slope range: [{_fmt(lo)}, {_fmt(hi)}]: {_verdict(ok)}",
+    ]
+    _write_lines(out_dir, "rate_study_summary.txt", lines)
     return 0 if ok else 1
 
 
-def _pearson(u: np.ndarray, w: np.ndarray) -> float:
-    uc = u - u.mean()
-    wc = w - w.mean()
-    denom = math.sqrt(float(uc @ uc) * float(wc @ wc))
-    if denom == 0:
-        return 0.0
-    return float(uc @ wc) / denom
+def _activation_tables(out_dir: str, grid: basis.ActivationGrid, a: np.ndarray, grid_points: int, spec):
+    """Write the learned activation table and, given a target, the true and
+    scale-aligned ones; returns (scale, correlation) against the target."""
+    zs = np.linspace(grid.support_lo, grid.support_hi, grid_points)
+    curves = {"learned": basis.activation_curve(grid, basis.ActivationWeights(a=a), zs)}
+    scale = corr = None
+    if spec is not None:
+        learned, true_vals = curves["learned"], spec.sigma(zs)
+        denom = float(learned @ learned)
+        scale = float(learned @ true_vals) / denom if denom > 0 else 0.0
+        curves.update(true=true_vals, aligned=scale * learned)
+        uc, wc = curves["aligned"] - curves["aligned"].mean(), true_vals - true_vals.mean()
+        denom = math.sqrt(float(uc @ uc) * float(wc @ wc))  # Pearson correlation of aligned and true
+        corr = float(uc @ wc) / denom if scale != 0 and denom != 0 else 0.0
+    for name, values in curves.items():
+        _write_table(out_dir, f"activation_{name}.txt", ["z", "activation"], zip(zs, values))
+    return scale, corr
 
 
-def _aligned_activation(
-    grid: basis.ActivationGrid,
-    weights: basis.ActivationWeights,
-    true_vals: np.ndarray,
-    zs: np.ndarray,
-) -> tuple[np.ndarray, float, float]:
-    """(aligned curve, scale, correlation) of the learned activation vs truth."""
-    learned = basis.activation_curve(grid, weights, zs)
-    denom = float(learned @ learned)
-    scale = float(learned @ true_vals) / denom if denom > 0 else 0.0
-    aligned = scale * learned
-    return aligned, scale, _pearson(aligned, true_vals) if scale != 0 else 0.0
+def _run_train_compare(cfg: configs.TrainCompareConfig, out_dir: str) -> int:
+    calib = data.calibrate(cfg.spec)
+    spec = cfg.spec.with_calib(calib)
+    dim = cfg.data.dim
+    data_seed = cfg.seed + 1 if cfg.data.seed is None else cfg.data.seed
+    dataset = data.gen_dataset(spec, cfg.data.n, dim, cfg.data.test_fraction, data_seed)
 
-
-def _run_train_compare(cfg: dict, out_dir: str) -> int:
-    where = "train-compare config"
-    _check_keys(
-        cfg,
-        where,
-        {"seed", "target", "data", "model"},
-        {"train", "baselines", "baseline_width", "mse_ratio_max", "activation_grid_points", "min_activation_correlation"},
-    )
-    seed = _as_int(cfg, "seed", where)
-    root = np.random.SeedSequence([seed, 0x7121])
-
-    target_cfg = dict(cfg["target"])
-    spec1 = _target_spec_from_config(target_cfg, "train-compare config: target", default_seed=seed)
-    if spec1.calib != 1.0:
-        raise ConfigError("target calib must stay 1; calibration is automatic in train-compare")
-
-    data_cfg = cfg["data"]
-    _check_keys(data_cfg, "train-compare config: data", {"n", "dim"}, {"test_fraction", "seed"})
-    n = _as_int(data_cfg, "n", "data")
-    dim = _as_int(data_cfg, "dim", "data")
-    test_fraction = float(data_cfg.get("test_fraction", 0.2))
-    data_seed = int(data_cfg.get("seed", seed + 1))
-
-    model_cfg = cfg["model"]
-    _check_keys(model_cfg, "train-compare config: model", {"n_features", "n_basis"}, {"support", "width"})
-    m = _as_int(model_cfg, "n_features", "model")
-    n_basis = _as_int(model_cfg, "n_basis", "model")
-    support = model_cfg.get("support", [-2.0, 2.0])
-    if not isinstance(support, list) or len(support) != 2:
-        raise ConfigError("key 'support' in train-compare config: model must be [lo, hi]")
-    lo, hi = float(support[0]), float(support[1])
-    width = float(model_cfg.get("width", 2.0 * (hi - lo) / n_basis))
-
-    train_cfg_dict = cfg.get("train", {})
-    _check_keys(
-        train_cfg_dict,
-        "train-compare config: train",
-        set(),
-        {"lambda1", "lambda2", "learning_rate", "epochs", "batch_size", "adam_beta1", "adam_beta2", "adam_eps"},
-    )
-    baselines_cfg = cfg.get("baselines", ["relu", "tanh", "rbf1", "rbf2"])
-    ss = root.spawn(3 + 2 * len(baselines_cfg))
-    tc = optim.TrainConfig(
-        lambda1=float(train_cfg_dict.get("lambda1", 1e-3)),
-        lambda2=float(train_cfg_dict.get("lambda2", 1e-4)),
-        learning_rate=float(train_cfg_dict.get("learning_rate", 1e-3)),
-        epochs=int(train_cfg_dict.get("epochs", 5)),
-        batch_size=int(train_cfg_dict.get("batch_size", 256)),
-        seed=_child_seed(ss[0]),
-        adam_beta1=float(train_cfg_dict.get("adam_beta1", 0.9)),
-        adam_beta2=float(train_cfg_dict.get("adam_beta2", 0.999)),
-        adam_eps=float(train_cfg_dict.get("adam_eps", 1e-8)),
-    )
-
-    baselines = baselines_cfg
-    for kind in baselines:
-        if kind not in model.BASELINE_ACTIVATIONS:
-            raise ConfigError(f"unknown baseline '{kind}' in {where}")
-    expected_width = m + n_basis
-    if "baseline_width" in cfg and int(cfg["baseline_width"]) != expected_width:
-        raise ConfigError(
-            f"baseline_width {cfg['baseline_width']} does not match the parameter-count "
-            f"rule n_features + n_basis = {expected_width}"
-        )
-    mse_ratio_max = float(cfg.get("mse_ratio_max", 0.5))
-    grid_points = int(cfg.get("activation_grid_points", 401))
-    min_corr = float(cfg.get("min_activation_correlation", 0.9))
-
-    calib = data.calibrate(spec1)
-    spec = spec1.with_calib(calib)
-    dataset = data.gen_dataset(spec, n, dim, test_fraction, data_seed)
-
-    grid = basis.build_grid(lo, hi, n_basis, width)
-    bank = model.sample_features(dim, m, _child_seed(ss[1]))
-    model0 = optim.new_rflaf_model(bank, grid, _child_seed(ss[2]))
-    trained, history = optim.train(model0, dataset, tc)
-    hist_cols = ["epoch", "train_total", "train_mse", "test_mse"]
-    _write_table(
-        os.path.join(out_dir, "history_rflaf.txt"),
-        hist_cols,
-        [(hrow.epoch, hrow.train_total, hrow.train_mse, hrow.test_mse) for hrow in history],
-    )
+    grid = cfg.model.grid
+    seeds = cfg.child_seeds
+    bank = model.sample_features(dim, cfg.model.n_features, seeds[1])
+    trained, history = optim.train(optim.new_rflaf_model(bank, grid, seeds[2]), dataset, cfg.train_config)
     model.save_model(trained, os.path.join(out_dir, "model_rflaf.npz"))
+    histories = {"rflaf": history}
+    for j, kind in enumerate(cfg.baselines):
+        b_bank = model.sample_features(dim, cfg.model.n_features + cfg.model.n_basis, seeds[3 + 2 * j])
+        b_model = optim.new_baseline_model(b_bank, kind, seeds[4 + 2 * j])
+        histories[kind] = optim.train_baseline(b_model, dataset, cfg.train_config)[1]
+    for name, rows in histories.items():
+        history_rows = [(row.epoch, row.train_total, row.train_mse, row.test_mse) for row in rows]
+        _write_table(out_dir, f"history_{name}.txt", ["epoch", "train_total", "train_mse", "test_mse"], history_rows)
+    final_mse = {name: rows[-1].test_mse for name, rows in histories.items()}
 
-    final_mse = {"rflaf": history[-1].test_mse if history else float("nan")}
-    for j, kind in enumerate(baselines):
-        b_bank = model.sample_features(dim, expected_width, _child_seed(ss[3 + 2 * j]))
-        b_model = optim.new_baseline_model(b_bank, kind, _child_seed(ss[4 + 2 * j]))
-        _, b_history = optim.train_baseline(b_model, dataset, tc)
-        _write_table(
-            os.path.join(out_dir, f"history_{kind}.txt"),
-            hist_cols,
-            [(hrow.epoch, hrow.train_total, hrow.train_mse, hrow.test_mse) for hrow in b_history],
-        )
-        final_mse[kind] = b_history[-1].test_mse if b_history else float("nan")
+    scale, corr = _activation_tables(out_dir, grid, trained.a, cfg.activation_grid_points, spec)
 
-    zs = np.linspace(lo, hi, grid_points)
-    true_vals = spec.sigma(zs)
-    aligned, scale, corr = _aligned_activation(grid, basis.ActivationWeights(a=trained.a), true_vals, zs)
-    learned = basis.activation_curve(grid, basis.ActivationWeights(a=trained.a), zs)
-    _write_table(os.path.join(out_dir, "activation_learned.txt"), ["z", "activation"], zip(zs, learned))
-    _write_table(os.path.join(out_dir, "activation_true.txt"), ["z", "activation"], zip(zs, true_vals))
-    _write_table(os.path.join(out_dir, "activation_aligned.txt"), ["z", "activation"], zip(zs, aligned))
-
-    best_baseline = min(final_mse[k] for k in baselines) if baselines else float("inf")
+    best_baseline = min(final_mse[k] for k in cfg.baselines)
     ratio = final_mse["rflaf"] / best_baseline if best_baseline > 0 else float("inf")
-    ratio_ok = ratio <= mse_ratio_max
-    corr_ok = corr >= min_corr
+    ratio_ok = ratio <= cfg.mse_ratio_max
+    corr_ok = corr >= cfg.min_activation_correlation
     lines = [f"calibration constant: {_fmt(calib)}"]
-    for name in ["rflaf", *baselines]:
-        lines.append(f"final test mse {name}: {_fmt(final_mse[name])}")
+    lines += [f"final test mse {name}: {_fmt(mse)}" for name, mse in final_mse.items()]
     lines += [
-        f"mse ratio rflaf/best-baseline: {_fmt(ratio)} (max {_fmt(mse_ratio_max)}): "
-        f"{'PASS' if ratio_ok else 'FAIL'}",
+        f"mse ratio rflaf/best-baseline: {_fmt(ratio)} (max {_fmt(cfg.mse_ratio_max)}): {_verdict(ratio_ok)}",
         f"activation alignment scale: {_fmt(scale)}",
-        f"activation correlation: {_fmt(corr)} (min {_fmt(min_corr)}): {'PASS' if corr_ok else 'FAIL'}",
-        f"overall: {'PASS' if ratio_ok and corr_ok else 'FAIL'}",
+        f"activation correlation: {_fmt(corr)} (min {_fmt(cfg.min_activation_correlation)}): {_verdict(corr_ok)}",
+        f"overall: {_verdict(ratio_ok and corr_ok)}",
     ]
-    _write_lines(os.path.join(out_dir, "train_compare_summary.txt"), lines)
+    _write_lines(out_dir, "train_compare_summary.txt", lines)
     return 0 if ratio_ok and corr_ok else 1
 
 
-def _run_export_activation(cfg: dict, out_dir: str) -> int:
-    where = "export-activation config"
-    _check_keys(cfg, where, {"checkpoint"}, {"seed", "grid_points", "target", "min_activation_correlation"})
-    ckpt = cfg["checkpoint"]
-    if not isinstance(ckpt, str):
-        raise ConfigError(f"key 'checkpoint' in {where} must be a path string")
+def _run_export_activation(cfg: configs.ExportActivationConfig, out_dir: str) -> int:
     try:
-        trained = model.load_model(ckpt)
+        trained = model.load_model(cfg.checkpoint)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load checkpoint {ckpt!r}: {exc}") from exc
-    grid_points = int(cfg.get("grid_points", 401))
-    zs = np.linspace(trained.grid.support_lo, trained.grid.support_hi, grid_points)
-    weights = basis.ActivationWeights(a=trained.a)
-    learned = basis.activation_curve(trained.grid, weights, zs)
-    _write_table(os.path.join(out_dir, "activation_learned.txt"), ["z", "activation"], zip(zs, learned))
-    lines = [f"checkpoint: {ckpt}", f"grid points: {grid_points}"]
+        raise ConfigError(f"cannot load checkpoint {cfg.checkpoint!r}: {exc}") from exc
+    scale, corr = _activation_tables(out_dir, trained.grid, trained.a, cfg.grid_points, cfg.spec)
+    lines = [f"checkpoint: {cfg.checkpoint}", f"grid points: {cfg.grid_points}"]
     ok = True
-    if "target" in cfg:
-        spec = _target_spec_from_config(dict(cfg["target"]), "export-activation config: target", default_seed=0)
-        true_vals = spec.sigma(zs)
-        aligned, scale, corr = _aligned_activation(trained.grid, weights, true_vals, zs)
-        _write_table(os.path.join(out_dir, "activation_true.txt"), ["z", "activation"], zip(zs, true_vals))
-        _write_table(os.path.join(out_dir, "activation_aligned.txt"), ["z", "activation"], zip(zs, aligned))
-        lines.append(f"activation alignment scale: {_fmt(scale)}")
-        lines.append(f"activation correlation: {_fmt(corr)}")
-        if "min_activation_correlation" in cfg:
-            min_corr = float(cfg["min_activation_correlation"])
-            ok = corr >= min_corr
-            lines.append(f"correlation threshold {_fmt(min_corr)}: {'PASS' if ok else 'FAIL'}")
-    _write_lines(os.path.join(out_dir, "export_activation_summary.txt"), lines)
+    if cfg.spec is not None:
+        lines += [f"activation alignment scale: {_fmt(scale)}", f"activation correlation: {_fmt(corr)}"]
+        if cfg.min_activation_correlation is not None:
+            ok = corr >= cfg.min_activation_correlation
+            lines.append(f"correlation threshold {_fmt(cfg.min_activation_correlation)}: {_verdict(ok)}")
+    _write_lines(out_dir, "export_activation_summary.txt", lines)
     return 0 if ok else 1
 
 
-def _run_bounds(cfg: dict, out_dir: str) -> int:
-    where = "bounds config"
-    _check_keys(
-        cfg,
-        where,
-        {"width", "n_basis", "n_features", "delta", "sigma_sup", "support_len", "radius"},
-        {"seed", "epsilon", "lipschitz_sigma"},
-    )
-    try:
-        report = theory_bounds(
-            h=_as_number(cfg, "width", where),
-            n_basis=_as_int(cfg, "n_basis", where),
-            n_features=_as_int(cfg, "n_features", where),
-            delta=_as_number(cfg, "delta", where),
-            sigma_sup=_as_number(cfg, "sigma_sup", where),
-            support_len=_as_number(cfg, "support_len", where),
-            radius=_as_number(cfg, "radius", where),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _run_bounds(cfg: configs.BoundsConfig, out_dir: str) -> int:
     lines = [
-        f"width h: {_fmt(report.width)}",
-        f"grid size N: {report.n_basis}",
-        f"feature count M: {report.n_features}",
-        f"delta: {_fmt(report.delta)}",
-        f"sigma sup norm: {_fmt(report.sigma_sup)}",
-        f"support length: {_fmt(report.support_len)}",
-        f"radius R: {_fmt(report.radius)}",
-        f"a norm bound: {_fmt(report.a_norm_bound)}",
-        f"v norm bound: {_fmt(report.v_norm_bound)}",
-        f"f sup bound: {_fmt(report.f_sup_bound)}",
+        f"width h: {_fmt(cfg.width)}",
+        f"grid size N: {cfg.n_basis}",
+        f"feature count M: {cfg.n_features}",
+        f"delta: {_fmt(cfg.delta)}",
+        f"sigma sup norm: {_fmt(cfg.sigma_sup)}",
+        f"support length: {_fmt(cfg.support_len)}",
+        f"radius R: {_fmt(cfg.radius)}",
+        f"a norm bound: {_fmt(cfg.report.a_norm_bound)}",
+        f"v norm bound: {_fmt(cfg.report.v_norm_bound)}",
+        f"f sup bound: {_fmt(cfg.report.f_sup_bound)}",
     ]
-    if "epsilon" in cfg and "lipschitz_sigma" in cfg:
-        h_max, spacing_max = basis.approximation_schedule(
-            epsilon=_as_number(cfg, "epsilon", where),
-            lipschitz_sigma=_as_number(cfg, "lipschitz_sigma", where),
-            radius=report.radius,
-            sigma_sup=report.sigma_sup,
-            support_len=report.support_len,
-        )
+    if cfg.schedule is not None:
+        h_max, spacing_max = cfg.schedule
         lines.append(f"sufficient width for epsilon: {_fmt(h_max)}")
         lines.append(f"sufficient grid spacing for epsilon: {_fmt(spacing_max)}")
-    _write_lines(os.path.join(out_dir, "bounds.txt"), lines)
+    _write_lines(out_dir, "bounds.txt", lines)
     return 0
 
 
+# mode -> (name of its config class in rflaf.configs, runner)
 MODES = {
-    "kernel-verify": _run_kernel_verify,
-    "taylor-verify": _run_taylor_verify,
-    "rate-study": _run_rate_study,
-    "train-compare": _run_train_compare,
-    "export-activation": _run_export_activation,
-    "bounds": _run_bounds,
+    "kernel-verify": ("KernelVerifyConfig", _run_kernel_verify),
+    "taylor-verify": ("TaylorVerifyConfig", _run_taylor_verify),
+    "rate-study": ("RateStudyConfig", _run_rate_study),
+    "train-compare": ("TrainCompareConfig", _run_train_compare),
+    "export-activation": ("ExportActivationConfig", _run_export_activation),
+    "bounds": ("BoundsConfig", _run_bounds),
 }
 
 
@@ -650,16 +373,24 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def parse_config(mode: str, config: dict):
+    """The mode's frozen config (rflaf.configs) built from JSON; every check and
+    every domain object the mode builds from its config runs here, before any sampling."""
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {sorted(MODES)}")
+    from . import configs  # imported on first use; see its docstring
+
+    return configs.parse(getattr(configs, MODES[mode][0]), config, f"{mode} config")
+
+
 def run(mode: str, config: dict, out_dir: str, seed_override: int | None = None) -> int:
     """Run one experiment mode; returns the process exit code.
 
     0 means all checks passed; 1 means a verification check failed; config
     problems raise ConfigError (mapped to exit code 2 by the CLI).
     """
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {sorted(MODES)}")
-    config = dict(config)
     if seed_override is not None:
-        config["seed"] = seed_override
+        config = dict(config, seed=seed_override)
+    cfg = parse_config(mode, config)
     os.makedirs(out_dir, exist_ok=True)
-    return MODES[mode](config, out_dir)
+    return MODES[mode][1](cfg, out_dir)

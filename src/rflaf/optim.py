@@ -77,17 +77,17 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("regularizer weights must be nonnegative")
+            raise ValueError("regularizer weights lambda1 and lambda2 must be nonnegative")
         if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("Adam betas must lie in [0, 1)")
+            raise ValueError("Adam betas adam_beta1 and adam_beta2 must lie in [0, 1)")
         if self.adam_eps <= 0:
-            raise ValueError("Adam epsilon must be positive")
+            raise ValueError("adam_eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -307,55 +307,53 @@ def grad_check(
     return worst
 
 
-def _epoch_batches(n_train: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n_train)
-    for lo in range(0, n_train, batch_size):
-        yield order[lo : lo + batch_size]
+def _adam_loop(params, dataset: Dataset, cfg: TrainConfig, loss_and_grad, predict_test):
+    """The Adam loop shared by every model, over the dataset's train split.
 
-
-def train(model: RflafModel, dataset: Dataset, cfg: TrainConfig) -> tuple[RflafModel, list[EpochStats]]:
-    """Adam on (a, v) over the dataset's train split.
-
-    Returns the trained model and one EpochStats row per epoch; train metrics
-    are size-weighted running means over the epoch's batches, test_mse is a
-    full pass at the end of each epoch.  Two runs with equal seeds produce
-    identical parameter trajectories.
+    loss_and_grad(params, idx, y_batch) returns the batch's LossBreakdown and
+    the gradient in params; predict_test(params) returns the model outputs on
+    the test split.  Train metrics are size-weighted running means over the
+    epoch's batches, test_mse is a full pass at the end of each epoch.  Two
+    runs with equal seeds produce identical parameter trajectories.
     """
-    x_train = dataset.X[dataset.train_idx]
     y_train = dataset.y[dataset.train_idx]
-    x_test = dataset.X[dataset.test_idx]
     y_test = dataset.y[dataset.test_idx]
-    n_basis = model.grid.n_basis
-    params = np.concatenate([model.a, model.v])
     state = init_adam(params.shape[0])
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochStats] = []
-    current = model
     for epoch in range(cfg.epochs):
         sums = np.zeros(4)  # total, mse, balance, l1 weighted by batch size
         seen = 0
-        for idx in _epoch_batches(y_train.shape[0], cfg.batch_size, rng):
-            xb, yb = x_train[idx], y_train[idx]
-            lb, g_a, g_v = _loss_and_grad(current, xb, yb, cfg)
-            state, params = adam_step(state, params, np.concatenate([g_a, g_v]), cfg)
-            current = RflafModel(
-                bank=model.bank, grid=model.grid, a=params[:n_basis], v=params[n_basis:]
-            )
+        order = rng.permutation(y_train.shape[0])
+        for lo in range(0, order.shape[0], cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            lb, grads = loss_and_grad(params, idx, y_train[idx])
+            state, params = adam_step(state, params, grads, cfg)
             sums += idx.shape[0] * np.array([lb.total, lb.mse, lb.balance, lb.l1])
             seen += idx.shape[0]
-        test_resid = predict_batch(current, x_test) - y_test
+        test_resid = predict_test(params) - y_test
         test_mse = float(test_resid @ test_resid) / max(1, y_test.shape[0])
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                train_total=sums[0] / seen,
-                train_mse=sums[1] / seen,
-                train_balance=sums[2] / seen,
-                train_l1=sums[3] / seen,
-                test_mse=test_mse,
-            )
-        )
-    return current, history
+        history.append(EpochStats(epoch, *(sums / seen), test_mse=test_mse))
+    return params, history
+
+
+def train(model: RflafModel, dataset: Dataset, cfg: TrainConfig) -> tuple[RflafModel, list[EpochStats]]:
+    """Adam on (a, v) of the regularized objective; see _adam_loop."""
+    x_train = dataset.X[dataset.train_idx]
+    x_test = dataset.X[dataset.test_idx]
+    n_basis = model.grid.n_basis
+
+    def at(params: np.ndarray) -> RflafModel:
+        return RflafModel(bank=model.bank, grid=model.grid, a=params[:n_basis], v=params[n_basis:])
+
+    def loss_and_grad(params, idx, yb):
+        lb, g_a, g_v = _loss_and_grad(at(params), x_train[idx], yb, cfg)
+        return lb, np.concatenate([g_a, g_v])
+
+    params, history = _adam_loop(
+        np.concatenate([model.a, model.v]), dataset, cfg, loss_and_grad, lambda p: predict_batch(at(p), x_test)
+    )
+    return at(params), history
 
 
 def train_baseline(
@@ -365,39 +363,16 @@ def train_baseline(
 ) -> tuple[BaselineRfModel, list[EpochStats]]:
     """Adam on v for a fixed-activation baseline; plain MSE objective."""
     act = BASELINE_ACTIVATIONS[model.activation_kind]
-    x_train = dataset.X[dataset.train_idx]
-    y_train = dataset.y[dataset.train_idx]
-    x_test = dataset.X[dataset.test_idx]
-    y_test = dataset.y[dataset.test_idx]
-    phi_train = act(x_train @ model.bank.weights.T)  # (n_train, width)
-    phi_test = act(x_test @ model.bank.weights.T)
+    phi_train = act(dataset.X[dataset.train_idx] @ model.bank.weights.T)  # (n_train, width)
+    phi_test = act(dataset.X[dataset.test_idx] @ model.bank.weights.T)
     width = model.width
-    v = model.v.copy()
-    state = init_adam(width)
-    rng = np.random.default_rng(cfg.seed)
-    history: list[EpochStats] = []
-    for epoch in range(cfg.epochs):
-        total = 0.0
-        seen = 0
-        for idx in _epoch_batches(y_train.shape[0], cfg.batch_size, rng):
-            pb = phi_train[idx]
-            resid = pb @ v / width - y_train[idx]
-            mse = float(resid @ resid) / idx.shape[0]
-            g_v = (2.0 / (idx.shape[0] * width)) * (resid @ pb)
-            state, v = adam_step(state, v, g_v, cfg)
-            total += mse * idx.shape[0]
-            seen += idx.shape[0]
-        test_resid = phi_test @ v / width - y_test
-        test_mse = float(test_resid @ test_resid) / max(1, y_test.shape[0])
-        train_mse = total / seen
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                train_total=train_mse,
-                train_mse=train_mse,
-                train_balance=0.0,
-                train_l1=0.0,
-                test_mse=test_mse,
-            )
-        )
+
+    def loss_and_grad(v, idx, yb):
+        pb = phi_train[idx]
+        resid = pb @ v / width - yb
+        mse = float(resid @ resid) / idx.shape[0]
+        g_v = (2.0 / (idx.shape[0] * width)) * (resid @ pb)
+        return LossBreakdown(mse=mse, balance=0.0, l1=0.0, total=mse), g_v
+
+    v, history = _adam_loop(model.v.copy(), dataset, cfg, loss_and_grad, lambda v: phi_test @ v / width)
     return BaselineRfModel(bank=model.bank, activation_kind=model.activation_kind, v=v), history

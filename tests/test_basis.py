@@ -205,6 +205,12 @@ class TestApproximationSchedule:
         with pytest.raises(ValueError):
             approximation_schedule(0.0, 1.0, 1.0, 1.0, 4.0)
 
+    @pytest.mark.parametrize("epsilon", [32.0, 40.0])
+    def test_rejects_epsilon_at_or_above_16_sigma_r(self, epsilon):
+        # log(16 sigma_sup R / epsilon) <= 0 has no sufficient width (was ZeroDivisionError at 32)
+        with pytest.raises(ValueError, match="epsilon"):
+            approximation_schedule(epsilon, 1.0, 2.0, 1.0, 4.0)
+
 
 class TestExportActivationTable:
     def test_round_trip(self, tmp_path):

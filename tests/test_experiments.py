@@ -2,14 +2,17 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rflaf import basis, data, model
+from rflaf import basis, data, experiments, kernel, model
 from rflaf.cli import main
-from rflaf.experiments import ConfigError, rate_study, run, theory_bounds
+from rflaf.experiments import MODES, ConfigError, load_config, parse_config, rate_study, run, theory_bounds
 from rflaf.kernel import RbfParams
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 class TestTheoryBounds:
@@ -114,6 +117,12 @@ class TestRunKernelVerify:
     def test_missing_seed_named_in_error(self, tmp_path):
         with pytest.raises(ConfigError, match="seed"):
             run("kernel-verify", {"trials": 3}, str(tmp_path))
+
+    def test_single_trial_needs_its_pass(self, tmp_path):
+        # min_passes defaults to max(1, trials - 1): one trial cannot pass with zero passes
+        cfg = {"seed": 3, "trials": 1, "samples": 20_000, "dims": [2], "centers": [0.0], "widths": [1.0]}
+        assert run("kernel-verify", cfg, str(tmp_path)) == 0
+        assert "1/1 trials pass (need >= 1): PASS" in (tmp_path / "kernel_verify_summary.txt").read_text()
 
 
 class TestRunTaylorVerify:
@@ -279,6 +288,73 @@ class TestRunDispatch:
         assert (tmp_path / "a" / "kernel_verify.txt").read_text() == (
             tmp_path / "b" / "kernel_verify.txt"
         ).read_text()
+
+
+def _train_compare_config(**changes):
+    """TestRunTrainCompare's smoke config with ``section.key`` or top-level keys replaced."""
+    cfg = TestRunTrainCompare()._config()
+    for path, value in changes.items():
+        section, _, key = path.rpartition(".")
+        (cfg[section] if section else cfg)[key] = value
+    return cfg
+
+
+_BOUNDS_SCHEDULE = dict(TestRunBounds.BASE, epsilon=0.1, lipschitz_sigma=math.pi)
+
+# (mode, config, key the error must name); each must exit 2 before any sampling
+BAD_CONFIGS = [
+    ("kernel-verify", {"seed": 1, "trials": "x"}, "trials"),
+    ("kernel-verify", {"seed": 1, "trials": 0}, "trials"),
+    ("kernel-verify", {"seed": 1, "samples": 1}, "samples"),
+    ("kernel-verify", {"seed": 1, "trials": 3, "min_passes": 0}, "min_passes"),
+    ("kernel-verify", {"seed": 1, "trials": 3, "min_passes": 4}, "min_passes"),
+    ("kernel-verify", {"seed": True}, "seed"),
+    ("kernel-verify", {"seed": 1, "widths": [0.0]}, "width"),
+    ("rate-study", {"seed": 1, "slope_range": [1]}, "slope_range"),
+    ("rate-study", {"seed": 1, "slope_range": [0, -1]}, "slope_range"),
+    ("rate-study", {"seed": 1, "slope_range": None}, "slope_range"),
+    ("bounds", dict(TestRunBounds.BASE, epsilon=0.1), "lipschitz_sigma"),
+    ("bounds", dict(TestRunBounds.BASE, lipschitz_sigma=math.pi), "epsilon"),
+    ("bounds", dict(_BOUNDS_SCHEDULE, epsilon=-1), "epsilon"),
+    ("bounds", dict(_BOUNDS_SCHEDULE, epsilon=32.0), "epsilon"),
+    ("bounds", dict(_BOUNDS_SCHEDULE, lipschitz_sigma=-1), "lipschitz_sigma"),
+    ("bounds", dict(TestRunBounds.BASE, n_basis=400.0), "n_basis"),
+    ("bounds", dict(TestRunBounds.BASE, width=-1.0), "width"),
+    ("bounds", dict(TestRunBounds.BASE, radius=float("nan")), "radius"),
+    ("bounds", dict(TestRunBounds.BASE, radius=10**400), "radius"),
+    ("train-compare", _train_compare_config(**{"train.epochs": "2"}), "epochs"),
+    ("train-compare", _train_compare_config(**{"train.batch_size": 2.9}), "batch_size"),
+    ("train-compare", _train_compare_config(**{"train.epochs": 0}), "epochs"),
+    ("train-compare", _train_compare_config(**{"train.seed": 5}), "seed"),
+    ("train-compare", _train_compare_config(**{"train.learning_rate": 0}), "learning_rate"),
+    ("train-compare", _train_compare_config(**{"data.test_fraction": 2}), "test_fraction"),
+    ("train-compare", _train_compare_config(**{"data.dim": 3}), "dim"),
+    ("train-compare", _train_compare_config(**{"data.n": 1}), "key 'n'"),
+    ("train-compare", _train_compare_config(baselines=[]), "baselines"),
+    ("train-compare", _train_compare_config(**{"target.sigma": "custom-table"}), "sigma"),
+    ("train-compare", _train_compare_config(**{"target.mc_samples": 10}), "mc_samples"),
+    ("train-compare", _train_compare_config(**{"model.n_basis": 0}), "n_basis"),
+    ("export-activation", {"checkpoint": "model.npz", "min_activation_correlation": 0.9}, "min_activation_correlation"),
+]
+
+
+class TestBadConfigs:
+    @pytest.mark.parametrize("mode,cfg,key", BAD_CONFIGS, ids=[f"{mode}-{i}" for i, (mode, _, _) in enumerate(BAD_CONFIGS)])
+    def test_exits_2_naming_key_before_sampling(self, mode, cfg, key, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a bad config reached sampling")
+
+        monkeypatch.setattr(data, "calibrate", no_sampling)
+        monkeypatch.setattr(kernel, "kernel_mc", no_sampling)
+        monkeypatch.setattr(experiments, "rate_study", no_sampling)
+        cfg_path = _write_config(tmp_path, cfg)
+        assert main([mode, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+    def test_shipped_config_parses(self, path):
+        mode = next(m for m in MODES if path.stem.replace("_", "-").startswith(m))
+        assert type(parse_config(mode, load_config(str(path)))).__name__ == MODES[mode][0]
 
 
 class TestCli:
