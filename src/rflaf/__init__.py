@@ -29,16 +29,14 @@ from .basis import (
     ActivationWeights,
     activation_curve,
     build_grid,
-    eval_activation,
+    bumps,
     quadrature_weights,
-    rbf_features,
 )
 from .model import (
     BaselineRfModel,
     FeatureBank,
     RflafModel,
     baseline_forward,
-    feature_matrix,
     forward,
     forward_batch,
     load_model,

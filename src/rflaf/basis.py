@@ -22,10 +22,8 @@ __all__ = [
     "ActivationGrid",
     "ActivationWeights",
     "build_grid",
-    "rbf_features",
-    "rbf_features_batch",
+    "bumps",
     "banded_bumps",
-    "eval_activation",
     "activation_curve",
     "quadrature_weights",
     "quadrature_norm_bounds",
@@ -116,17 +114,17 @@ def build_grid(support_lo: float, support_hi: float, n_basis: int, width: float)
     )
 
 
-def rbf_features(grid: ActivationGrid, z: float) -> np.ndarray:
-    """Vector of basis responses exp(-(z - c_i)^2 / (2 h^2)), each in (0, 1]."""
-    d = z - grid.centers
-    return np.exp(-(d * d) / (2.0 * grid.width * grid.width))
+def bumps(u: np.ndarray, c, h: float) -> np.ndarray:
+    """Gaussian bumps exp(-(u - c)^2 / (2 h^2)), computed in place over u and returned.
 
-
-def rbf_features_batch(grid: ActivationGrid, zs: np.ndarray) -> np.ndarray:
-    """Row i holds rbf_features(grid, zs[i]); shape (len(zs), n_basis)."""
-    zs = np.asarray(zs, dtype=float)
-    d = zs[:, None] - grid.centers[None, :]
-    return np.exp(-(d * d) / (2.0 * grid.width * grid.width))
+    u must be a float array the caller owns; c broadcasts against it.  The
+    steps run in a fixed order (subtract, square, scale, exp) without
+    temporaries, so equal inputs give equal bits wherever the bump is used.
+    """
+    np.subtract(u, c, out=u)
+    np.square(u, out=u)
+    u *= -1.0 / (2.0 * h * h)
+    return np.exp(u, out=u)
 
 
 def banded_bumps(grid: ActivationGrid, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,38 +133,24 @@ def banded_bumps(grid: ActivationGrid, z: np.ndarray) -> tuple[np.ndarray, np.nd
     W = grid.band_width.  Window p covers the centers within W // 2 cells of
     z_p's cell, clipped to [0, N - W], so every center left out contributes
     at most exp(-BAND_CUTOFF) times its weight; with W = N every s is 0 and
-    the block is the dense basis.  z and the centers are pre-scaled by
-    1/(sqrt(2) h) so the exponent is just the squared gap.  A NaN or
-    infinite z still gets a window inside the grid.
+    the block is the dense basis.  A NaN or infinite z still gets a window
+    inside the grid.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     w = grid.band_width
     cell = np.floor((z - grid.support_lo) / grid.spacing)
     s = np.fmin(np.fmax(cell - (w // 2), 0.0), grid.n_basis - w).astype(np.intp)
-    k = 1.0 / (math.sqrt(2.0) * grid.width)
-    block = sliding_window_view(k * grid.centers, w)[s]
-    np.subtract((k * z)[:, None], block, out=block)
-    block *= block
-    np.negative(block, out=block)
-    return s, np.exp(block, out=block)
-
-
-def eval_activation(grid: ActivationGrid, weights: ActivationWeights, z: float) -> float:
-    """Activation value: inner product of the weights with the basis responses."""
-    if weights.a.shape[0] != grid.n_basis:
-        raise ValueError(
-            f"weight length {weights.a.shape[0]} does not match grid size {grid.n_basis}"
-        )
-    return float(weights.a @ rbf_features(grid, z))
+    return s, bumps(sliding_window_view(grid.centers, w)[s], z[:, None], grid.width)
 
 
 def activation_curve(grid: ActivationGrid, weights: ActivationWeights, zs: np.ndarray) -> np.ndarray:
-    """Activation evaluated on a vector of points."""
+    """Activation sum_k a_k exp(-(z - c_k)^2 / (2 h^2)) at each point of zs, over its band."""
     if weights.a.shape[0] != grid.n_basis:
         raise ValueError(
             f"weight length {weights.a.shape[0]} does not match grid size {grid.n_basis}"
         )
-    return rbf_features_batch(grid, zs) @ weights.a
+    s, e = banded_bumps(grid, zs)
+    return np.einsum("pj,pj->p", e, sliding_window_view(weights.a, e.shape[1])[s])
 
 
 def quadrature_weights(grid: ActivationGrid, sigma_at_centers: np.ndarray) -> ActivationWeights:
@@ -228,6 +212,11 @@ def approximation_schedule(
     log_term = math.log(
         8.0 * sigma_sup * support_len * radius / (math.sqrt(2.0 * math.pi) * epsilon * h_max**2)
     )
+    if log_term <= 0:
+        raise ValueError(
+            f"support_len {support_len} is too short for epsilon {epsilon}: the sufficient grid spacing "
+            "needs 8 sigma_sup support_len radius > sqrt(2 pi) epsilon h_max^2"
+        )
     spacing_max = min(
         epsilon * h_max * math.sqrt(math.pi * math.e) / (16.0 * math.sqrt(2.0) * sigma_sup * radius * log_term),
         epsilon / (4.0 * lr),

@@ -114,7 +114,6 @@ def rate_study(
         raise ValueError("trials, test_points, and ref_samples must be positive")
     d = b1.shape[0]
     c, h = rbf.center, rbf.width
-    inv2h2 = 1.0 / (2.0 * h * h)
     root = np.random.SeedSequence([seed, 0xA7E])
     ss_test, ss_ref, ss_banks = root.spawn(3)
     x_test = np.random.default_rng(ss_test).standard_normal((test_points, d))
@@ -127,8 +126,7 @@ def rate_study(
         nw = min(chunk, remaining)
         w = rng_ref.standard_normal((nw, d))
         vv = v_scale * np.maximum(w @ b1, w @ b2)
-        bmat = np.exp(-((w @ x_test.T - c) ** 2) * inv2h2)
-        acc += vv @ bmat
+        acc += vv @ basis.bumps(w @ x_test.T, c, h)
         remaining -= nw
     phi_ref = acc / ref_samples
 
@@ -140,8 +138,7 @@ def rate_study(
             rng = np.random.default_rng(bank_seeds[i * trials + t])
             w = rng.standard_normal((m, d))
             vm = v_scale * np.maximum(w @ b1, w @ b2)
-            bmat = np.exp(-((w @ x_test.T - c) ** 2) * inv2h2)
-            phi_hat = vm @ bmat / m
+            phi_hat = vm @ basis.bumps(w @ x_test.T, c, h) / m
             trial_errs[t] = float(np.mean(np.abs(phi_hat - phi_ref)))
         errs[i] = trial_errs.mean()
     if np.all(errs > 0):

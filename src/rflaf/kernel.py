@@ -21,6 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .basis import bumps
+
 __all__ = [
     "RbfParams",
     "McEstimate",
@@ -152,7 +154,6 @@ def kernel_mc(
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     c, h = params.center, params.width
-    inv2h2 = 1.0 / (2.0 * h * h)
     rng = np.random.default_rng(seed)
     d = x.shape[0]
     total = 0.0
@@ -161,7 +162,7 @@ def kernel_mc(
     while remaining > 0:
         n = min(_MC_CHUNK, remaining)
         w = rng.standard_normal((n, d))
-        vals = np.exp(-((w @ x - c) ** 2) * inv2h2) * np.exp(-((w @ x2 - c) ** 2) * inv2h2)
+        vals = bumps(w @ x, c, h) * bumps(w @ x2, c, h)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         remaining -= n

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .basis import ActivationGrid, build_grid
+from .basis import ActivationGrid, banded_bumps, build_grid, bumps
 
 __all__ = [
     "FeatureBank",
@@ -20,17 +21,22 @@ __all__ = [
     "BaselineRfModel",
     "BASELINE_ACTIVATIONS",
     "sample_features",
-    "feature_matrix",
+    "forward_chunks",
     "forward",
     "forward_batch",
     "baseline_forward",
     "baseline_forward_batch",
-    "single_basis_forward",
     "save_model",
     "load_model",
 ]
 
 CHECKPOINT_VERSION = 1
+
+# Bump-block cells (rows * M * band width) per row chunk: 2 MB per float64
+# temporary.  On a 2-core Xeon with 2 MB of L2 per core this ran the 256-row
+# gradient fastest of 2^16 .. 2^22 cells; chunks of tens of MB also fragment
+# the heap and raise peak memory.
+_BAND_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -76,11 +82,11 @@ def _relu(z: np.ndarray) -> np.ndarray:
 
 
 def _rbf1(z: np.ndarray) -> np.ndarray:
-    return np.exp(-(z * z) / (2.0 * 0.5**2))
+    return bumps(np.array(z, dtype=float), 0.0, 0.5)
 
 
 def _rbf2(z: np.ndarray) -> np.ndarray:
-    return np.exp(-((z - 1.5) ** 2) / (2.0 * 0.5**2))
+    return bumps(np.array(z, dtype=float), 1.5, 0.5)
 
 
 BASELINE_ACTIVATIONS = {
@@ -130,48 +136,59 @@ def sample_features(dim: int, n_features: int, seed: int) -> FeatureBank:
     )
 
 
-def feature_matrix(grid: ActivationGrid, bank: FeatureBank, x: np.ndarray) -> np.ndarray:
-    """N x M matrix with entry (k, m) = exp(-(w_m.x - c_k)^2 / (2 h^2))."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (bank.dim,):
-        raise ValueError(f"x has shape {x.shape}, expected ({bank.dim},)")
-    z = bank.weights @ x
-    d = z[None, :] - grid.centers[:, None]
-    return np.exp(-(d * d) / (2.0 * grid.width * grid.width))
+def _rows(X: np.ndarray, dim: int) -> np.ndarray:
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ValueError(f"X has shape {X.shape}, expected (n, {dim})")
+    return X
 
 
-def forward(model: RflafModel, x: np.ndarray) -> float:
-    """Model output (1/M) a^T B(x) v."""
-    b = feature_matrix(model.grid, model.bank, x)
-    return float(model.a @ (b @ model.v)) / model.bank.n_features
+def forward_chunks(model: RflafModel, X: np.ndarray):
+    """Yield (rows, s, e, act, out) per chunk of at most _BAND_CELLS bump cells.
+
+    rows slices X; s and e are basis.banded_bumps over the chunk's rows * M
+    pre-activations (row-major), act the (rows, M) activations and out the
+    outputs act . v / M.  np.einsum reduces each row in an order that, unlike
+    BLAS's, does not depend on the other rows: each output is a function of
+    its own row alone.
+    """
+    X = _rows(X, model.bank.dim)
+    m = model.bank.n_features
+    step = max(1, _BAND_CELLS // (m * model.grid.band_width))
+    for lo in range(0, X.shape[0], step):
+        rows = slice(lo, min(lo + step, X.shape[0]))
+        s, e = banded_bumps(model.grid, np.einsum("pd,md->pm", X[rows], model.bank.weights))
+        a_win = sliding_window_view(model.a, e.shape[1])[s]
+        act = np.einsum("pj,pj->p", e, a_win).reshape(-1, m)
+        yield rows, s, e, act, np.einsum("pm,m->p", act, model.v) / m
 
 
 def forward_batch(model: RflafModel, X: np.ndarray) -> np.ndarray:
-    """Row-wise forward; bit-identical to looping forward over the rows."""
+    """Model outputs (1/M) a^T B(x) v for the rows of X, each a function of its row alone."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.bank.dim:
-        if X.shape == (0,):
-            return np.empty(0)
-        raise ValueError(f"X has shape {X.shape}, expected (n, {model.bank.dim})")
-    return np.array([forward(model, row) for row in X])
+    if X.shape == (0,):
+        return np.empty(0)
+    out = np.empty(X.shape[0])
+    for rows, _, _, _, pred in forward_chunks(model, X):
+        out[rows] = pred
+    return out
 
 
-def baseline_forward(model: BaselineRfModel, x: np.ndarray) -> float:
-    """Baseline output (1/width) sum_m act(w_m.x) v_m."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.bank.dim,):
-        raise ValueError(f"x has shape {x.shape}, expected ({model.bank.dim},)")
-    act = BASELINE_ACTIVATIONS[model.activation_kind]
-    return float(act(model.bank.weights @ x) @ model.v) / model.width
+def forward(model: RflafModel, x: np.ndarray) -> float:
+    """Model output (1/M) a^T B(x) v: forward_batch on the one row x."""
+    return float(forward_batch(model, np.asarray(x, dtype=float)[None])[0])
 
 
 def baseline_forward_batch(model: BaselineRfModel, X: np.ndarray) -> np.ndarray:
-    """Vectorized baseline forward over the rows of X."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.bank.dim:
-        raise ValueError(f"X has shape {X.shape}, expected (n, {model.bank.dim})")
+    """Baseline outputs (1/width) sum_m act(w_m.x) v_m for the rows of X."""
+    X = _rows(X, model.bank.dim)
     act = BASELINE_ACTIVATIONS[model.activation_kind]
     return act(X @ model.bank.weights.T) @ model.v / model.width
+
+
+def baseline_forward(model: BaselineRfModel, x: np.ndarray) -> float:
+    """Baseline output: baseline_forward_batch on the one row x."""
+    return float(baseline_forward_batch(model, np.asarray(x, dtype=float)[None])[0])
 
 
 def save_model(model: RflafModel, path) -> None:
@@ -212,11 +229,3 @@ def load_model(path) -> RflafModel:
             return RflafModel(bank=bank, grid=grid, a=data["a"], v=data["v"])
         except KeyError as exc:
             raise ValueError(f"checkpoint missing field {exc}") from exc
-
-
-def single_basis_forward(grid: ActivationGrid, bank: FeatureBank, v: np.ndarray, k: int, x: np.ndarray) -> float:
-    """(1/M) sum_m B_k(w_m.x) v_m: the width-M model with one active basis."""
-    z = bank.weights @ np.asarray(x, dtype=float)
-    ck = grid.centers[k]
-    b = np.exp(-((z - ck) ** 2) / (2.0 * grid.width * grid.width))
-    return float(b @ v) / bank.n_features

@@ -11,13 +11,13 @@ the L1 term contributes sign(a_i), taken as 0 at a_i = 0.  Everything is
 deterministic for a fixed config seed: shuffling uses a seeded permutation
 and gradient reductions run in fixed index order.
 
-The forward pass, the objective and its gradient evaluate each
-pre-activation against only the grid.band_width centers within reach
-(basis.banded_bumps): every bump left out is below exp(-BAND_CUTOFF) ~ 4e-18
-of its weight.  At the shipped geometry (N=200, h=0.04) that is 37 of 200
-centers; when the band covers the grid it is the dense basis.  Rows run in
-chunks of at most _BAND_CELLS block cells (2 MB per temporary), and the
-weight gradient scatters each chunk's block onto a with one bincount.
+predict_batch is model.forward_batch, the one forward pass, and the
+objective and its gradient run over the same row chunks
+(model.forward_chunks): each pre-activation meets only the grid.band_width
+centers within reach (basis.banded_bumps), 37 of 200 at the shipped
+geometry (N=200, h=0.04), and every bump left out is below exp(-BAND_CUTOFF)
+~ 4e-18 of its weight.  The weight gradient scatters each chunk's bump block
+onto a with one bincount.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Dataset
 from .model import (
@@ -34,8 +33,11 @@ from .model import (
     BaselineRfModel,
     FeatureBank,
     RflafModel,
+    forward_chunks,
+    # the one forward pass; train and loss look it up here at call time
+    forward_batch as predict_batch,
 )
-from .basis import ActivationGrid, banded_bumps
+from .basis import ActivationGrid
 
 __all__ = [
     "TrainConfig",
@@ -53,12 +55,6 @@ __all__ = [
     "train",
     "train_baseline",
 ]
-
-# Bump-block cells (rows * M * band width) per row chunk: 2 MB per float64
-# temporary.  On a 2-core Xeon with 2 MB of L2 per core this ran the 256-row
-# gradient fastest of 2^16 .. 2^22 cells; chunks of tens of MB also fragment
-# the heap and raise peak memory.
-_BAND_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -164,37 +160,6 @@ def new_baseline_model(bank: FeatureBank, activation_kind: str, seed: int) -> Ba
     return BaselineRfModel(bank=bank, activation_kind=activation_kind, v=v)
 
 
-def _row_chunks(model: RflafModel, n: int):
-    """(lo, hi) row ranges holding at most _BAND_CELLS bump-block cells each."""
-    cells = model.bank.n_features * model.grid.band_width
-    step = max(1, _BAND_CELLS // cells)
-    for lo in range(0, n, step):
-        yield lo, min(lo + step, n)
-
-
-def _banded_forward(model: RflafModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Window starts, bump block and (rows, M) activations for a row chunk."""
-    s, e = banded_bumps(model.grid, X @ model.bank.weights.T)
-    a_win = sliding_window_view(model.a, e.shape[1])[s]
-    act = np.einsum("pj,pj->p", e, a_win).reshape(X.shape[0], model.bank.n_features)
-    return s, e, act
-
-
-def predict_batch(model: RflafModel, X: np.ndarray) -> np.ndarray:
-    """Vectorized forward over rows with the banded bump basis.
-
-    Agrees with the row-by-row forward pass to floating-point reassociation
-    tolerance (~1e-15 relative; the dropped bumps are far smaller); use
-    model.forward_batch when bit-level agreement with the scalar path matters.
-    """
-    X = np.asarray(X, dtype=float)
-    out = np.empty(X.shape[0])
-    for lo, hi in _row_chunks(model, X.shape[0]):
-        _, _, act = _banded_forward(model, X[lo:hi])
-        out[lo:hi] = act @ model.v / model.bank.n_features
-    return out
-
-
 def _regularizers(model: RflafModel, cfg: TrainConfig) -> tuple[float, float, float]:
     """(balance, l1, norm gap |a|^2 - |v|^2)."""
     gap = float(model.a @ model.a) - float(model.v @ model.v)
@@ -232,9 +197,8 @@ def _loss_and_grad(
     g_a = np.zeros(n_basis)
     g_v = np.zeros(m)
     sq_resid = 0.0
-    for lo, hi in _row_chunks(model, n):
-        s, e, act = _banded_forward(model, X[lo:hi])
-        resid = act @ model.v / m - y[lo:hi]
+    for rows, s, e, act, pred in forward_chunks(model, X):
+        resid = pred - y[rows]
         sq_resid += float(resid @ resid)
         g_v += resid @ act
         # d(act_p)/d(a_{s_p + j}) = e[p, j]; scatter e * (resid (x) v) onto a.

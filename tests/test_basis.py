@@ -13,14 +13,18 @@ from rflaf.basis import (
     approximation_schedule,
     banded_bumps,
     build_grid,
-    eval_activation,
+    bumps,
     export_activation_table,
     quadrature_norm_bounds,
     quadrature_weights,
-    rbf_features,
-    rbf_features_batch,
 )
 from rflaf.data import sigma_eval_array
+
+
+def _dense(grid, zs):
+    """(len(zs), N) responses of every center: the reference for the band."""
+    zs = np.asarray(zs, dtype=float)
+    return bumps(np.repeat(zs[:, None], grid.n_basis, axis=1), grid.centers, grid.width)
 
 
 class TestBuildGrid:
@@ -59,26 +63,27 @@ class TestRbfFeatures:
     def test_unit_response_at_center(self):
         g = build_grid(-2.0, 2.0, 8, 0.25)
         for k in (0, 3, 7):
-            feats = rbf_features(g, float(g.centers[k]))
+            feats = _dense(g, [g.centers[k]])[0]
             assert feats[k] == 1.0
             assert np.all(feats <= 1.0) and np.all(feats > 0.0)
 
     def test_one_width_away(self):
         g = build_grid(0.0, 1.0, 4, 0.1)
-        feats = rbf_features(g, float(g.centers[1]) + 0.1)
+        feats = _dense(g, [g.centers[1] + 0.1])[0]
         assert feats[1] == pytest.approx(math.exp(-0.5), rel=1e-15)
 
     def test_far_outside_support(self):
         g = build_grid(-2.0, 2.0, 10, 0.05)
-        feats = rbf_features(g, 2.0 + 10 * 0.05 + 1.0)
+        feats = _dense(g, [2.0 + 10 * 0.05 + 1.0])[0]
         assert np.all(feats <= math.exp(-50.0))
 
     def test_batch_matches_scalar(self):
         g = build_grid(-1.0, 1.0, 6, 0.2)
         zs = np.linspace(-1.5, 1.5, 17)
-        batch = rbf_features_batch(g, zs)
+        s, e = banded_bumps(g, zs)
         for i, z in enumerate(zs):
-            assert np.array_equal(batch[i], rbf_features(g, float(z)))
+            s1, e1 = banded_bumps(g, z)
+            assert s1.tolist() == [s[i]] and np.array_equal(e[i], e1[0])
 
 
 class TestBandedBumps:
@@ -88,10 +93,8 @@ class TestBandedBumps:
         z = np.linspace(-3.0, 3.0, 601)
         s, e = banded_bumps(grid, z)
         assert e.shape == (601, 37) and s.min() == 0 and s.max() == 200 - 37
-        dense = rbf_features_batch(grid, z)
+        dense = _dense(grid, z)
         inside = s[:, None] + np.arange(37)
-        # the block uses the pre-scaled exponent (z/(sqrt(2) h) - c/(sqrt(2) h))^2,
-        # which differs by a few ulp; x e^-x <= 1/e bounds the absolute effect
         np.testing.assert_allclose(e, np.take_along_axis(dense, inside, axis=1), rtol=0, atol=1e-14)
         dense[np.arange(601)[:, None], inside] = 0.0
         assert dense.max() <= math.exp(-BAND_CUTOFF)
@@ -101,7 +104,7 @@ class TestBandedBumps:
         z = np.array([-5.0, -0.3, 0.0, 1.9, 7.0])
         s, e = banded_bumps(grid, z)
         assert grid.band_width == 7 and np.all(s == 0)
-        np.testing.assert_allclose(e, rbf_features_batch(grid, z), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(e, _dense(grid, z), rtol=0, atol=1e-14)
 
     def test_non_finite_inputs_stay_in_range(self):
         grid = build_grid(-2.0, 2.0, 200, 0.04)
@@ -114,21 +117,21 @@ class TestEvalActivation:
     def test_zero_weights(self):
         g = build_grid(-2.0, 2.0, 16, 0.1)
         w = ActivationWeights(a=np.zeros(16))
-        for z in (-3.0, 0.0, 1.7):
-            assert eval_activation(g, w, z) == 0.0
+        assert np.all(activation_curve(g, w, np.array([-3.0, 0.0, 1.7])) == 0.0)
 
     def test_single_basis(self):
         g = ActivationGrid(0.0, 1.0, 1, np.array([1.0]), 0.1)
-        assert eval_activation(g, ActivationWeights(a=np.array([1.0])), 1.0) == 1.0
+        assert activation_curve(g, ActivationWeights(a=np.array([1.0])), np.array([1.0]))[0] == 1.0
 
     def test_matches_explicit_loop(self):
         rng = np.random.default_rng(8)
         g = build_grid(-2.0, 2.0, 24, 0.15)
         a = rng.standard_normal(24)
         w = ActivationWeights(a=a)
-        for z in rng.uniform(-2.5, 2.5, size=10):
+        zs = rng.uniform(-2.5, 2.5, size=10)
+        for z, got in zip(zs, activation_curve(g, w, zs)):
             manual = sum(a[i] * math.exp(-((z - g.centers[i]) ** 2) / (2 * 0.15**2)) for i in range(24))
-            assert eval_activation(g, w, float(z)) == pytest.approx(manual, rel=1e-13, abs=1e-15)
+            assert got == pytest.approx(manual, rel=1e-13, abs=1e-15)
 
     def test_linear_in_weights(self):
         rng = np.random.default_rng(9)
@@ -137,17 +140,18 @@ class TestEvalActivation:
         b = rng.standard_normal(12)
         alpha, beta = 0.37, -2.11
         combo = ActivationWeights(a=alpha * a + beta * b)
-        for z in rng.uniform(-1.2, 1.2, size=8):
-            lhs = eval_activation(g, combo, float(z))
-            rhs = alpha * eval_activation(g, ActivationWeights(a=a), float(z)) + beta * eval_activation(
-                g, ActivationWeights(a=b), float(z)
-            )
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
+        zs = rng.uniform(-1.2, 1.2, size=8)
+        lhs = activation_curve(g, combo, zs)
+        rhs = alpha * activation_curve(g, ActivationWeights(a=a), zs) + beta * activation_curve(
+            g, ActivationWeights(a=b), zs
+        )
+        for left, right in zip(lhs, rhs):
+            assert left == pytest.approx(right, rel=1e-12, abs=1e-14)
 
     def test_length_mismatch(self):
         g = build_grid(-1.0, 1.0, 12, 0.2)
         with pytest.raises(ValueError):
-            eval_activation(g, ActivationWeights(a=np.zeros(5)), 0.0)
+            activation_curve(g, ActivationWeights(a=np.zeros(5)), 0.0)
         with pytest.raises(ValueError):
             activation_curve(g, ActivationWeights(a=np.zeros(5)), np.zeros(3))
 
@@ -210,6 +214,12 @@ class TestApproximationSchedule:
         # log(16 sigma_sup R / epsilon) <= 0 has no sufficient width (was ZeroDivisionError at 32)
         with pytest.raises(ValueError, match="epsilon"):
             approximation_schedule(epsilon, 1.0, 2.0, 1.0, 4.0)
+
+    @pytest.mark.parametrize("support_len", [0.001, 0.0035])
+    def test_rejects_support_too_short_for_a_positive_spacing(self, support_len):
+        # log(8 sigma_sup |K| R / (sqrt(2 pi) epsilon h_max^2)) <= 0 gave a negative spacing
+        with pytest.raises(ValueError, match="support_len"):
+            approximation_schedule(1.0, 1.0, 1.0, 1.0, support_len)
 
 
 class TestExportActivationTable:

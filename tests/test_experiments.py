@@ -335,6 +335,7 @@ BAD_CONFIGS = [
     ("train-compare", _train_compare_config(**{"target.mc_samples": 10}), "mc_samples"),
     ("train-compare", _train_compare_config(**{"model.n_basis": 0}), "n_basis"),
     ("export-activation", {"checkpoint": "model.npz", "min_activation_correlation": 0.9}, "min_activation_correlation"),
+    ("bounds", dict(_BOUNDS_SCHEDULE, epsilon=1.0, lipschitz_sigma=1.0, radius=1.0, support_len=0.001), "support_len"),
 ]
 
 

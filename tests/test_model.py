@@ -5,20 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from rflaf.basis import ActivationGrid, build_grid
+from rflaf.basis import ActivationGrid, banded_bumps, build_grid, bumps
 from rflaf.model import (
+    _BAND_CELLS,
     BaselineRfModel,
     FeatureBank,
     RflafModel,
     baseline_forward,
     baseline_forward_batch,
-    feature_matrix,
     forward,
     forward_batch,
     load_model,
     sample_features,
     save_model,
-    single_basis_forward,
 )
 from rflaf.optim import predict_batch
 
@@ -29,6 +28,23 @@ def _random_model(rng, dim=3, m=5, n_basis=4, width=0.5):
     a = rng.standard_normal(n_basis)
     v = rng.standard_normal(m)
     return RflafModel(bank=bank, grid=grid, a=a, v=v)
+
+
+def _feature_matrix(grid, bank, x):
+    """Dense N x M basis B(x) from banded_bumps; the grids here fit in one band."""
+    s, e = banded_bumps(grid, bank.weights @ x)
+    assert np.all(s == 0) and e.shape == (bank.n_features, grid.n_basis)
+    return e.T
+
+
+def _dense_forward(model, X):
+    """(1/M) a^T B(x) v over every center, row by row: the reference for the band."""
+    out = []
+    for x in X:
+        z = model.bank.weights @ x
+        b = bumps(np.tile(z, (model.grid.n_basis, 1)), model.grid.centers[:, None], model.grid.width)
+        out.append(model.a @ b @ model.v / model.bank.n_features)
+    return np.array(out)
 
 
 class TestSampleFeatures:
@@ -62,7 +78,7 @@ class TestFeatureMatrix:
         # build it so; use [-1, 1] with 2 cells: centers {0, 1}
         grid = build_grid(-1.0, 1.0, 2, 0.3)
         bank = sample_features(3, 7, seed=2)
-        b = feature_matrix(grid, bank, np.zeros(3))
+        b = _feature_matrix(grid, bank, np.zeros(3))
         assert np.all(b[0] == 1.0)
         assert b.shape == (2, 7)
 
@@ -72,7 +88,7 @@ class TestFeatureMatrix:
         x = np.array([0.3, -0.8])
         z = float(bank.weights[0] @ x)
         want = math.exp(-((z - 0.6) ** 2) / (2 * 0.2**2))
-        got = feature_matrix(grid, bank, x)
+        got = _feature_matrix(grid, bank, x)
         assert got.shape == (1, 1)
         assert got[0, 0] == pytest.approx(want, rel=1e-14)
 
@@ -81,7 +97,7 @@ class TestFeatureMatrix:
         grid = build_grid(-2.0, 2.0, 5, 0.4)
         bank = sample_features(3, 6, seed=12)
         x = rng.standard_normal(3)
-        b = feature_matrix(grid, bank, x)
+        b = _feature_matrix(grid, bank, x)
         for k in range(5):
             for m in range(6):
                 z = float(bank.weights[m] @ x)
@@ -92,8 +108,11 @@ class TestFeatureMatrix:
     def test_dimension_mismatch(self):
         grid = build_grid(-1.0, 1.0, 2, 0.3)
         bank = sample_features(3, 4, seed=0)
+        model = RflafModel(bank=bank, grid=grid, a=np.ones(2), v=np.ones(4))
         with pytest.raises(ValueError):
-            feature_matrix(grid, bank, np.zeros(2))
+            forward(model, np.zeros(2))
+        with pytest.raises(ValueError):
+            forward_batch(model, np.zeros((1, 2)))
 
 
 class TestForward:
@@ -170,9 +189,8 @@ class TestForward:
             a[k] = 1.0
             hot = RflafModel(bank=model.bank, grid=model.grid, a=a, v=model.v)
             x = rng.standard_normal(3)
-            assert forward(hot, x) == pytest.approx(
-                single_basis_forward(model.grid, model.bank, model.v, k, x), rel=1e-13
-            )
+            single = bumps(model.bank.weights @ x, model.grid.centers[k], model.grid.width) @ model.v
+            assert forward(hot, x) == pytest.approx(single / model.bank.n_features, rel=1e-13)
 
 
 class TestForwardBatch:
@@ -205,10 +223,23 @@ class TestForwardBatch:
             model = _random_model(rng, dim=2, m=11, n_basis=n_basis, width=width)
             X = scale * rng.standard_normal((57, 2))
             fused = predict_batch(model, X)
-            exact = forward_batch(model, X)
+            exact = _dense_forward(model, X)
             assert np.allclose(fused, exact, rtol=1e-12, atol=1e-12)
         z = X @ model.bank.weights.T
         assert model.grid.band_width < n_basis and z.min() < -2.5 and z.max() > 2.5
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 10])
+    def test_rows_independent_across_chunks(self, dim):
+        # the shipped geometry (N=200, h=0.04, M=300); 100 rows span 5 row chunks
+        rng = np.random.default_rng(36 + dim)
+        model = _random_model(rng, dim=dim, m=300, n_basis=200, width=0.04)
+        X = rng.standard_normal((100, dim))
+        assert 2 * _BAND_CELLS < X.shape[0] * 300 * model.grid.band_width
+        batch = forward_batch(model, X).tobytes()
+        assert np.array([forward(model, x) for x in X]).tobytes() == batch
+        for cuts in ([0, 1, 100], [0, 23, 50, 99, 100], [0, 37, 41, 100]):
+            parts = [forward_batch(model, X[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+            assert np.concatenate(parts).tobytes() == batch
 
 
 class TestBaselines:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rflaf.basis import build_grid
+from rflaf.basis import build_grid, bumps
 from rflaf.data import Dataset, TargetSpec
 from rflaf.model import RflafModel, sample_features
 from rflaf.optim import (
@@ -23,6 +23,12 @@ from rflaf.optim import (
 )
 
 PLAIN = TrainConfig(lambda1=0.0, lambda2=0.0)
+
+
+def _dense_basis(model, x):
+    """N x M basis B(x) over every center: the reference for the band."""
+    z = model.bank.weights @ x
+    return bumps(np.tile(z, (model.grid.n_basis, 1)), model.grid.centers[:, None], model.grid.width)
 
 
 def _instance(rng, n_basis=4, m=6, d=3, n=8, min_abs_a=0.0):
@@ -129,11 +135,11 @@ class TestGrad:
     def test_single_sample_v_gradient_formula(self):
         rng = np.random.default_rng(11)
         model, X, y = _instance(rng, n=1)
-        from rflaf.model import feature_matrix, forward
+        from rflaf.model import forward
 
         g_a, g_v = grad(model, X, y, PLAIN)
         r = forward(model, X[0]) - y[0]
-        b = feature_matrix(model.grid, model.bank, X[0])
+        b = _dense_basis(model, X[0])
         want = 2.0 * r * (b.T @ model.a) / model.bank.n_features
         assert np.allclose(g_v, want, rtol=1e-12, atol=1e-14)
 
@@ -172,15 +178,13 @@ class TestBandedGrad:
 
     def test_matches_dense_reference(self):
         # M=300 and 100 rows span several row chunks of the banded kernel
-        from rflaf.model import feature_matrix
-
         rng = np.random.default_rng(14)
         model, X, y = _banded_instance(rng, m=300, n=100)
         m = model.bank.n_features
         want_a = np.zeros(200)
         want_v = np.zeros(m)
         for x, target in zip(X, y):
-            b = feature_matrix(model.grid, model.bank, x)  # dense (N, M)
+            b = _dense_basis(model, x)
             resid = model.a @ b @ model.v / m - target
             want_a += resid * (b @ model.v)
             want_v += resid * (b.T @ model.a)
