@@ -6,15 +6,13 @@ Subpackages:
     basis        the RBF grid parametrizing the learnable activation
     model        finite-width models and fixed-activation baselines
     optim        regularized objective, analytic gradients, Adam training
-    data         synthetic targets, dataset generation, persistence
+    data         synthetic targets and dataset generation
     experiments  config-driven experiment runner (CLI backend)
 """
 
 from .kernel import (
     McEstimate,
     RbfParams,
-    TaylorTable,
-    build_taylor_table,
     kernel_closed,
     kernel_mc,
     kernel_rot,
@@ -61,12 +59,7 @@ from .data import (
     Dataset,
     TargetSpec,
     calibrate,
-    export_csv,
     gen_dataset,
-    load_dataset,
-    save_dataset,
-    sigma_eval,
-    target_eval,
 )
 from .experiments import BoundsReport, rate_study, run, theory_bounds
 

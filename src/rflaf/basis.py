@@ -28,7 +28,6 @@ __all__ = [
     "quadrature_weights",
     "quadrature_norm_bounds",
     "approximation_schedule",
-    "export_activation_table",
 ]
 
 
@@ -222,19 +221,3 @@ def approximation_schedule(
         epsilon / (4.0 * lr),
     )
     return h_max, spacing_max
-
-
-def export_activation_table(
-    path,
-    grid: ActivationGrid,
-    weights: ActivationWeights,
-    n_points: int = 401,
-) -> np.ndarray:
-    """Write a two-column text table (z, activation) over the support."""
-    zs = np.linspace(grid.support_lo, grid.support_hi, n_points)
-    vals = activation_curve(grid, weights, zs)
-    with open(path, "w") as f:
-        f.write("z\tactivation\n")
-        for z, v in zip(zs, vals):
-            f.write(f"{z:.17g}\t{v:.17g}\n")
-    return vals

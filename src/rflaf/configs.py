@@ -158,7 +158,7 @@ class RateStudyConfig:
 
 @dataclass(frozen=True)
 class TargetSection:
-    sigma: Literal["s1", "s2", "s3"]
+    sigma: Literal[data.SIGMA_KINDS]
     b1: tuple[float, ...]
     b2: tuple[float, ...]
     mc_samples: int = data.TargetSpec.mc_samples

@@ -1,46 +1,32 @@
 """Synthetic regression targets and dataset generation.
 
-A target is f(x) = E_w[sigma(w.x) v(w)] with w standard Gaussian,
-sigma one of three bump-like activations (or a user table), and
+A target is f(x) = E_w[sigma(w.x) v(w)] with w standard Gaussian, sigma
+one of three bump-like activations (SIGMA_KINDS), and
 v(w) = calib * max(b1.w, b2.w).  The expectation is replaced by an
 empirical average over a large w-sample frozen per spec seed, so the
-target is a fixed deterministic function; the remaining Monte-Carlo gap
-to the true expectation is reported as a standard error, not hidden.
+target is a fixed deterministic function of x.
 """
 
 from __future__ import annotations
 
-import io
-import json
+import dataclasses
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-from .kernel import McEstimate
 
 __all__ = [
     "SIGMA_KINDS",
     "TargetSpec",
     "Dataset",
-    "McEstimate",
-    "sigma_eval",
     "sigma_eval_array",
     "TargetSampler",
-    "target_eval",
     "calibrate",
     "holdout_size",
     "gen_dataset",
-    "save_dataset",
-    "load_dataset",
-    "export_csv",
 ]
 
-SIGMA_KINDS = ("s1", "s2", "s3", "custom-table")
-
-_MAGIC = b"RFDS"
-_FORMAT_VERSION = 1
+SIGMA_KINDS = ("s1", "s2", "s3")
 
 # Column chunk bound when evaluating the frozen w-sample against many points.
 _EVAL_CHUNK = 128
@@ -66,23 +52,13 @@ def sigma_eval_array(kind: str, z: np.ndarray) -> np.ndarray:
         m = (z >= 0.5) & (z <= 1.5)
         out[m] = np.sin(np.pi * (z[m] - 0.5))
     else:
-        raise ValueError(f"unknown sigma kind {kind!r}; expected one of {SIGMA_KINDS[:3]}")
+        raise ValueError(f"unknown sigma kind {kind!r}; expected one of {SIGMA_KINDS}")
     return out
-
-
-def sigma_eval(kind: str, z: float) -> float:
-    """Scalar activation value; piecewise-exact (continuous on all of R)."""
-    return float(sigma_eval_array(kind, np.asarray(z, dtype=float)))
 
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Recipe for one synthetic target function.
-
-    custom_table is required only for sigma_kind 'custom-table' and holds
-    (z_points, values); the activation is linear interpolation on the table
-    and zero outside its range.
-    """
+    """Recipe for one synthetic target function."""
 
     sigma_kind: str
     b1: np.ndarray
@@ -90,7 +66,6 @@ class TargetSpec:
     calib: float = 1.0
     mc_samples: int = 100_000
     seed: int = 0
-    custom_table: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if self.sigma_kind not in SIGMA_KINDS:
@@ -99,23 +74,14 @@ class TargetSpec:
         b2 = np.asarray(self.b2, dtype=float)
         if b1.ndim != 1 or b1.shape != b2.shape:
             raise ValueError("b1 and b2 must be vectors of equal length")
+        if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b2))):
+            raise ValueError("b1 and b2 must be finite")
         if np.array_equal(b1, b2):
             raise ValueError("b1 and b2 must differ")
         if self.mc_samples < 1000:
             raise ValueError(f"mc_samples must be at least 1000, got {self.mc_samples}")
         if not math.isfinite(self.calib):
             raise ValueError("calib must be finite")
-        if self.sigma_kind == "custom-table":
-            if self.custom_table is None:
-                raise ValueError("sigma_kind 'custom-table' requires custom_table")
-            zt, vt = self.custom_table
-            zt = np.asarray(zt, dtype=float)
-            vt = np.asarray(vt, dtype=float)
-            if zt.ndim != 1 or zt.shape != vt.shape or zt.shape[0] < 2:
-                raise ValueError("custom_table must hold two equal-length vectors (>= 2 points)")
-            if np.any(np.diff(zt) <= 0):
-                raise ValueError("custom_table z-points must be strictly increasing")
-            object.__setattr__(self, "custom_table", (zt, vt))
         object.__setattr__(self, "b1", b1)
         object.__setattr__(self, "b2", b2)
 
@@ -124,21 +90,10 @@ class TargetSpec:
         return self.b1.shape[0]
 
     def sigma(self, z: np.ndarray) -> np.ndarray:
-        if self.sigma_kind == "custom-table":
-            zt, vt = self.custom_table
-            return np.interp(z, zt, vt, left=0.0, right=0.0)
         return sigma_eval_array(self.sigma_kind, z)
 
     def with_calib(self, calib: float) -> "TargetSpec":
-        return TargetSpec(
-            sigma_kind=self.sigma_kind,
-            b1=self.b1,
-            b2=self.b2,
-            calib=calib,
-            mc_samples=self.mc_samples,
-            seed=self.seed,
-            custom_table=self.custom_table,
-        )
+        return dataclasses.replace(self, calib=calib)
 
 
 class TargetSampler:
@@ -154,16 +109,6 @@ class TargetSampler:
         self.w = rng.standard_normal((spec.mc_samples, spec.dim))
         self.vvals = spec.calib * np.maximum(self.w @ spec.b1, self.w @ spec.b2)
 
-    def estimate(self, x: np.ndarray) -> McEstimate:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.spec.dim,):
-            raise ValueError(f"x has shape {x.shape}, expected ({self.spec.dim},)")
-        vals = self.spec.sigma(self.w @ x) * self.vvals
-        n = vals.shape[0]
-        mean = float(vals.mean())
-        var = float(vals.var(ddof=1))
-        return McEstimate(mean=mean, stderr=math.sqrt(var / n), samples=n)
-
     def means(self, X: np.ndarray) -> np.ndarray:
         """Target values for many points; chunked over columns."""
         X = np.asarray(X, dtype=float)
@@ -178,11 +123,6 @@ class TargetSampler:
         return out
 
 
-def target_eval(spec: TargetSpec, x: np.ndarray) -> McEstimate:
-    """Frozen-sample target value at one point, with its standard error."""
-    return TargetSampler(spec).estimate(x)
-
-
 def calibrate(spec: TargetSpec, n_points: int = 10_000) -> float:
     """Scale factor making the mean absolute target value 1.
 
@@ -192,6 +132,8 @@ def calibrate(spec: TargetSpec, n_points: int = 10_000) -> float:
     """
     if spec.calib != 1.0:
         raise ValueError(f"calibrate expects a spec with calib = 1, got {spec.calib}")
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
     sampler = TargetSampler(spec)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x5CA1E]))
     pts = rng.standard_normal((n_points, spec.dim))
@@ -203,15 +145,12 @@ def calibrate(spec: TargetSpec, n_points: int = 10_000) -> float:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Synthetic regression data with its train/test split and provenance."""
+    """Synthetic regression data with its train/test split."""
 
     X: np.ndarray
     y: np.ndarray
     train_idx: np.ndarray
     test_idx: np.ndarray
-    spec: TargetSpec
-    seed: int
-    test_fraction: float
 
     def __post_init__(self):
         if self.X.ndim != 2:
@@ -263,113 +202,4 @@ def gen_dataset(
     perm = rng_split.permutation(n)
     test_idx = np.sort(perm[:n_test])
     train_idx = np.sort(perm[n_test:])
-    return Dataset(
-        X=X,
-        y=y,
-        train_idx=train_idx,
-        test_idx=test_idx,
-        spec=spec,
-        seed=int(seed),
-        test_fraction=float(test_fraction),
-    )
-
-
-def _spec_header(spec: TargetSpec) -> dict:
-    header = {
-        "sigma_kind": spec.sigma_kind,
-        "b1": spec.b1.tolist(),
-        "b2": spec.b2.tolist(),
-        "calib": spec.calib,
-        "mc_samples": spec.mc_samples,
-        "spec_seed": spec.seed,
-    }
-    if spec.custom_table is not None:
-        header["custom_table_z"] = spec.custom_table[0].tolist()
-        header["custom_table_v"] = spec.custom_table[1].tolist()
-    return header
-
-
-def _spec_from_header(header: dict) -> TargetSpec:
-    table = None
-    if "custom_table_z" in header:
-        table = (np.asarray(header["custom_table_z"]), np.asarray(header["custom_table_v"]))
-    return TargetSpec(
-        sigma_kind=header["sigma_kind"],
-        b1=np.asarray(header["b1"], dtype=float),
-        b2=np.asarray(header["b2"], dtype=float),
-        calib=float(header["calib"]),
-        mc_samples=int(header["mc_samples"]),
-        seed=int(header["spec_seed"]),
-        custom_table=table,
-    )
-
-
-def save_dataset(ds: Dataset, path) -> None:
-    """Binary container: magic, version, JSON header, little-endian payloads."""
-    header = _spec_header(ds.spec)
-    header.update(
-        {
-            "n": ds.n,
-            "d": ds.dim,
-            "dataset_seed": ds.seed,
-            "test_fraction": ds.test_fraction,
-            "n_train": int(ds.train_idx.shape[0]),
-            "n_test": int(ds.test_idx.shape[0]),
-        }
-    )
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<II", _FORMAT_VERSION, len(blob)))
-        f.write(blob)
-        f.write(ds.X.astype("<f8").tobytes())
-        f.write(ds.y.astype("<f8").tobytes())
-        f.write(ds.train_idx.astype("<i8").tobytes())
-        f.write(ds.test_idx.astype("<i8").tobytes())
-
-
-def _read_exact(f: io.BufferedReader, size: int, what: str) -> bytes:
-    buf = f.read(size)
-    if len(buf) != size:
-        raise ValueError(f"dataset file truncated while reading {what}")
-    return buf
-
-
-def load_dataset(path) -> Dataset:
-    """Inverse of save_dataset; raises ValueError on malformed or truncated files."""
-    with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != _MAGIC:
-            raise ValueError("not a dataset file (bad magic)")
-        version, hlen = struct.unpack("<II", _read_exact(f, 8, "version"))
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported dataset format version {version}")
-        header = json.loads(_read_exact(f, hlen, "header").decode("utf-8"))
-        n, d = int(header["n"]), int(header["d"])
-        n_train, n_test = int(header["n_train"]), int(header["n_test"])
-        X = np.frombuffer(_read_exact(f, 8 * n * d, "X"), dtype="<f8").reshape(n, d).copy()
-        y = np.frombuffer(_read_exact(f, 8 * n, "y"), dtype="<f8").copy()
-        train_idx = np.frombuffer(_read_exact(f, 8 * n_train, "train indices"), dtype="<i8").copy()
-        test_idx = np.frombuffer(_read_exact(f, 8 * n_test, "test indices"), dtype="<i8").copy()
-        if f.read(1):
-            raise ValueError("dataset file has trailing bytes")
-    return Dataset(
-        X=X,
-        y=y,
-        train_idx=train_idx,
-        test_idx=test_idx,
-        spec=_spec_from_header(header),
-        seed=int(header["dataset_seed"]),
-        test_fraction=float(header["test_fraction"]),
-    )
-
-
-def export_csv(ds: Dataset, path) -> None:
-    """Human-readable export: x_1..x_d, y, and a train(0)/test(1) flag."""
-    is_test = np.zeros(ds.n, dtype=int)
-    is_test[ds.test_idx] = 1
-    cols = [f"x_{j + 1}" for j in range(ds.dim)] + ["y", "split"]
-    with open(path, "w") as f:
-        f.write(",".join(cols) + "\n")
-        for i in range(ds.n):
-            row = [f"{v:.17g}" for v in ds.X[i]] + [f"{ds.y[i]:.17g}", str(is_test[i])]
-            f.write(",".join(row) + "\n")
+    return Dataset(X=X, y=y, train_idx=train_idx, test_idx=test_idx)

@@ -26,7 +26,6 @@ from .basis import bumps
 __all__ = [
     "RbfParams",
     "McEstimate",
-    "TaylorTable",
     "kernel_closed",
     "kernel_rot",
     "kernel_mc",
@@ -35,7 +34,6 @@ __all__ = [
     "poly_Q",
     "r_n",
     "kernel_taylor",
-    "build_taylor_table",
 ]
 
 # Chunk size for Monte-Carlo sampling; draws come from a single sequential
@@ -64,22 +62,6 @@ class McEstimate:
     mean: float
     stderr: float
     samples: int
-
-
-@dataclass(frozen=True)
-class TaylorTable:
-    """Derivative values and exact polynomial coefficients at a given p.
-
-    p is the derived parameter c^2 / (1 + h^2).  derivs[n] holds the n-th
-    derivative of the kernel profile at the origin; p_polys[k] / q_polys[k]
-    hold exact integer coefficients (constant term first) of the degree-k
-    polynomials whose squares reproduce those derivatives.
-    """
-
-    p: float
-    derivs: np.ndarray
-    p_polys: list[list[int]]
-    q_polys: list[list[int]]
 
 
 def _validate_pair(x: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -304,16 +286,3 @@ def kernel_taylor(r: float, params: RbfParams, n_terms: int = 60) -> float:
         total += coeff * r_pow
         r_pow *= r
     return h * h / one_h2 * math.exp(-p) * total
-
-
-def build_taylor_table(params: RbfParams, n_max: int = 16) -> TaylorTable:
-    """Assemble derivatives and exact polynomial coefficients for one p."""
-    c, h = params.center, params.width
-    p = c * c / (1.0 + h * h)
-    k_max = n_max // 2
-    return TaylorTable(
-        p=p,
-        derivs=taylor_derivs(p, n_max),
-        p_polys=[poly_P(k) for k in range(k_max + 1)],
-        q_polys=[poly_Q(k) for k in range(k_max + 1)],
-    )

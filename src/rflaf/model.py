@@ -24,6 +24,7 @@ __all__ = [
     "forward_chunks",
     "forward",
     "forward_batch",
+    "baseline_features",
     "baseline_forward",
     "baseline_forward_batch",
     "save_model",
@@ -179,11 +180,19 @@ def forward(model: RflafModel, x: np.ndarray) -> float:
     return float(forward_batch(model, np.asarray(x, dtype=float)[None])[0])
 
 
-def baseline_forward_batch(model: BaselineRfModel, X: np.ndarray) -> np.ndarray:
-    """Baseline outputs (1/width) sum_m act(w_m.x) v_m for the rows of X."""
+def baseline_features(model: BaselineRfModel, X: np.ndarray) -> np.ndarray:
+    """The (rows, width) activations act(w_m.x) of the rows of X.
+
+    np.einsum, as in forward_chunks, makes each row a function of its own
+    row alone; BLAS's X @ W.T does not.
+    """
     X = _rows(X, model.bank.dim)
-    act = BASELINE_ACTIVATIONS[model.activation_kind]
-    return act(X @ model.bank.weights.T) @ model.v / model.width
+    return BASELINE_ACTIVATIONS[model.activation_kind](np.einsum("pd,md->pm", X, model.bank.weights))
+
+
+def baseline_forward_batch(model: BaselineRfModel, X: np.ndarray) -> np.ndarray:
+    """Baseline outputs (1/width) sum_m act(w_m.x) v_m for the rows of X, each a function of its row alone."""
+    return np.einsum("pm,m->p", baseline_features(model, X), model.v) / model.width
 
 
 def baseline_forward(model: BaselineRfModel, x: np.ndarray) -> float:

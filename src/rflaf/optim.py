@@ -29,10 +29,10 @@ import numpy as np
 
 from .data import Dataset
 from .model import (
-    BASELINE_ACTIVATIONS,
     BaselineRfModel,
     FeatureBank,
     RflafModel,
+    baseline_features,
     forward_chunks,
     # the one forward pass; train and loss look it up here at call time
     forward_batch as predict_batch,
@@ -326,9 +326,8 @@ def train_baseline(
     cfg: TrainConfig,
 ) -> tuple[BaselineRfModel, list[EpochStats]]:
     """Adam on v for a fixed-activation baseline; plain MSE objective."""
-    act = BASELINE_ACTIVATIONS[model.activation_kind]
-    phi_train = act(dataset.X[dataset.train_idx] @ model.bank.weights.T)  # (n_train, width)
-    phi_test = act(dataset.X[dataset.test_idx] @ model.bank.weights.T)
+    phi_train = baseline_features(model, dataset.X[dataset.train_idx])  # (n_train, width)
+    phi_test = baseline_features(model, dataset.X[dataset.test_idx])
     width = model.width
 
     def loss_and_grad(v, idx, yb):
@@ -338,5 +337,7 @@ def train_baseline(
         g_v = (2.0 / (idx.shape[0] * width)) * (resid @ pb)
         return LossBreakdown(mse=mse, balance=0.0, l1=0.0, total=mse), g_v
 
-    v, history = _adam_loop(model.v.copy(), dataset, cfg, loss_and_grad, lambda v: phi_test @ v / width)
+    v, history = _adam_loop(
+        model.v.copy(), dataset, cfg, loss_and_grad, lambda v: np.einsum("pm,m->p", phi_test, v) / width
+    )
     return BaselineRfModel(bank=model.bank, activation_kind=model.activation_kind, v=v), history

@@ -14,7 +14,6 @@ from rflaf.basis import (
     banded_bumps,
     build_grid,
     bumps,
-    export_activation_table,
     quadrature_norm_bounds,
     quadrature_weights,
 )
@@ -220,17 +219,3 @@ class TestApproximationSchedule:
         # log(8 sigma_sup |K| R / (sqrt(2 pi) epsilon h_max^2)) <= 0 gave a negative spacing
         with pytest.raises(ValueError, match="support_len"):
             approximation_schedule(1.0, 1.0, 1.0, 1.0, support_len)
-
-
-class TestExportActivationTable:
-    def test_round_trip(self, tmp_path):
-        g = build_grid(-1.0, 1.0, 10, 0.2)
-        w = ActivationWeights(a=np.linspace(-1, 1, 10))
-        path = tmp_path / "act.txt"
-        vals = export_activation_table(path, g, w, n_points=33)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "z\tactivation"
-        assert len(lines) == 34
-        z0, v0 = map(float, lines[1].split("\t"))
-        assert z0 == -1.0
-        assert v0 == vals[0]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from rflaf.kernel import (
     RbfParams,
-    build_taylor_table,
     kernel_closed,
     kernel_mc,
     kernel_rot,
@@ -380,16 +379,3 @@ class TestKernelTaylor:
             kernel_taylor(1.5, UNIT, 10)
         with pytest.raises(ValueError):
             kernel_taylor(0.5, UNIT, 0)
-
-
-class TestTaylorTable:
-    def test_build_consistency(self):
-        table = build_taylor_table(SHIFTED, n_max=12)
-        assert table.p == pytest.approx(0.5)
-        assert len(table.derivs) == 13
-        assert table.p_polys[2] == [3, -6, 1]
-        assert table.q_polys[1] == [-3, 1]
-        ep = math.exp(-table.p)
-        for n in range(13):
-            closed = ep * r_n(table.p, n)
-            assert table.derivs[n] == pytest.approx(closed, rel=1e-8)

@@ -8,6 +8,7 @@ import pytest
 from rflaf.basis import ActivationGrid, banded_bumps, build_grid, bumps
 from rflaf.model import (
     _BAND_CELLS,
+    BASELINE_ACTIVATIONS,
     BaselineRfModel,
     FeatureBank,
     RflafModel,
@@ -235,11 +236,18 @@ class TestForwardBatch:
         model = _random_model(rng, dim=dim, m=300, n_basis=200, width=0.04)
         X = rng.standard_normal((100, dim))
         assert 2 * _BAND_CELLS < X.shape[0] * 300 * model.grid.band_width
-        batch = forward_batch(model, X).tobytes()
-        assert np.array([forward(model, x) for x in X]).tobytes() == batch
-        for cuts in ([0, 1, 100], [0, 23, 50, 99, 100], [0, 37, 41, 100]):
-            parts = [forward_batch(model, X[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-            assert np.concatenate(parts).tobytes() == batch
+        # the baselines on the same bank must ignore the other rows too
+        cases = [(forward_batch, forward, model)] + [
+            (baseline_forward_batch, baseline_forward, BaselineRfModel(bank=model.bank, activation_kind=k, v=model.v))
+            for k in BASELINE_ACTIVATIONS
+        ]
+        for batch_fn, row_fn, m in cases:
+            batch = batch_fn(m, X).tobytes()
+            kind = getattr(m, "activation_kind", "rflaf")
+            assert np.array([row_fn(m, x) for x in X]).tobytes() == batch, kind
+            for cuts in ([0, 1, 100], [0, 23, 50, 99, 100], [0, 37, 41, 100]):
+                parts = [batch_fn(m, X[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+                assert np.concatenate(parts).tobytes() == batch, kind
 
 
 class TestBaselines:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rflaf.basis import build_grid, bumps
-from rflaf.data import Dataset, TargetSpec
+from rflaf.data import Dataset
 from rflaf.model import RflafModel, sample_features
 from rflaf.optim import (
     TrainConfig,
@@ -290,7 +290,6 @@ class TestAdamStep:
 
 
 def _tiny_dataset(rng, n=64, d=2):
-    spec = TargetSpec(sigma_kind="s1", b1=np.array([1.0, 0.0]), b2=np.array([0.0, 1.0]), seed=3)
     X = rng.standard_normal((n, d))
     y = np.sin(X[:, 0]) * 0.5 + 0.1 * X[:, 1]
     idx = rng.permutation(n)
@@ -299,9 +298,6 @@ def _tiny_dataset(rng, n=64, d=2):
         y=y,
         train_idx=np.sort(idx[: int(0.8 * n)]),
         test_idx=np.sort(idx[int(0.8 * n) :]),
-        spec=spec,
-        seed=0,
-        test_fraction=0.2,
     )
 
 
