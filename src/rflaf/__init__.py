@@ -24,7 +24,6 @@ from .kernel import (
 )
 from .basis import (
     ActivationGrid,
-    ActivationWeights,
     activation_curve,
     build_grid,
     bumps,

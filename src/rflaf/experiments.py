@@ -80,6 +80,24 @@ def theory_bounds(
     return BoundsReport(a_norm_bound=a_bound, v_norm_bound=v_bound, f_sup_bound=f_bound)
 
 
+def _rbf_mean(seed, n: int, X: np.ndarray, rbf: kernel.RbfParams, b1, b2, v_scale: float) -> np.ndarray:
+    """(1/n) sum_s B(w_s.x) v(w_s) at each row x of X, over n draws w_s ~ N(0, I) from default_rng(seed).
+
+    B is the bump of rbf and v(w) = v_scale * max(b1.w, b2.w): the
+    Monte-Carlo estimate of phi(x) = E_w[B(w.x) v(w)].  The draws stream in
+    chunks of basis.CHUNK_CELLS // (rows + dim of X) rows, so the temporaries
+    stay that size whatever n and the dimension; the Generator stream is
+    sequential, so the chunking does not change the values drawn.
+    """
+    rng = np.random.default_rng(seed)
+    step = max(1, basis.CHUNK_CELLS // (X.shape[0] + X.shape[1]))
+    acc = np.zeros(X.shape[0])
+    for lo in range(0, n, step):
+        w = rng.standard_normal((min(step, n - lo), X.shape[1]))
+        acc += v_scale * np.maximum(w @ b1, w @ b2) @ basis.bumps(w @ X.T, rbf.center, rbf.width)
+    return acc / n
+
+
 @dataclass(frozen=True)
 class RateStudyResult:
     m_values: list[int]
@@ -112,35 +130,16 @@ def rate_study(
         raise ValueError("b1 and b2 must be vectors of equal length")
     if trials < 1 or test_points < 1 or ref_samples < 1:
         raise ValueError("trials, test_points, and ref_samples must be positive")
-    d = b1.shape[0]
-    c, h = rbf.center, rbf.width
     root = np.random.SeedSequence([seed, 0xA7E])
     ss_test, ss_ref, ss_banks = root.spawn(3)
-    x_test = np.random.default_rng(ss_test).standard_normal((test_points, d))
-
-    rng_ref = np.random.default_rng(ss_ref)
-    acc = np.zeros(test_points)
-    remaining = ref_samples
-    chunk = 5000
-    while remaining > 0:
-        nw = min(chunk, remaining)
-        w = rng_ref.standard_normal((nw, d))
-        vv = v_scale * np.maximum(w @ b1, w @ b2)
-        acc += vv @ basis.bumps(w @ x_test.T, c, h)
-        remaining -= nw
-    phi_ref = acc / ref_samples
-
-    bank_seeds = ss_banks.spawn(len(m_values) * trials)
-    errs = np.zeros(len(m_values))
-    for i, m in enumerate(m_values):
-        trial_errs = np.empty(trials)
-        for t in range(trials):
-            rng = np.random.default_rng(bank_seeds[i * trials + t])
-            w = rng.standard_normal((m, d))
-            vm = v_scale * np.maximum(w @ b1, w @ b2)
-            phi_hat = vm @ basis.bumps(w @ x_test.T, c, h) / m
-            trial_errs[t] = float(np.mean(np.abs(phi_hat - phi_ref)))
-        errs[i] = trial_errs.mean()
+    x_test = np.random.default_rng(ss_test).standard_normal((test_points, b1.shape[0]))
+    args = (x_test, rbf, b1, b2, v_scale)
+    phi_ref = _rbf_mean(ss_ref, ref_samples, *args)
+    bank_seeds = iter(ss_banks.spawn(len(m_values) * trials))
+    errs = np.array([
+        np.mean([np.mean(np.abs(_rbf_mean(next(bank_seeds), m, *args) - phi_ref)) for _ in range(trials)])
+        for m in m_values
+    ])
     if np.all(errs > 0):
         slope = float(np.polyfit(np.log(np.asarray(m_values, dtype=float)), np.log(errs), 1)[0])
     else:
@@ -253,7 +252,7 @@ def _activation_tables(out_dir: str, grid: basis.ActivationGrid, a: np.ndarray, 
     """Write the learned activation table and, given a target, the true and
     scale-aligned ones; returns (scale, correlation) against the target."""
     zs = np.linspace(grid.support_lo, grid.support_hi, grid_points)
-    curves = {"learned": basis.activation_curve(grid, basis.ActivationWeights(a=a), zs)}
+    curves = {"learned": basis.activation_curve(grid, a, zs)}
     scale = corr = None
     if spec is not None:
         learned, true_vals = curves["learned"], spec.sigma(zs)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .basis import ActivationGrid, banded_bumps, build_grid, bumps
+from .basis import CHUNK_CELLS, ActivationGrid, banded_bumps, build_grid, bumps, row_dot
 
 __all__ = [
     "FeatureBank",
@@ -32,12 +32,6 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
-
-# Bump-block cells (rows * M * band width) per row chunk: 2 MB per float64
-# temporary.  On a 2-core Xeon with 2 MB of L2 per core this ran the 256-row
-# gradient fastest of 2^16 .. 2^22 cells; chunks of tens of MB also fragment
-# the heap and raise peak memory.
-_BAND_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -145,23 +139,23 @@ def _rows(X: np.ndarray, dim: int) -> np.ndarray:
 
 
 def forward_chunks(model: RflafModel, X: np.ndarray):
-    """Yield (rows, s, e, act, out) per chunk of at most _BAND_CELLS bump cells.
+    """Yield (rows, s, e, act, out) per chunk of at most basis.CHUNK_CELLS bump cells.
 
     rows slices X; s and e are basis.banded_bumps over the chunk's rows * M
     pre-activations (row-major), act the (rows, M) activations and out the
-    outputs act . v / M.  np.einsum reduces each row in an order that, unlike
-    BLAS's, does not depend on the other rows: each output is a function of
-    its own row alone.
+    outputs act . v / M.  np.einsum forms X W^T, and basis.row_dot reduces
+    each activation and each output, in an order that, unlike BLAS's, does
+    not depend on the other rows at any M or band width: each output is a
+    function of its own row alone.
     """
     X = _rows(X, model.bank.dim)
     m = model.bank.n_features
-    step = max(1, _BAND_CELLS // (m * model.grid.band_width))
+    step = max(1, CHUNK_CELLS // (m * model.grid.band_width))
     for lo in range(0, X.shape[0], step):
         rows = slice(lo, min(lo + step, X.shape[0]))
         s, e = banded_bumps(model.grid, np.einsum("pd,md->pm", X[rows], model.bank.weights))
-        a_win = sliding_window_view(model.a, e.shape[1])[s]
-        act = np.einsum("pj,pj->p", e, a_win).reshape(-1, m)
-        yield rows, s, e, act, np.einsum("pm,m->p", act, model.v) / m
+        act = row_dot(e, sliding_window_view(model.a, e.shape[1])[s]).reshape(-1, m)
+        yield rows, s, e, act, row_dot(act, model.v) / m
 
 
 def forward_batch(model: RflafModel, X: np.ndarray) -> np.ndarray:
@@ -184,7 +178,8 @@ def baseline_features(model: BaselineRfModel, X: np.ndarray) -> np.ndarray:
     """The (rows, width) activations act(w_m.x) of the rows of X.
 
     np.einsum, as in forward_chunks, makes each row a function of its own
-    row alone; BLAS's X @ W.T does not.
+    row alone; BLAS's X @ W.T does not.  Reduce them per row with
+    basis.row_dot to keep that.
     """
     X = _rows(X, model.bank.dim)
     return BASELINE_ACTIVATIONS[model.activation_kind](np.einsum("pd,md->pm", X, model.bank.weights))
@@ -192,7 +187,7 @@ def baseline_features(model: BaselineRfModel, X: np.ndarray) -> np.ndarray:
 
 def baseline_forward_batch(model: BaselineRfModel, X: np.ndarray) -> np.ndarray:
     """Baseline outputs (1/width) sum_m act(w_m.x) v_m for the rows of X, each a function of its row alone."""
-    return np.einsum("pm,m->p", baseline_features(model, X), model.v) / model.width
+    return row_dot(baseline_features(model, X), model.v) / model.width
 
 
 def baseline_forward(model: BaselineRfModel, x: np.ndarray) -> float:

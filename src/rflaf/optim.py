@@ -34,10 +34,10 @@ from .model import (
     RflafModel,
     baseline_features,
     forward_chunks,
-    # the one forward pass; train and loss look it up here at call time
+    # the one forward pass; train looks it up here at call time
     forward_batch as predict_batch,
 )
-from .basis import ActivationGrid
+from .basis import ActivationGrid, row_dot
 
 __all__ = [
     "TrainConfig",
@@ -160,24 +160,9 @@ def new_baseline_model(bank: FeatureBank, activation_kind: str, seed: int) -> Ba
     return BaselineRfModel(bank=bank, activation_kind=activation_kind, v=v)
 
 
-def _regularizers(model: RflafModel, cfg: TrainConfig) -> tuple[float, float, float]:
-    """(balance, l1, norm gap |a|^2 - |v|^2)."""
-    gap = float(model.a @ model.a) - float(model.v @ model.v)
-    balance = cfg.lambda1 * gap * gap
-    l1 = cfg.lambda2 * float(np.sum(np.abs(model.a)))
-    return balance, l1, gap
-
-
 def loss(model: RflafModel, X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> LossBreakdown:
-    """Objective value split into mean squared error, balance, and L1 terms."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.shape != (X.shape[0],) or X.shape[0] < 1:
-        raise ValueError(f"inconsistent data shapes X {X.shape}, y {y.shape}")
-    resid = predict_batch(model, X) - y
-    mse = float(resid @ resid) / X.shape[0]
-    balance, l1, _ = _regularizers(model, cfg)
-    return LossBreakdown(mse=mse, balance=balance, l1=l1, total=mse + balance + l1)
+    """Objective value split into mean squared error, balance, and L1 terms: that of the gradient pass."""
+    return _loss_and_grad(model, X, y, cfg)[0]
 
 
 def _loss_and_grad(
@@ -207,7 +192,9 @@ def _loss_and_grad(
     scale = 2.0 / (n * m)
     g_a *= scale
     g_v *= scale
-    balance, l1, gap = _regularizers(model, cfg)
+    gap = float(model.a @ model.a) - float(model.v @ model.v)
+    balance = cfg.lambda1 * gap * gap
+    l1 = cfg.lambda2 * float(np.sum(np.abs(model.a)))
     g_a += 4.0 * cfg.lambda1 * gap * model.a + cfg.lambda2 * np.sign(model.a)
     g_v += -4.0 * cfg.lambda1 * gap * model.v
     mse = sq_resid / n
@@ -222,8 +209,7 @@ def grad(
     cfg: TrainConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient of the objective in (a, v); L1 subgradient 0 at a_i = 0."""
-    _, g_a, g_v = _loss_and_grad(model, X, y, cfg)
-    return g_a, g_v
+    return _loss_and_grad(model, X, y, cfg)[1:]
 
 
 def grad_check(

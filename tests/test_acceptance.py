@@ -259,8 +259,8 @@ def test_c8_quadrature_weight_norm_bounds():
             grid = basis.build_grid(-2.0, 2.0, n, 2.0 * 4.0 / n)
             weights = basis.quadrature_weights(grid, data.sigma_eval_array(kind, grid.centers))
             l1_bound, l2_bound = basis.quadrature_norm_bounds(grid, 1.0)
-            l1 = float(np.sum(np.abs(weights.a)))
-            l2 = float(np.sum(weights.a**2))
+            l1 = float(np.sum(np.abs(weights)))
+            l2 = float(np.sum(weights**2))
             ok = l1 <= l1_bound and l2 <= l2_bound
             all_ok = all_ok and ok
             details.append(f"{kind},N={n}: l1 {l1:.3f}<={l1_bound:.3f}, l2 {l2:.4f}<={l2_bound:.4f}")

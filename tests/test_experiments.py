@@ -12,7 +12,8 @@ from rflaf.cli import main
 from rflaf.experiments import MODES, ConfigError, load_config, parse_config, rate_study, run, theory_bounds
 from rflaf.kernel import RbfParams
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 
 class TestTheoryBounds:
@@ -89,6 +90,40 @@ class TestRateStudy:
             ref_samples=200_000,
         )
         assert result.mean_abs_err[1] < result.mean_abs_err[0]
+
+    def test_streamed_estimate_matches_one_pass(self, monkeypatch):
+        # a budget of 64 cells streams the 50 draws in chunks of 64 // (7 rows + 3 dims) = 6
+        monkeypatch.setattr(basis, "CHUNK_CELLS", 64)
+        bump_blocks = []
+        bumps = basis.bumps
+        monkeypatch.setattr(basis, "bumps", lambda u, c, h: bump_blocks.append(u.shape) or bumps(u, c, h))
+        rng = np.random.default_rng(12)
+        X, b1, b2 = rng.standard_normal((7, 3)), rng.standard_normal(3), rng.standard_normal(3)
+        got = experiments._rbf_mean(99, 50, X, RbfParams(center=0.5, width=0.8), b1, b2, 1.5)
+        assert bump_blocks == [(6, 7)] * 8 + [(2, 7)]
+        w = np.random.default_rng(99).standard_normal((50, 3))
+        dense = 1.5 * np.maximum(w @ b1, w @ b2) @ np.exp(-((w @ X.T - 0.5) ** 2) / (2 * 0.8**2)) / 50
+        assert np.max(np.abs(got - dense)) <= 1e-14
+
+    def test_shipped_config_pinned(self):
+        # configs/rate_study.json with 200,000 reference samples, as the verify benchmark runs it;
+        # pinned from the earlier estimator, which drew the reference in blocks of 5,000 and each bank at once
+        raw = dict(load_config(str(CONFIG_DIR / "rate_study.json")), ref_samples=200_000)
+        cfg = parse_config("rate-study", raw)
+        result = rate_study(
+            cfg.rbf, cfg.b1, cfg.b2, cfg.m_values, cfg.trials, cfg.seed, cfg.test_points, cfg.ref_samples, cfg.v_scale
+        )
+        pinned = [
+            0.06748173332798699,
+            0.05298527267576457,
+            0.028941569086281434,
+            0.029335836207246994,
+            0.018584437417832923,
+            0.0124180343881049,
+            0.008653405068359717,
+        ]
+        np.testing.assert_allclose(result.mean_abs_err, pinned, rtol=1e-13, atol=0)
+        assert result.slope == pytest.approx(-0.489815316417249, rel=1e-13, abs=0)
 
 
 def _write_config(tmp_path, payload):
@@ -226,7 +261,7 @@ class TestRunTrainCompare:
         # checkpoint reloads and reproduces the learned activation table
         trained = model.load_model(tmp_path / "model_rflaf.npz")
         zs = np.linspace(-2.0, 2.0, 401)
-        vals = basis.activation_curve(trained.grid, basis.ActivationWeights(a=trained.a), zs)
+        vals = basis.activation_curve(trained.grid, trained.a, zs)
         first = (tmp_path / "activation_learned.txt").read_text().splitlines()[1].split("\t")
         assert float(first[1]) == vals[0]
 
@@ -253,7 +288,7 @@ class TestRunExportActivation:
         grid = basis.build_grid(-2.0, 2.0, 100, 2.0 * 4.0 / 100)
         weights = basis.quadrature_weights(grid, data.sigma_eval_array("s1", grid.centers))
         bank = model.sample_features(2, 5, seed=1)
-        snapshot = model.RflafModel(bank=bank, grid=grid, a=weights.a, v=np.ones(5))
+        snapshot = model.RflafModel(bank=bank, grid=grid, a=weights, v=np.ones(5))
         ckpt = tmp_path / "model.npz"
         model.save_model(snapshot, ckpt)
         cfg = {

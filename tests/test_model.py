@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rflaf.basis import ActivationGrid, banded_bumps, build_grid, bumps
+from rflaf.basis import CHUNK_CELLS, ActivationGrid, banded_bumps, build_grid, bumps
 from rflaf.model import (
-    _BAND_CELLS,
     BASELINE_ACTIVATIONS,
     BaselineRfModel,
     FeatureBank,
@@ -84,7 +83,7 @@ class TestFeatureMatrix:
         assert b.shape == (2, 7)
 
     def test_one_by_one_composition(self):
-        grid = ActivationGrid(0.0, 1.0, 1, np.array([0.6]), 0.2)
+        grid = ActivationGrid(-0.4, 0.6, 1, 0.2)  # one center, at 0.6
         bank = sample_features(2, 1, seed=3)
         x = np.array([0.3, -0.8])
         z = float(bank.weights[0] @ x)
@@ -124,7 +123,7 @@ class TestForward:
         assert forward(zeroed, np.ones(3)) == 0.0
 
     def test_single_unit_model(self):
-        grid = ActivationGrid(0.0, 1.0, 1, np.array([0.5]), 0.25)
+        grid = ActivationGrid(-0.5, 0.5, 1, 0.25)  # one center, at 0.5
         bank = sample_features(2, 1, seed=5)
         model = RflafModel(bank=bank, grid=grid, a=np.array([1.0]), v=np.array([1.0]))
         x = np.array([0.1, 0.9])
@@ -235,15 +234,24 @@ class TestForwardBatch:
         rng = np.random.default_rng(36 + dim)
         model = _random_model(rng, dim=dim, m=300, n_basis=200, width=0.04)
         X = rng.standard_normal((100, dim))
-        assert 2 * _BAND_CELLS < X.shape[0] * 300 * model.grid.band_width
-        # the baselines on the same bank must ignore the other rows too
-        cases = [(forward_batch, forward, model)] + [
-            (baseline_forward_batch, baseline_forward, BaselineRfModel(bank=model.bank, activation_kind=k, v=model.v))
+        assert 2 * CHUNK_CELLS < X.shape[0] * 300 * model.grid.band_width
+        # past np.getbufsize() = 8192 reduced elements per row, where np.einsum's
+        # grouping depends on the row count: M = 9000 (band width 11, 2 rows per
+        # chunk), and the baselines of width 8193 and 12000 below
+        wide = _random_model(rng, dim=dim, m=9000, n_basis=200, width=0.01)
+        assert wide.grid.band_width == 11 and CHUNK_CELLS // (9000 * 11) == 2
+        # the baselines must ignore the other rows too, on the same bank and past 8192
+        banks = [(model.bank, model.v)] + [
+            (sample_features(dim, width, seed=dim), rng.standard_normal(width)) for width in (8193, 12000)
+        ]
+        cases = [(forward_batch, forward, model), (forward_batch, forward, wide)] + [
+            (baseline_forward_batch, baseline_forward, BaselineRfModel(bank, k, v))
+            for bank, v in banks
             for k in BASELINE_ACTIVATIONS
         ]
         for batch_fn, row_fn, m in cases:
             batch = batch_fn(m, X).tobytes()
-            kind = getattr(m, "activation_kind", "rflaf")
+            kind = (getattr(m, "activation_kind", "rflaf"), m.bank.n_features)
             assert np.array([row_fn(m, x) for x in X]).tobytes() == batch, kind
             for cuts in ([0, 1, 100], [0, 23, 50, 99, 100], [0, 37, 41, 100]):
                 parts = [batch_fn(m, X[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
