@@ -142,7 +142,7 @@ class RateStudyConfig:
     m_values: tuple[Count, ...] = (32, 64, 128, 256, 512, 1024, 2048)
     trials: Count = 10
     test_points: Count = 2000
-    ref_samples: Count = 1_000_000
+    ref_samples: Annotated[int, 2] = 1_000_000  # draws of the reference's cross-check, which needs a standard error
     rbf: RbfSection = field(default_factory=RbfSection)
     b1: tuple[float, ...] = (1.0, 0.0)
     b2: tuple[float, ...] = (0.0, 1.0)

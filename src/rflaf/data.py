@@ -1,35 +1,58 @@
 """Synthetic regression targets and dataset generation.
 
-A target is f(x) = E_w[sigma(w.x) v(w)] with w standard Gaussian, sigma
-one of three bump-like activations (SIGMA_KINDS), and
-v(w) = calib * max(b1.w, b2.w).  The expectation is replaced by an
-empirical average over a large w-sample frozen per spec seed, so the
-target is a fixed deterministic function of x.
+A target is f(x) = calib * E_w[sigma(w.x) max(b1.w, b2.w)] with w standard
+Gaussian and sigma one of three compactly supported sine bumps
+(SIGMA_KINDS).  The expectation reduces to one integral over the Gaussian
+t = w.x/|x|, which expected_max_quadrature evaluates to rounding, so the
+target is an exact deterministic function of x.  mc_expected_max is the
+streamed Monte-Carlo estimate of the same expectation; cross_check holds
+the quadrature against it at fixed points, as an independent oracle.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import basis
 
 __all__ = [
     "SIGMA_KINDS",
     "TargetSpec",
     "Dataset",
     "sigma_eval_array",
+    "gauss_legendre",
+    "expected_max_quadrature",
+    "mc_expected_max",
+    "CrossCheck",
+    "cross_check",
     "TargetSampler",
     "calibrate",
     "holdout_size",
     "gen_dataset",
 ]
 
-SIGMA_KINDS = ("s1", "s2", "s3")
+# Ends of the pieces on which each sigma is smooth; it is 0 outside the first and last.
+SIGMA_KNOTS = {"s1": (-1.0, 1.0), "s2": (0.0, 1.0), "s3": (-1.5, -0.5, 0.5, 1.5)}
+SIGMA_KINDS = tuple(SIGMA_KNOTS)
 
-# Column chunk bound when evaluating the frozen w-sample against many points.
-_EVAL_CHUNK = 128
+# The quadrature covers |t| <= 9: the Gaussian mass beyond is below 1e-18.
+_T_MAX = 9.0
+# Gauss-Legendre nodes per piece: 256 agree with 64 within 1e-11 (tests/test_data.py).
+_NODES = 64
+# Float (rows, nodes) arrays alive at once in one quadrature piece, rounded
+# up: 11 at the erfc call (t, sigma, t delta, a, Phi, erfc's values, and its
+# arguments as a list of Python floats at 4 cells each), 6 inside sigma_eval_array.
+_QUAD_TEMPS = 16
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# cross_check's bound on |exact - Monte Carlo| in standard errors.  At 4, one
+# of its 64 points would fail on about 1 seed in 250.
+CHECK_STDERRS = 5.0
 
 
 def sigma_eval_array(kind: str, z: np.ndarray) -> np.ndarray:
@@ -56,9 +79,157 @@ def sigma_eval_array(kind: str, z: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n from the guesses -cos(pi (k - 1/4) / (n + 1/2)),
+    with P_n and P_n' from the three-term recurrence; computed on first use.
+    """
+
+    def legendre(x):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    x = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(10):
+        p, dp = legendre(x)
+        x = x - p / dp
+    dp = legendre(x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def expected_max_quadrature(X, sigma, support, knots, b1, b2, scale: float = 1.0) -> np.ndarray:
+    """scale * E_w[sigma(w.x) max(b1.w, b2.w)], w ~ N(0, I), at each row x of X, each from its row alone.
+
+    With u = x/|x| and t = w.u ~ N(0, 1), b1.w - b2.w given t is Gaussian
+    with mean t delta and standard deviation theta, where delta = (b1-b2).u
+    and theta = |(b1-b2) - delta u|.  So Clark's formula for the maximum of
+    two Gaussians gives E[max | t] = t beta2 + t delta Phi(a) + theta phi(a),
+    a = t delta / theta and beta2 = b2.u, or max(t beta1, t beta2) when
+    theta = 0.  That is integrated against sigma(|x| t) phi(t) over |t| <= 9
+    with the _NODES-point Gauss-Legendre rule on each piece between sigma's
+    knots (at z = |x| t), t = 0 and t = +-{1, 4, 16} theta/|delta|, where
+    E[max | t] bends sharply as theta/|delta| shrinks.  At x = 0 the value is
+    scale sigma(0) |b1 - b2| / sqrt(2 pi).
+
+    sigma maps an array of z, which it may overwrite, to sigma(z); it must
+    be smooth between knots and vanish outside support = (lo, hi).
+    """
+    X = np.asarray(X, dtype=float)
+    b1, b2 = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
+    r = np.sqrt(basis.row_dot(X, X))
+    out = np.empty(X.shape[0])
+    rule = gauss_legendre(_NODES)
+    step = max(1, basis.CHUNK_CELLS // (_QUAD_TEMPS * _NODES))
+    for lo in range(0, X.shape[0], step):
+        rows = slice(lo, lo + step)
+        out[rows] = _quadrature_rows(X[rows], r[rows], sigma, support, knots, b1, b2, *rule)
+    out[r == 0] = sigma(np.zeros(1))[0] * math.sqrt(float((b1 - b2) @ (b1 - b2))) / _SQRT_2PI
+    return scale * out
+
+
+def _quadrature_rows(X, r, sigma, support, knots, b1, b2, xs, ws) -> np.ndarray:
+    """E_w[sigma(w.x) max(b1.w, b2.w)] at rows x = X with norms r; see expected_max_quadrature."""
+    r = np.where(r > 0, r, 1.0)  # x = 0 is set by the caller
+    u = X / r[:, None]
+    db = b1 - b2
+    delta, beta2 = basis.row_dot(u, db), basis.row_dot(u, b2)
+    perp = db - delta[:, None] * u
+    theta = np.sqrt(basis.row_dot(perp, perp))
+    slope = delta / np.where(theta > 0, theta, np.inf)  # a = t slope
+    bend = np.divide(theta, np.abs(delta), out=np.full_like(theta, np.inf), where=delta != 0)
+    t_lo = np.maximum(support[0] / r, -_T_MAX)
+    t_hi = np.maximum(np.minimum(support[1] / r, _T_MAX), t_lo)
+    ends = [t_lo, t_hi, np.zeros_like(r), *(k * bend for k in (-16, -4, -1, 1, 4, 16)), *(c / r for c in knots)]
+    ends = np.sort(np.clip(np.column_stack(ends), t_lo[:, None], t_hi[:, None]), axis=1)
+    params = np.column_stack([r, delta, slope, theta, beta2])
+    acc = np.zeros(X.shape[0])
+    for j in range(ends.shape[1] - 1):
+        half = 0.5 * (ends[:, j + 1] - ends[:, j])
+        p = np.flatnonzero(half > 0)  # rows whose piece j is not empty
+        h = half[p, None]
+        r_p, delta_p, slope_p, theta_p, beta2_p = params[p].T[:, :, None]
+        t = (ends[p, j, None] + h) + h * xs
+        sig = sigma(r_p * t)
+        td = t * delta_p
+        a = t * slope_p
+        cdf = np.where(td > 0, 1.0, 0.0)  # Phi(a) as theta -> 0
+        live = (sig != 0) & (theta_p > 0)
+        args = (a[live] * -math.sqrt(0.5)).tolist()
+        cdf[live] = 0.5 * np.fromiter(map(math.erfc, args), float, len(args))
+        g = basis.bumps(a, 0.0, 1.0)
+        g *= theta_p / _SQRT_2PI
+        td *= cdf
+        g += td
+        g += t * beta2_p
+        g *= sig
+        g *= basis.bumps(t, 0.0, 1.0)
+        acc[p] += half[p] * basis.row_dot(g, ws)
+    return acc / _SQRT_2PI
+
+
+def mc_expected_max(seed, n: int, X: np.ndarray, sigma, b1, b2, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo mean and standard error of scale * sigma(w.x) max(b1.w, b2.w) at each row x of X.
+
+    The n draws w ~ N(0, I) come from default_rng(seed) and stream in chunks
+    of basis.CHUNK_CELLS // (rows + dim of X) rows, so the temporaries stay
+    that size whatever n; the Generator stream is sequential, so the
+    chunking does not change the values drawn.  sigma is as in
+    expected_max_quadrature.
+    """
+    rng = np.random.default_rng(seed)
+    step = max(1, basis.CHUNK_CELLS // (X.shape[0] + X.shape[1]))
+    total, squares = np.zeros(X.shape[0]), np.zeros(X.shape[0])
+    for lo in range(0, n, step):
+        w = rng.standard_normal((min(step, n - lo), X.shape[1]))
+        v = scale * np.maximum(w @ b1, w @ b2)
+        e = sigma(w @ X.T)
+        total += v @ e
+        e *= e
+        squares += (v * v) @ e
+    mean = total / n
+    return mean, np.sqrt(np.maximum(squares / n - mean * mean, 0.0) / max(n - 1, 1))
+
+
+@dataclass(frozen=True)
+class CrossCheck:
+    """Exact values against a Monte-Carlo estimate at the check points."""
+
+    samples: int  # Monte-Carlo draws
+    points: int
+    failures: int  # points where |exact - mean| > CHECK_STDERRS standard errors
+    worst: float  # largest |exact - mean| / standard error
+
+    @property
+    def ok(self) -> bool:
+        return self.failures == 0
+
+
+def cross_check(exact, seed, n: int, sigma, b1, b2, scale: float) -> CrossCheck:
+    """exact(X) against mc_expected_max(seed, n, X, sigma, b1, b2, scale) at 64 fixed points X.
+
+    The points are 16 unit directions from a fixed stream, each at radii 0.5, 1, 2 and 3.
+    """
+    u = np.random.default_rng(0xC4EC).standard_normal((16, np.asarray(b1).shape[0]))
+    u /= np.sqrt(basis.row_dot(u, u))[:, None]
+    X = np.concatenate([radius * u for radius in (0.5, 1.0, 2.0, 3.0)])
+    mean, stderr = mc_expected_max(seed, n, X, sigma, b1, b2, scale)
+    gap = np.abs(exact(X) - mean)
+    z = np.divide(gap, stderr, out=np.where(gap > 0, np.inf, 0.0), where=stderr > 0)
+    return CrossCheck(samples=n, points=X.shape[0], failures=int(np.sum(z > CHECK_STDERRS)), worst=float(z.max()))
+
+
 @dataclass(frozen=True)
 class TargetSpec:
-    """Recipe for one synthetic target function."""
+    """Recipe for one synthetic target function.
+
+    mc_samples and seed set the Monte-Carlo draws of the target's cross-check.
+    """
 
     sigma_kind: str
     b1: np.ndarray
@@ -97,38 +268,31 @@ class TargetSpec:
 
 
 class TargetSampler:
-    """Frozen w-sample realization of a target spec.
-
-    The same w-sample is reused for every query point, so the induced target
-    is one deterministic function of x.
-    """
+    """A target spec's values, exact by quadrature, and their Monte-Carlo cross-check."""
 
     def __init__(self, spec: TargetSpec):
         self.spec = spec
-        rng = np.random.default_rng(spec.seed)
-        self.w = rng.standard_normal((spec.mc_samples, spec.dim))
-        self.vvals = spec.calib * np.maximum(self.w @ spec.b1, self.w @ spec.b2)
 
     def means(self, X: np.ndarray) -> np.ndarray:
-        """Target values for many points; chunked over columns."""
+        """Target values at the rows of X, each a function of its own row alone."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.spec.dim:
             raise ValueError(f"X has shape {X.shape}, expected (n, {self.spec.dim})")
-        n = X.shape[0]
-        out = np.empty(n)
-        for lo in range(0, n, _EVAL_CHUNK):
-            hi = min(lo + _EVAL_CHUNK, n)
-            z = self.w @ X[lo:hi].T  # (samples, cols)
-            out[lo:hi] = self.spec.sigma(z).T @ self.vvals / self.spec.mc_samples
-        return out
+        s, knots = self.spec, SIGMA_KNOTS[self.spec.sigma_kind]
+        return expected_max_quadrature(X, s.sigma, (knots[0], knots[-1]), knots, s.b1, s.b2, s.calib)
+
+    def cross_check(self) -> CrossCheck:
+        """means against spec.mc_samples draws from default_rng(spec.seed) at the check points."""
+        s = self.spec
+        return cross_check(self.means, s.seed, s.mc_samples, s.sigma, s.b1, s.b2, s.calib)
 
 
 def calibrate(spec: TargetSpec, n_points: int = 10_000) -> float:
     """Scale factor making the mean absolute target value 1.
 
-    Requires calib = 1 on input.  Evaluates the target on fresh Gaussian
-    points drawn from a stream derived from (but independent of) the spec
-    seed; deterministic per seed.
+    Requires calib = 1 on input.  Averages the exact target values
+    (TargetSampler.means) over n_points Gaussian points drawn from a stream
+    derived from (but independent of) the spec seed; deterministic per seed.
     """
     if spec.calib != 1.0:
         raise ValueError(f"calibrate expects a spec with calib = 1, got {spec.calib}")
@@ -191,7 +355,7 @@ def gen_dataset(
     test_fraction: float,
     seed: int,
 ) -> Dataset:
-    """Draw Gaussian inputs, label them with the frozen target, split by permutation."""
+    """Draw Gaussian inputs, label them with the exact target values, split by permutation."""
     if d != spec.dim:
         raise ValueError(f"requested dim {d} does not match spec dim {spec.dim}")
     n_test = holdout_size(n, test_fraction)

@@ -80,29 +80,12 @@ def theory_bounds(
     return BoundsReport(a_norm_bound=a_bound, v_norm_bound=v_bound, f_sup_bound=f_bound)
 
 
-def _rbf_mean(seed, n: int, X: np.ndarray, rbf: kernel.RbfParams, b1, b2, v_scale: float) -> np.ndarray:
-    """(1/n) sum_s B(w_s.x) v(w_s) at each row x of X, over n draws w_s ~ N(0, I) from default_rng(seed).
-
-    B is the bump of rbf and v(w) = v_scale * max(b1.w, b2.w): the
-    Monte-Carlo estimate of phi(x) = E_w[B(w.x) v(w)].  The draws stream in
-    chunks of basis.CHUNK_CELLS // (rows + dim of X) rows, so the temporaries
-    stay that size whatever n and the dimension; the Generator stream is
-    sequential, so the chunking does not change the values drawn.
-    """
-    rng = np.random.default_rng(seed)
-    step = max(1, basis.CHUNK_CELLS // (X.shape[0] + X.shape[1]))
-    acc = np.zeros(X.shape[0])
-    for lo in range(0, n, step):
-        w = rng.standard_normal((min(step, n - lo), X.shape[1]))
-        acc += v_scale * np.maximum(w @ b1, w @ b2) @ basis.bumps(w @ X.T, rbf.center, rbf.width)
-    return acc / n
-
-
 @dataclass(frozen=True)
 class RateStudyResult:
     m_values: list[int]
     mean_abs_err: np.ndarray
     slope: float
+    check: data.CrossCheck  # the exact reference against ref_samples Monte-Carlo draws
 
 
 def rate_study(
@@ -118,33 +101,48 @@ def rate_study(
 ) -> RateStudyResult:
     """Finite-width approximation error of the single-RBF model vs width.
 
-    The target is phi(x) = E_w[B(w.x) v(w)] with v(w) = v_scale * max(b1.w,
-    b2.w); its value is approximated by a large frozen reference sample.  For
-    each width M the model uses v_m = v(w_m) on a fresh bank, and the error
-    is the mean absolute gap over Gaussian test points, averaged over trials.
-    Returns the per-width errors and the fitted log-log slope.
+    The target is phi(x) = E_w[B(w.x) v(w)] with B the bump of rbf and
+    v(w) = v_scale * max(b1.w, b2.w), evaluated exactly by
+    data.expected_max_quadrature and cross-checked against ref_samples
+    Monte-Carlo draws.  For each width M the model uses v_m = v(w_m) on a
+    fresh bank, and the error is the mean absolute gap over Gaussian test
+    points, averaged over trials.  Returns the per-width errors, the fitted
+    log-log slope and the cross-check.
     """
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
     if b1.ndim != 1 or b1.shape != b2.shape:
         raise ValueError("b1 and b2 must be vectors of equal length")
-    if trials < 1 or test_points < 1 or ref_samples < 1:
-        raise ValueError("trials, test_points, and ref_samples must be positive")
+    if trials < 1 or test_points < 1:
+        raise ValueError("trials and test_points must be positive")
+    if ref_samples < 2:
+        raise ValueError(f"ref_samples must be at least 2 for the cross-check's standard error, got {ref_samples}")
     root = np.random.SeedSequence([seed, 0xA7E])
     ss_test, ss_ref, ss_banks = root.spawn(3)
     x_test = np.random.default_rng(ss_test).standard_normal((test_points, b1.shape[0]))
-    args = (x_test, rbf, b1, b2, v_scale)
-    phi_ref = _rbf_mean(ss_ref, ref_samples, *args)
+    knots = tuple(rbf.center + k * rbf.width for k in (-6, -3, 0, 3, 6))
+
+    def bump(z):
+        return basis.bumps(z, rbf.center, rbf.width)
+
+    def phi(X):
+        return data.expected_max_quadrature(X, bump, (-math.inf, math.inf), knots, b1, b2, v_scale)
+
+    phi_ref = phi(x_test)
+    check = data.cross_check(phi, ss_ref, ref_samples, bump, b1, b2, v_scale)
     bank_seeds = iter(ss_banks.spawn(len(m_values) * trials))
     errs = np.array([
-        np.mean([np.mean(np.abs(_rbf_mean(next(bank_seeds), m, *args) - phi_ref)) for _ in range(trials)])
+        np.mean([
+            np.mean(np.abs(data.mc_expected_max(next(bank_seeds), m, x_test, bump, b1, b2, v_scale)[0] - phi_ref))
+            for _ in range(trials)
+        ])
         for m in m_values
     ])
     if np.all(errs > 0):
         slope = float(np.polyfit(np.log(np.asarray(m_values, dtype=float)), np.log(errs), 1)[0])
     else:
         slope = float("nan")
-    return RateStudyResult(m_values=list(m_values), mean_abs_err=errs, slope=slope)
+    return RateStudyResult(m_values=list(m_values), mean_abs_err=errs, slope=slope, check=check)
 
 
 # --- mode runners, each taking its parsed config (rflaf.configs) ---------------
@@ -170,6 +168,13 @@ def _write_table(out_dir: str, name: str, columns: list[str], rows) -> None:
 
 def _verdict(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
+
+
+def _check_line(what: str, check: data.CrossCheck) -> str:
+    return (
+        f"{what} vs monte carlo ({check.samples} samples): {check.points - check.failures}/{check.points} points "
+        f"within {_fmt(data.CHECK_STDERRS)} stderr (worst {_fmt(check.worst)}): {_verdict(check.ok)}"
+    )
 
 
 def _run_kernel_verify(cfg: configs.KernelVerifyConfig, out_dir: str) -> int:
@@ -243,9 +248,10 @@ def _run_rate_study(cfg: configs.RateStudyConfig, out_dir: str) -> int:
     lines = [
         f"fitted log-log slope: {_fmt(result.slope)}",
         f"expected slope range: [{_fmt(lo)}, {_fmt(hi)}]: {_verdict(ok)}",
+        _check_line("reference quadrature", result.check),
     ]
     _write_lines(out_dir, "rate_study_summary.txt", lines)
-    return 0 if ok else 1
+    return 0 if ok and result.check.ok else 1
 
 
 def _activation_tables(out_dir: str, grid: basis.ActivationGrid, a: np.ndarray, grid_points: int, spec):
@@ -270,6 +276,7 @@ def _activation_tables(out_dir: str, grid: basis.ActivationGrid, a: np.ndarray, 
 def _run_train_compare(cfg: configs.TrainCompareConfig, out_dir: str) -> int:
     calib = data.calibrate(cfg.spec)
     spec = cfg.spec.with_calib(calib)
+    check = data.TargetSampler(spec).cross_check()
     dim = cfg.data.dim
     data_seed = cfg.seed + 1 if cfg.data.seed is None else cfg.data.seed
     dataset = data.gen_dataset(spec, cfg.data.n, dim, cfg.data.test_fraction, data_seed)
@@ -295,16 +302,16 @@ def _run_train_compare(cfg: configs.TrainCompareConfig, out_dir: str) -> int:
     ratio = final_mse["rflaf"] / best_baseline if best_baseline > 0 else float("inf")
     ratio_ok = ratio <= cfg.mse_ratio_max
     corr_ok = corr >= cfg.min_activation_correlation
-    lines = [f"calibration constant: {_fmt(calib)}"]
+    lines = [f"calibration constant: {_fmt(calib)}", _check_line("target quadrature", check)]
     lines += [f"final test mse {name}: {_fmt(mse)}" for name, mse in final_mse.items()]
     lines += [
         f"mse ratio rflaf/best-baseline: {_fmt(ratio)} (max {_fmt(cfg.mse_ratio_max)}): {_verdict(ratio_ok)}",
         f"activation alignment scale: {_fmt(scale)}",
         f"activation correlation: {_fmt(corr)} (min {_fmt(cfg.min_activation_correlation)}): {_verdict(corr_ok)}",
-        f"overall: {_verdict(ratio_ok and corr_ok)}",
+        f"overall: {_verdict(ratio_ok and corr_ok and check.ok)}",
     ]
     _write_lines(out_dir, "train_compare_summary.txt", lines)
-    return 0 if ratio_ok and corr_ok else 1
+    return 0 if ratio_ok and corr_ok and check.ok else 1
 
 
 def _run_export_activation(cfg: configs.ExportActivationConfig, out_dir: str) -> int:

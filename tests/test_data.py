@@ -1,16 +1,23 @@
-"""Synthetic targets, dataset generation, calibration."""
+"""Synthetic targets, their quadrature and Monte-Carlo cross-check, dataset generation, calibration."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rflaf import basis, data
 from rflaf.data import (
     Dataset,
     TargetSampler,
     TargetSpec,
     calibrate,
+    expected_max_quadrature,
+    gauss_legendre,
     gen_dataset,
+    mc_expected_max,
     sigma_eval_array,
 )
 
@@ -107,9 +114,137 @@ class TestTargetEval:
         X = np.random.default_rng(3).standard_normal((9, 2))
         batch = sampler.means(X)
         for i in range(9):
-            # the frozen-sample average at one point, from the sampler's own draws
-            ref = float(np.mean(sigma_eval_array("s1", sampler.w @ X[i]) * sampler.vvals))
-            assert batch[i] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+            assert batch[i] == sampler.means(X[i : i + 1])[0]
+            # a Monte-Carlo estimate at this point alone, from the spec's own stream
+            mean, stderr = mc_expected_max(spec.seed, spec.mc_samples, X[i : i + 1], spec.sigma, B1, B2, 1.0)
+            assert abs(batch[i] - mean[0]) <= data.CHECK_STDERRS * stderr[0]
+
+    def test_rows_independent_past_one_chunk(self):
+        # each label is a function of its own row alone, whatever else is in the batch
+        spec = _spec(mc=5000)
+        X = np.random.default_rng(21).standard_normal((300, 2))
+        assert X.shape[0] > basis.CHUNK_CELLS // (data._QUAD_TEMPS * data._NODES)
+        sampler = TargetSampler(spec)
+        batch = sampler.means(X)
+        assert [i for i in range(300) if batch[i] != sampler.means(X[i : i + 1])[0]] == []
+        assert np.array_equal(sampler.means(X[1:]), batch[1:])
+
+    @pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
+    def test_cross_check_passes(self, kind):
+        check = TargetSampler(_spec(kind=kind, mc=50_000, seed=17)).cross_check()
+        assert (check.samples, check.points, check.failures) == (50_000, 64, 0)
+        assert 0.0 < check.worst <= data.CHECK_STDERRS
+
+    def test_cross_check_catches_a_one_percent_error(self, monkeypatch):
+        spec = _spec(mc=2_000_000, seed=17)
+        assert TargetSampler(spec).cross_check().ok
+        means = TargetSampler.means
+        monkeypatch.setattr(TargetSampler, "means", lambda self, X: 1.01 * means(self, X))
+        check = TargetSampler(spec).cross_check()
+        assert check.failures > 0 and check.worst > data.CHECK_STDERRS
+
+
+def _bump_sigma(c, h):
+    return (lambda z: basis.bumps(z, c, h)), (-math.inf, math.inf), tuple(c + k * h for k in (-6, -3, 0, 3, 6))
+
+
+def _kind_sigma(kind):
+    knots = data.SIGMA_KNOTS[kind]
+    return (lambda z: sigma_eval_array(kind, z)), (knots[0], knots[-1]), knots
+
+
+def _gauss(t):
+    return math.exp(-t * t / 2) / math.sqrt(2 * math.pi)
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 128, 256])
+    def test_gauss_legendre_matches_numpy(self, n):
+        x, w = gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - ref_x)) <= 1e-14
+        assert np.max(np.abs(w - ref_w)) <= 1e-14
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["s1", "s2", "s3", "bump"]),
+        d=st.sampled_from([1, 2, 3, 5]),
+        seed=st.integers(0, 2**32 - 1),
+        log_r=st.floats(math.log(0.001), math.log(12.0)),
+        log_tilt=st.floats(-12.0, 1.0),
+        c=st.floats(-2.0, 2.0),
+        h=st.floats(0.2, 2.0),
+    )
+    def test_64_nodes_match_256(self, kind, d, seed, log_r, log_tilt, c, h):
+        rng = np.random.default_rng(seed)
+        b1, b2 = rng.uniform(-3.0, 3.0, d), rng.uniform(-3.0, 3.0, d)
+        db = b1 - b2
+        # x near the direction of b1 - b2 (theta << |delta|, the hard case), a random direction, and x = 0
+        near = db / np.linalg.norm(db) + 10.0**log_tilt * rng.standard_normal(d)
+        X = np.stack([near, rng.standard_normal(d), np.zeros(d)])
+        X[:2] *= math.exp(log_r) / np.linalg.norm(X[:2], axis=1, keepdims=True)
+        sigma, support, knots = _bump_sigma(c, h) if kind == "bump" else _kind_sigma(kind)
+        f64 = expected_max_quadrature(X, sigma, support, knots, b1, b2)
+        with mock.patch.object(data, "_NODES", 256):
+            f256 = expected_max_quadrature(X, sigma, support, knots, b1, b2)
+        assert np.all(np.abs(f64 - f256) <= 1e-11 * np.maximum(1.0, np.abs(f256)))
+
+    @pytest.mark.parametrize("kind", ["s1", "s2", "s3", "bump"])
+    def test_origin(self, kind):
+        sigma, support, knots = _bump_sigma(0.5, 0.7) if kind == "bump" else _kind_sigma(kind)
+        b1, b2 = np.array([1.0, -2.0]), np.array([0.5, 1.0])
+        got = expected_max_quadrature(np.zeros((1, 2)), sigma, support, knots, b1, b2, 3.0)[0]
+        # E max(b1.w, b2.w) = E max(0, (b1-b2).w) + 0 = |b1 - b2| / sqrt(2 pi)
+        want = 3.0 * sigma(np.zeros(1))[0] * math.sqrt(0.25 + 9.0) / math.sqrt(2 * math.pi)
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
+        assert (got == 0.0) == (kind != "bump")
+
+    @pytest.mark.parametrize("kind", ["s1", "s2", "s3", "bump"])
+    @pytest.mark.parametrize("x", [-2.3, 0.4, 1.7])
+    def test_theta_zero_in_one_dimension(self, kind, x):
+        # in one dimension b1 - b2 is parallel to x: E[max | t] = max(t b1, t b2) exactly
+        from scipy.integrate import quad
+
+        sigma, support, knots = _bump_sigma(0.5, 0.7) if kind == "bump" else _kind_sigma(kind)
+        b1, b2 = 1.3, -0.4
+        got = expected_max_quadrature(np.array([[x]]), sigma, support, knots, [b1], [b2])[0]
+
+        def integrand(t):
+            return sigma(np.array([x * t]))[0] * max(t * b1, t * b2) * _gauss(t)
+
+        points = sorted({0.0, *(k / x for k in knots if abs(k / x) < 12)})
+        want = quad(integrand, -12.0, 12.0, points=points, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
+
+    @pytest.mark.parametrize("kind", ["s1", "s2", "s3", "bump"])
+    @pytest.mark.parametrize("x", [(0.8, 0.8), (-1.1, 0.3), (0.5, -2.0)], ids=["delta-0", "generic", "far"])
+    def test_matches_two_dimensional_integral(self, kind, x):
+        # Clark's formula against the plain double integral over w = t u + s v, v perpendicular to u
+        from scipy.integrate import quad
+
+        sigma, support, knots = _bump_sigma(0.5, 0.7) if kind == "bump" else _kind_sigma(kind)
+        b1, b2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        x = np.array(x)
+        r = float(np.linalg.norm(x))
+        u = x / r
+        v = np.array([-u[1], u[0]])
+        got = expected_max_quadrature(x[None, :], sigma, support, knots, b1, b2)[0]
+
+        def inner(t):
+            # max(b1.w, b2.w) bends where (b1 - b2).w = 0
+            du, dv = (b1 - b2) @ u, (b1 - b2) @ v
+            kink = -du * t / dv
+            def g(s):
+                w = t * u + s * v
+                return max(b1 @ w, b2 @ w) * _gauss(s)
+            return quad(g, -12.0, 12.0, points=[kink] if abs(kink) < 12 else None, epsabs=1e-14, limit=200)[0]
+
+        def outer(t):
+            return sigma(np.array([r * t]))[0] * inner(t) * _gauss(t)
+
+        points = sorted({0.0, *(k / r for k in knots if abs(k / r) < 12)})
+        want = quad(outer, -12.0, 12.0, points=points, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 class TestCalibrate:
@@ -129,12 +264,13 @@ class TestCalibrate:
         sampler = TargetSampler(calibrated)
         mean_abs = float(np.mean(np.abs(sampler.means(rng.standard_normal((10_000, 2))))))
         assert mean_abs == pytest.approx(1.0, rel=0.05)
+        assert sampler.cross_check().ok
 
     def test_scaling_property(self):
         base = calibrate(_spec(), n_points=2000)
         doubled = TargetSpec(sigma_kind="s1", b1=2 * B1, b2=2 * B2, mc_samples=20_000, seed=11)
-        # doubling the direction vectors doubles v, so the constant halves
-        assert calibrate(doubled, n_points=2000) == pytest.approx(base / 2.0, rel=0.02)
+        # doubling the direction vectors doubles every value exactly, so the constant halves exactly
+        assert calibrate(doubled, n_points=2000) == base / 2.0
 
     def test_requires_unit_calib(self):
         with pytest.raises(ValueError):
@@ -170,8 +306,9 @@ class TestGenDataset:
     def test_labels_match_target(self):
         spec = _spec(mc=2000)
         ds = gen_dataset(spec, 12, 2, 0.25, seed=7)
-        sampler = TargetSampler(spec)
-        assert np.allclose(ds.y, sampler.means(ds.X), rtol=1e-12)
+        assert np.array_equal(ds.y, TargetSampler(spec).means(ds.X))
+        mean, stderr = mc_expected_max(spec.seed, spec.mc_samples, ds.X, spec.sigma, B1, B2, 1.0)
+        assert np.all(np.abs(ds.y - mean) <= data.CHECK_STDERRS * stderr)
 
     def test_calibrated_mean_abs_near_one(self):
         spec = _spec(kind="s2", mc=20_000, seed=13)

@@ -95,35 +95,48 @@ class TestRateStudy:
         # a budget of 64 cells streams the 50 draws in chunks of 64 // (7 rows + 3 dims) = 6
         monkeypatch.setattr(basis, "CHUNK_CELLS", 64)
         bump_blocks = []
-        bumps = basis.bumps
-        monkeypatch.setattr(basis, "bumps", lambda u, c, h: bump_blocks.append(u.shape) or bumps(u, c, h))
         rng = np.random.default_rng(12)
         X, b1, b2 = rng.standard_normal((7, 3)), rng.standard_normal(3), rng.standard_normal(3)
-        got = experiments._rbf_mean(99, 50, X, RbfParams(center=0.5, width=0.8), b1, b2, 1.5)
+
+        def bump(u):
+            bump_blocks.append(u.shape)
+            return basis.bumps(u, 0.5, 0.8)
+
+        mean, stderr = data.mc_expected_max(99, 50, X, bump, b1, b2, 1.5)
         assert bump_blocks == [(6, 7)] * 8 + [(2, 7)]
         w = np.random.default_rng(99).standard_normal((50, 3))
-        dense = 1.5 * np.maximum(w @ b1, w @ b2) @ np.exp(-((w @ X.T - 0.5) ** 2) / (2 * 0.8**2)) / 50
-        assert np.max(np.abs(got - dense)) <= 1e-14
+        terms = 1.5 * np.maximum(w @ b1, w @ b2)[:, None] * np.exp(-((w @ X.T - 0.5) ** 2) / (2 * 0.8**2))
+        assert np.max(np.abs(mean - terms.mean(axis=0))) <= 1e-14
+        assert np.max(np.abs(stderr - terms.std(axis=0, ddof=1) / math.sqrt(50))) <= 1e-14
 
     def test_shipped_config_pinned(self):
-        # configs/rate_study.json with 200,000 reference samples, as the verify benchmark runs it;
-        # pinned from the earlier estimator, which drew the reference in blocks of 5,000 and each bank at once
+        # configs/rate_study.json with 200,000 cross-check samples, as the verify benchmark runs it; the
+        # reference is exact, and each bank's estimate is bit-identical to the earlier per-bank estimator
         raw = dict(load_config(str(CONFIG_DIR / "rate_study.json")), ref_samples=200_000)
         cfg = parse_config("rate-study", raw)
         result = rate_study(
             cfg.rbf, cfg.b1, cfg.b2, cfg.m_values, cfg.trials, cfg.seed, cfg.test_points, cfg.ref_samples, cfg.v_scale
         )
         pinned = [
-            0.06748173332798699,
-            0.05298527267576457,
-            0.028941569086281434,
-            0.029335836207246994,
-            0.018584437417832923,
-            0.0124180343881049,
-            0.008653405068359717,
+            0.06755283302481718,
+            0.05294768181851343,
+            0.02899691670167203,
+            0.029251225753068193,
+            0.018628266192709443,
+            0.012412372953393737,
+            0.008578762859445681,
         ]
         np.testing.assert_allclose(result.mean_abs_err, pinned, rtol=1e-13, atol=0)
-        assert result.slope == pytest.approx(-0.489815316417249, rel=1e-13, abs=0)
+        assert result.slope == pytest.approx(-0.4912681254130254, rel=1e-13, abs=0)
+        assert (result.check.samples, result.check.failures) == (200_000, 0)
+
+    def test_reference_is_exact(self):
+        # the reference does not depend on the size of its Monte-Carlo cross-check
+        args = (RbfParams(1.0, 1.0), np.array([1.0, 0.0]), np.array([0.0, 1.0]), [16, 64], 2, 5, 100)
+        small, large = rate_study(*args, ref_samples=2000), rate_study(*args, ref_samples=50_000)
+        assert np.array_equal(small.mean_abs_err, large.mean_abs_err)
+        assert (small.check.samples, large.check.samples) == (2000, 50_000)
+        assert small.check.ok and large.check.ok
 
 
 def _write_config(tmp_path, payload):
@@ -196,7 +209,10 @@ class TestRunRateStudy:
         lines = (tmp_path / "rate_study.txt").read_text().splitlines()
         assert lines[0] == "m\tmean_abs_err"
         assert len(lines) == 4
-        assert "fitted log-log slope" in (tmp_path / "rate_study_summary.txt").read_text()
+        summary = (tmp_path / "rate_study_summary.txt").read_text().splitlines()
+        assert summary[0].startswith("fitted log-log slope: ")
+        assert summary[2].startswith("reference quadrature vs monte carlo (100000 samples): 64/64 points within 5 stderr")
+        assert summary[2].endswith(": PASS")
 
 
 class TestRunBounds:
@@ -255,6 +271,9 @@ class TestRunTrainCompare:
             "activation_aligned.txt",
         ):
             assert (tmp_path / name).exists(), name
+        summary = (tmp_path / "train_compare_summary.txt").read_text().splitlines()
+        assert summary[1].startswith("target quadrature vs monte carlo (2000 samples): 64/64 points")
+        assert summary[1].endswith(": PASS")
         hist = (tmp_path / "history_rflaf.txt").read_text().splitlines()
         assert hist[0] == "epoch\ttrain_total\ttrain_mse\ttest_mse"
         assert len(hist) == 4
@@ -264,6 +283,17 @@ class TestRunTrainCompare:
         vals = basis.activation_curve(trained.grid, trained.a, zs)
         first = (tmp_path / "activation_learned.txt").read_text().splitlines()[1].split("\t")
         assert float(first[1]) == vals[0]
+
+    def test_one_percent_target_error_exits_1(self, tmp_path, monkeypatch):
+        # labels 1% off the exact target: the Monte-Carlo cross-check must catch it
+        means = data.TargetSampler.means
+        monkeypatch.setattr(data.TargetSampler, "means", lambda self, X: 1.01 * means(self, X))
+        cfg = self._config()
+        cfg["target"]["mc_samples"] = 2_000_000
+        assert run("train-compare", cfg, str(tmp_path)) == 1
+        summary = (tmp_path / "train_compare_summary.txt").read_text().splitlines()
+        assert [line for line in summary if line.endswith(": FAIL")] == [summary[1], "overall: FAIL"]
+        assert summary[1].startswith("target quadrature vs monte carlo (2000000 samples)")
 
     def test_rejects_mismatched_baseline_width(self, tmp_path):
         cfg = dict(self._config(), baseline_width=77)
@@ -371,6 +401,7 @@ BAD_CONFIGS = [
     ("train-compare", _train_compare_config(**{"model.n_basis": 0}), "n_basis"),
     ("export-activation", {"checkpoint": "model.npz", "min_activation_correlation": 0.9}, "min_activation_correlation"),
     ("bounds", dict(_BOUNDS_SCHEDULE, epsilon=1.0, lipschitz_sigma=1.0, radius=1.0, support_len=0.001), "support_len"),
+    ("rate-study", {"seed": 1, "ref_samples": 1}, "ref_samples"),
 ]
 
 
