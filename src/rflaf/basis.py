@@ -18,10 +18,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 # banded evaluation: its value is below exp(-40) ~ 4.2e-18 of its weight.
 BAND_CUTOFF = 40.0
 
-# Bump cells per chunk of model.forward_chunks and of the rate-study estimator:
-# 2 MB per float64 temporary.  On a 2-core Xeon with 2 MB of L2 per core this
-# ran the 256-row gradient fastest of 2^16 .. 2^22 cells; chunks of tens of MB
-# also fragment the heap and raise peak memory.
+# Cells per chunk of model.forward_chunks, of the target quadrature and of
+# every Monte-Carlo estimate (mc_mean): 2 MB per float64 temporary.  On a
+# 2-core Xeon with 2 MB of L2 per core this ran the 256-row gradient fastest
+# of 2^16 .. 2^22 cells; chunks of tens of MB also fragment the heap and
+# raise peak memory.
 CHUNK_CELLS = 1 << 18
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "bumps",
     "banded_bumps",
     "row_dot",
+    "mc_mean",
     "activation_curve",
     "quadrature_weights",
     "quadrature_norm_bounds",
@@ -126,6 +128,30 @@ def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for lo in range(n, A.shape[-1], n):
         out += np.einsum("...k,...k->...", A[..., lo : lo + n], B[..., lo : lo + n])
     return out
+
+
+def mc_mean(seed, n: int, X: np.ndarray, sigma, v) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo mean and standard error of v(w) sigma(w.x) at each row x of X, over n draws w ~ N(0, I).
+
+    The draws come from default_rng(seed) and stream in chunks of
+    CHUNK_CELLS // (rows + dim of X), so the temporaries stay that size
+    whatever n and the dimension; the Generator stream is sequential, so the
+    chunking does not change the values drawn.  v maps a (draws, dim) block
+    of w to its (draws,) values; sigma maps the (draws, rows) block of w.x,
+    which it may overwrite, to sigma(w.x).
+    """
+    rng = np.random.default_rng(seed)
+    step = max(1, CHUNK_CELLS // (X.shape[0] + X.shape[1]))
+    total, squares = np.zeros(X.shape[0]), np.zeros(X.shape[0])
+    for lo in range(0, n, step):
+        w = rng.standard_normal((min(step, n - lo), X.shape[1]))
+        vw = v(w)
+        e = sigma(w @ X.T)
+        total += vw @ e
+        e *= e
+        squares += (vw * vw) @ e
+    mean = total / n
+    return mean, np.sqrt(np.maximum(squares / n - mean * mean, 0.0) / max(n - 1, 1))
 
 
 def activation_curve(grid: ActivationGrid, a: np.ndarray, zs: np.ndarray) -> np.ndarray:

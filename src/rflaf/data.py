@@ -5,8 +5,9 @@ Gaussian and sigma one of three compactly supported sine bumps
 (SIGMA_KINDS).  The expectation reduces to one integral over the Gaussian
 t = w.x/|x|, which expected_max_quadrature evaluates to rounding, so the
 target is an exact deterministic function of x.  mc_expected_max is the
-streamed Monte-Carlo estimate of the same expectation; cross_check holds
-the quadrature against it at fixed points, as an independent oracle.
+Monte-Carlo estimate of the same expectation, by the package's one streamed
+estimator basis.mc_mean; cross_check holds the quadrature against it at
+fixed points, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -176,24 +177,10 @@ def _quadrature_rows(X, r, sigma, support, knots, b1, b2, xs, ws) -> np.ndarray:
 def mc_expected_max(seed, n: int, X: np.ndarray, sigma, b1, b2, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo mean and standard error of scale * sigma(w.x) max(b1.w, b2.w) at each row x of X.
 
-    The n draws w ~ N(0, I) come from default_rng(seed) and stream in chunks
-    of basis.CHUNK_CELLS // (rows + dim of X) rows, so the temporaries stay
-    that size whatever n; the Generator stream is sequential, so the
-    chunking does not change the values drawn.  sigma is as in
-    expected_max_quadrature.
+    basis.mc_mean over n draws w ~ N(0, I) from default_rng(seed), in chunks
+    of basis.CHUNK_CELLS cells; sigma is as in expected_max_quadrature.
     """
-    rng = np.random.default_rng(seed)
-    step = max(1, basis.CHUNK_CELLS // (X.shape[0] + X.shape[1]))
-    total, squares = np.zeros(X.shape[0]), np.zeros(X.shape[0])
-    for lo in range(0, n, step):
-        w = rng.standard_normal((min(step, n - lo), X.shape[1]))
-        v = scale * np.maximum(w @ b1, w @ b2)
-        e = sigma(w @ X.T)
-        total += v @ e
-        e *= e
-        squares += (v * v) @ e
-    mean = total / n
-    return mean, np.sqrt(np.maximum(squares / n - mean * mean, 0.0) / max(n - 1, 1))
+    return basis.mc_mean(seed, n, X, sigma, lambda w: scale * np.maximum(w @ b1, w @ b2))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ directions w ~ N(0, I_d), the induced kernel
 admits a closed form, a rotation-invariant profile on the unit sphere, and
 a Taylor expansion in the inner product whose coefficients are squares of
 an explicit integer-coefficient polynomial family.  This module provides
-the closed form, a seeded Monte-Carlo oracle for it, and the exact Taylor
-machinery (derivative recurrence, polynomial coefficients, partial sums).
+the closed form, a seeded Monte-Carlo oracle for it (basis.mc_mean, the
+package's one streamed estimator), and the exact Taylor machinery
+(derivative recurrence, polynomial coefficients, partial sums).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import bumps
+from .basis import bumps, mc_mean
 
 __all__ = [
     "RbfParams",
@@ -35,10 +36,6 @@ __all__ = [
     "r_n",
     "kernel_taylor",
 ]
-
-# Chunk size for Monte-Carlo sampling; draws come from a single sequential
-# stream, so the chunking never changes the sampled values.
-_MC_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,8 @@ def kernel_mc(
     samples: int,
     seed: int,
 ) -> McEstimate:
-    """Monte-Carlo estimate of the kernel over w ~ N(0, I_d).
+    """Monte-Carlo estimate of the kernel over w ~ N(0, I_d): basis.mc_mean
+    of B(w.x) B(w.x2) over samples draws from default_rng(seed).
 
     Deterministic for a fixed seed.  stderr is the sample standard
     deviation of the integrand divided by sqrt(samples).
@@ -135,22 +133,12 @@ def kernel_mc(
     x, x2 = _validate_pair(x, x2)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    c, h = params.center, params.width
-    rng = np.random.default_rng(seed)
-    d = x.shape[0]
-    total = 0.0
-    total_sq = 0.0
-    remaining = samples
-    while remaining > 0:
-        n = min(_MC_CHUNK, remaining)
-        w = rng.standard_normal((n, d))
-        vals = bumps(w @ x, c, h) * bumps(w @ x2, c, h)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        remaining -= n
-    mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-    return McEstimate(mean=mean, stderr=math.sqrt(var / samples), samples=samples)
+
+    def bump(z):
+        return bumps(z, params.center, params.width)
+
+    mean, stderr = mc_mean(seed, samples, x2[None], bump, lambda w: bump(w @ x))
+    return McEstimate(mean=float(mean[0]), stderr=float(stderr[0]), samples=samples)
 
 
 def taylor_derivs(p: float, n_max: int) -> np.ndarray:
@@ -183,17 +171,11 @@ def _double_factorial_ratio(hi: int, lo: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _poly_P_cached(k: int) -> tuple[int, ...]:
+def _poly(k: int, odd: int) -> tuple[int, ...]:
+    """Coefficients of P_k (odd = 0) or Q_k (odd = 1), constant first:
+    entry i is (-1)^(k-i) * (2k-1+2 odd)!!/(2i-1+2 odd)!! * C(k, i)."""
     return tuple(
-        (-1) ** (k - i) * _double_factorial_ratio(2 * k - 1, 2 * i - 1) * math.comb(k, i)
-        for i in range(k + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _poly_Q_cached(k: int) -> tuple[int, ...]:
-    return tuple(
-        (-1) ** (k - i) * _double_factorial_ratio(2 * k + 1, 2 * i + 1) * math.comb(k, i)
+        (-1) ** (k - i) * _double_factorial_ratio(2 * (k + odd) - 1, 2 * (i + odd) - 1) * math.comb(k, i)
         for i in range(k + 1)
     )
 
@@ -206,7 +188,7 @@ def poly_P(k: int) -> list[int]:
     """
     if k < 0:
         raise ValueError(f"polynomial index must be nonnegative, got {k}")
-    return list(_poly_P_cached(k))
+    return list(_poly(k, 0))
 
 
 def poly_Q(k: int) -> list[int]:
@@ -216,7 +198,7 @@ def poly_Q(k: int) -> list[int]:
     """
     if k < 0:
         raise ValueError(f"polynomial index must be nonnegative, got {k}")
-    return list(_poly_Q_cached(k))
+    return list(_poly(k, 1))
 
 
 def _r_n_ratio(p: float, n: int) -> tuple[int, int]:
@@ -229,7 +211,7 @@ def _r_n_ratio(p: float, n: int) -> tuple[int, int]:
     pn, pd = float(p).as_integer_ratio()
     k, odd = divmod(n, 2)
     acc, pd_pow = 0, 1
-    for c in reversed(_poly_Q_cached(k) if odd else _poly_P_cached(k)):
+    for c in reversed(_poly(k, odd)):
         acc = acc * pn + c * pd_pow
         pd_pow *= pd
     return acc * acc * (pn if odd else 1), pd**n

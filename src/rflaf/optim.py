@@ -323,7 +323,5 @@ def train_baseline(
         g_v = (2.0 / (idx.shape[0] * width)) * (resid @ pb)
         return LossBreakdown(mse=mse, balance=0.0, l1=0.0, total=mse), g_v
 
-    v, history = _adam_loop(
-        model.v.copy(), dataset, cfg, loss_and_grad, lambda v: np.einsum("pm,m->p", phi_test, v) / width
-    )
+    v, history = _adam_loop(model.v.copy(), dataset, cfg, loss_and_grad, lambda v: row_dot(phi_test, v) / width)
     return BaselineRfModel(bank=model.bank, activation_kind=model.activation_kind, v=v), history

@@ -1,10 +1,13 @@
 """RBF grid construction, activation evaluation, quadrature weights."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rflaf import basis, data, kernel
 from rflaf.basis import (
     ActivationGrid,
     activation_curve,
@@ -17,6 +20,7 @@ from rflaf.basis import (
     quadrature_weights,
 )
 from rflaf.data import sigma_eval_array
+from rflaf.kernel import RbfParams
 
 
 def _dense(grid, zs):
@@ -192,6 +196,68 @@ class TestQuadratureWeights:
         g = build_grid(-2.0, 2.0, 50, 0.1)
         with pytest.raises(ValueError):
             quadrature_weights(g, np.zeros(49))
+
+
+def _gauss(u):
+    return np.exp(-((u - 0.5) ** 2) / (2 * 0.8**2))
+
+
+def _expected_max_case(bump):
+    """data.mc_expected_max on 7 rows in 3 dims: chunks of 64 // (7 + 3) = 6 draws."""
+    rng = np.random.default_rng(12)
+    X, b1, b2 = rng.standard_normal((7, 3)), rng.standard_normal(3), rng.standard_normal(3)
+    mean, stderr = data.mc_expected_max(99, 50, X, lambda u: bump(u, 0.5, 0.8), b1, b2, 1.5)
+    w = np.random.default_rng(99).standard_normal((50, 3))
+    terms = 1.5 * np.maximum(w @ b1, w @ b2)[:, None] * _gauss(w @ X.T)
+    return mean, stderr, terms, [(6, 7)] * 8 + [(2, 7)]
+
+
+def _kernel_case(bump):
+    """kernel.kernel_mc on one pair in 3 dims: chunks of 64 // (1 + 3) = 16 draws, v's bump before sigma's."""
+    x, x2 = np.random.default_rng(12).standard_normal((2, 3))
+    est = kernel.kernel_mc(x, x2, RbfParams(0.5, 0.8), 50, 99)
+    w = np.random.default_rng(99).standard_normal((50, 3))
+    terms = (_gauss(w @ x) * _gauss(w @ x2))[:, None]
+    return np.array([est.mean]), np.array([est.stderr]), terms, [(16,), (16, 1)] * 3 + [(2,), (2, 1)]
+
+
+class TestMcMean:
+    @pytest.mark.parametrize("case", [_expected_max_case, _kernel_case], ids=["mc_expected_max", "kernel_mc"])
+    def test_streamed_estimate_matches_one_pass(self, monkeypatch, case):
+        # a budget of 64 cells streams the 50 draws in chunks of 64 // (rows + dims)
+        monkeypatch.setattr(basis, "CHUNK_CELLS", 64)
+        bump_blocks = []
+
+        def bump(u, c, h):
+            bump_blocks.append(u.shape)
+            return bumps(u, c, h)
+
+        monkeypatch.setattr(kernel, "bumps", bump)
+        mean, stderr, terms, blocks = case(bump)
+        assert bump_blocks == blocks
+        assert np.max(np.abs(mean - terms.mean(axis=0))) <= 1e-14
+        assert np.max(np.abs(stderr - terms.std(axis=0, ddof=1) / math.sqrt(50))) <= 1e-14
+
+    def test_memory_does_not_grow_with_dimension(self):
+        # 200,000 draws in 100 dims are 160 MB at once; 2 MB chunks keep each caller's peak within 8 chunks
+        rng = np.random.default_rng(4)
+        x, x2, b1, b2 = rng.standard_normal((4, 100))
+        X = rng.standard_normal((64, 100))
+        sigma = functools.partial(sigma_eval_array, "s1")
+        calls = {
+            "kernel_mc": lambda: kernel.kernel_mc(x, x2, RbfParams(1.0, 1.0), 200_000, 5),
+            "mc_expected_max": lambda: data.mc_expected_max(5, 200_000, X, sigma, b1, b2, 1.0),
+        }
+        peaks = {}
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        chunk_bytes = 8 * basis.CHUNK_CELLS
+        assert all(peak <= 8 * chunk_bytes for peak in peaks.values()), peaks
 
 
 class TestApproximationSchedule:

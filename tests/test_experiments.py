@@ -91,24 +91,6 @@ class TestRateStudy:
         )
         assert result.mean_abs_err[1] < result.mean_abs_err[0]
 
-    def test_streamed_estimate_matches_one_pass(self, monkeypatch):
-        # a budget of 64 cells streams the 50 draws in chunks of 64 // (7 rows + 3 dims) = 6
-        monkeypatch.setattr(basis, "CHUNK_CELLS", 64)
-        bump_blocks = []
-        rng = np.random.default_rng(12)
-        X, b1, b2 = rng.standard_normal((7, 3)), rng.standard_normal(3), rng.standard_normal(3)
-
-        def bump(u):
-            bump_blocks.append(u.shape)
-            return basis.bumps(u, 0.5, 0.8)
-
-        mean, stderr = data.mc_expected_max(99, 50, X, bump, b1, b2, 1.5)
-        assert bump_blocks == [(6, 7)] * 8 + [(2, 7)]
-        w = np.random.default_rng(99).standard_normal((50, 3))
-        terms = 1.5 * np.maximum(w @ b1, w @ b2)[:, None] * np.exp(-((w @ X.T - 0.5) ** 2) / (2 * 0.8**2))
-        assert np.max(np.abs(mean - terms.mean(axis=0))) <= 1e-14
-        assert np.max(np.abs(stderr - terms.std(axis=0, ddof=1) / math.sqrt(50))) <= 1e-14
-
     def test_shipped_config_pinned(self):
         # configs/rate_study.json with 200,000 cross-check samples, as the verify benchmark runs it; the
         # reference is exact, and each bank's estimate is bit-identical to the earlier per-bank estimator
