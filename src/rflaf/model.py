@@ -2,8 +2,10 @@
 
 The main model scores a point x as (1/M) a^T B(x) v, where B(x) is the
 N x M matrix of basis responses B_k(w_m . x) over a frozen Gaussian
-feature bank {w_m}.  Fixed-activation baselines share the bank mechanics
-but apply a single scalar activation per feature.
+feature bank {w_m}.  B(x) is never formed: forward_chunks evaluates each
+pre-activation w_m . x against only the centers within its band, through
+basis.banded_activation.  Fixed-activation baselines share the bank
+mechanics but apply a single scalar activation per feature.
 """
 
 from __future__ import annotations
@@ -11,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
-from .basis import CHUNK_CELLS, ActivationGrid, banded_bumps, build_grid, bumps, row_dot
+from . import basis
+from .basis import ActivationGrid, build_grid, bumps, row_dot
 
 __all__ = [
     "FeatureBank",
@@ -72,23 +73,12 @@ class RflafModel:
         object.__setattr__(self, "v", v)
 
 
-def _relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
-
-
-def _rbf1(z: np.ndarray) -> np.ndarray:
-    return bumps(np.array(z, dtype=float), 0.0, 0.5)
-
-
-def _rbf2(z: np.ndarray) -> np.ndarray:
-    return bumps(np.array(z, dtype=float), 1.5, 0.5)
-
-
+# Each activation overwrites its float array argument with act(z) and returns it.
 BASELINE_ACTIVATIONS = {
-    "relu": _relu,
-    "tanh": np.tanh,
-    "rbf1": _rbf1,
-    "rbf2": _rbf2,
+    "relu": lambda z: np.maximum(z, 0.0, out=z),
+    "tanh": lambda z: np.tanh(z, out=z),
+    "rbf1": lambda z: bumps(z, 0.0, 0.5),
+    "rbf2": lambda z: bumps(z, 1.5, 0.5),
 }
 
 
@@ -138,24 +128,25 @@ def _rows(X: np.ndarray, dim: int) -> np.ndarray:
     return X
 
 
-def forward_chunks(model: RflafModel, X: np.ndarray):
-    """Yield (rows, s, e, act, out) per chunk of at most basis.CHUNK_CELLS bump cells.
+def forward_chunks(model: RflafModel, X: np.ndarray, sums: bool = False):
+    """Yield (rows, act, H, out) per chunk of basis.CHUNK_CELLS // (M + N) rows (at least 1).
 
-    rows slices X; s and e are basis.banded_bumps over the chunk's rows * M
-    pre-activations (row-major), act the (rows, M) activations and out the
-    outputs act . v / M.  np.einsum forms X W^T, and basis.row_dot reduces
-    each activation and each output, in an order that, unlike BLAS's, does
-    not depend on the other rows at any M or band width: each output is a
-    function of its own row alone.
+    rows slices X; act is the chunk's (rows, M) activations from
+    basis.banded_activation and, with sums set, H its (N, rows) sums
+    H[k, p] = sum_m v_m B_k(w_m . x_p) (else None); out is the outputs
+    act . v / M.  act and H together hold at most CHUNK_CELLS cells.
+    np.einsum forms X W^T, and basis.row_dot reduces each output, in an
+    order that, unlike BLAS's, does not depend on the other rows at any M:
+    each output is a function of its own row alone.
     """
     X = _rows(X, model.bank.dim)
     m = model.bank.n_features
-    step = max(1, CHUNK_CELLS // (m * model.grid.band_width))
+    step = max(1, basis.CHUNK_CELLS // (m + model.grid.n_basis))
     for lo in range(0, X.shape[0], step):
         rows = slice(lo, min(lo + step, X.shape[0]))
-        s, e = banded_bumps(model.grid, np.einsum("pd,md->pm", X[rows], model.bank.weights))
-        act = row_dot(e, sliding_window_view(model.a, e.shape[1])[s]).reshape(-1, m)
-        yield rows, s, e, act, row_dot(act, model.v) / m
+        z = np.einsum("pd,md->pm", X[rows], model.bank.weights)
+        act, h = basis.banded_activation(model.grid, model.a, z, model.v if sums else None)
+        yield rows, act, h, row_dot(act, model.v) / m
 
 
 def forward_batch(model: RflafModel, X: np.ndarray) -> np.ndarray:
@@ -164,7 +155,7 @@ def forward_batch(model: RflafModel, X: np.ndarray) -> np.ndarray:
     if X.shape == (0,):
         return np.empty(0)
     out = np.empty(X.shape[0])
-    for rows, _, _, _, pred in forward_chunks(model, X):
+    for rows, _, _, pred in forward_chunks(model, X):
         out[rows] = pred
     return out
 
@@ -179,7 +170,8 @@ def baseline_features(model: BaselineRfModel, X: np.ndarray) -> np.ndarray:
 
     np.einsum, as in forward_chunks, makes each row a function of its own
     row alone; BLAS's X @ W.T does not.  Reduce them per row with
-    basis.row_dot to keep that.
+    basis.row_dot to keep that.  The activation overwrites the einsum's
+    output, so the matrix is held once.
     """
     X = _rows(X, model.bank.dim)
     return BASELINE_ACTIVATIONS[model.activation_kind](np.einsum("pd,md->pm", X, model.bank.weights))

@@ -13,11 +13,12 @@ and gradient reductions run in fixed index order.
 
 predict_batch is model.forward_batch, the one forward pass, and the
 objective and its gradient run over the same row chunks
-(model.forward_chunks): each pre-activation meets only the grid.band_width
-centers within reach (basis.banded_bumps), 37 of 200 at the shipped
-geometry (N=200, h=0.04), and every bump left out is below exp(-BAND_CUTOFF)
-~ 4e-18 of its weight.  The weight gradient scatters each chunk's bump block
-onto a with one bincount.
+(model.forward_chunks) of the one banded kernel, basis.banded_activation:
+each pre-activation meets only the grid.band_width centers within reach,
+37 of 200 at the shipped geometry (N=200, h=0.04), and every bump left out
+is below exp(-BAND_CUTOFF) ~ 4e-18 of its weight.  The kernel also sums
+each center's bumps per row, H[k, p] = sum_m v_m B_k(w_m . x_p), so the
+weight gradient is H times the residuals.
 """
 
 from __future__ import annotations
@@ -182,13 +183,12 @@ def _loss_and_grad(
     g_a = np.zeros(n_basis)
     g_v = np.zeros(m)
     sq_resid = 0.0
-    for rows, s, e, act, pred in forward_chunks(model, X):
+    for rows, act, h, pred in forward_chunks(model, X, sums=True):
         resid = pred - y[rows]
         sq_resid += float(resid @ resid)
         g_v += resid @ act
-        # d(act_p)/d(a_{s_p + j}) = e[p, j]; scatter e * (resid (x) v) onto a.
-        e *= np.multiply.outer(resid, model.v).reshape(-1, 1)
-        g_a += np.bincount((s[:, None] + np.arange(e.shape[1])).reshape(-1), e.reshape(-1), n_basis)
+        # d(pred_p)/d(a_k) = H[k, p] / M
+        g_a += row_dot(h, resid)
     scale = 2.0 / (n * m)
     g_a *= scale
     g_v *= scale

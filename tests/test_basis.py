@@ -13,7 +13,7 @@ from rflaf.basis import (
     activation_curve,
     BAND_CUTOFF,
     approximation_schedule,
-    banded_bumps,
+    banded_activation,
     build_grid,
     bumps,
     quadrature_norm_bounds,
@@ -27,6 +27,21 @@ def _dense(grid, zs):
     """(len(zs), N) responses of every center: the reference for the band."""
     zs = np.asarray(zs, dtype=float)
     return bumps(np.repeat(zs[:, None], grid.n_basis, axis=1), grid.centers, grid.width)
+
+
+def _windows(monkeypatch, grid, z):
+    """The centers, in call order, at which banded_activation evaluates each (distinct) point of z."""
+    seen = {str(x): [] for x in z}
+
+    def recording(u, c, h):
+        k = int(np.flatnonzero(grid.centers == c)[0])
+        for x in u:
+            seen[str(x)].append(k)
+        return bumps(u, c, h)
+
+    monkeypatch.setattr(basis, "bumps", recording)
+    banded_activation(grid, np.zeros(grid.n_basis), z)
+    return [seen[str(x)] for x in z]
 
 
 class TestBuildGrid:
@@ -85,37 +100,43 @@ class TestRbfFeatures:
     def test_batch_matches_scalar(self):
         g = build_grid(-1.0, 1.0, 6, 0.2)
         zs = np.linspace(-1.5, 1.5, 17)
-        s, e = banded_bumps(g, zs)
+        a = np.arange(1.0, 7.0)
+        act, sums = banded_activation(g, a, zs[:, None], np.ones(1))
         for i, z in enumerate(zs):
-            s1, e1 = banded_bumps(g, z)
-            assert s1.tolist() == [s[i]] and np.array_equal(e[i], e1[0])
+            act1, sums1 = banded_activation(g, a, np.array([[z]]), np.ones(1))
+            assert act1[0, 0] == act[i, 0] and np.array_equal(sums1[:, 0], sums[:, i])
 
 
 class TestBandedBumps:
-    def test_window_holds_every_bump_above_cutoff(self):
+    def test_window_holds_every_bump_above_cutoff(self, monkeypatch):
         grid = build_grid(-2.0, 2.0, 200, 0.04)
         # every cell boundary and midpoint, past both ends of the support
         z = np.linspace(-3.0, 3.0, 601)
-        s, e = banded_bumps(grid, z)
-        assert e.shape == (601, 37) and s.min() == 0 and s.max() == 200 - 37
+        windows = _windows(monkeypatch, grid, z)
+        starts = np.array([w[0] for w in windows])
+        assert all(w == list(range(s, s + 37)) for s, w in zip(starts, windows))
+        assert starts.min() == 0 and starts.max() == 200 - 37
+        _, sums = banded_activation(grid, np.zeros(200), z[:, None], np.ones(1))
         dense = _dense(grid, z)
-        inside = s[:, None] + np.arange(37)
-        np.testing.assert_allclose(e, np.take_along_axis(dense, inside, axis=1), rtol=0, atol=1e-14)
-        dense[np.arange(601)[:, None], inside] = 0.0
-        assert dense.max() <= math.exp(-BAND_CUTOFF)
+        inside = np.zeros(dense.shape, dtype=bool)
+        inside[np.arange(601)[:, None], starts[:, None] + np.arange(37)] = True
+        np.testing.assert_allclose(sums.T[inside], dense[inside], rtol=0, atol=1e-14)
+        assert np.all(sums.T[~inside] == 0.0) and dense[~inside].max() <= math.exp(-BAND_CUTOFF)
 
     def test_full_width_band_is_dense(self):
         grid = build_grid(-2.0, 2.0, 7, 0.5)
         z = np.array([-5.0, -0.3, 0.0, 1.9, 7.0])
-        s, e = banded_bumps(grid, z)
-        assert grid.band_width == 7 and np.all(s == 0)
-        np.testing.assert_allclose(e, _dense(grid, z), rtol=0, atol=1e-14)
+        _, sums = banded_activation(grid, np.zeros(7), z[:, None], np.ones(1))
+        assert grid.band_width == 7
+        np.testing.assert_allclose(sums.T, _dense(grid, z), rtol=0, atol=1e-14)
 
-    def test_non_finite_inputs_stay_in_range(self):
+    def test_non_finite_inputs_stay_in_range(self, monkeypatch):
         grid = build_grid(-2.0, 2.0, 200, 0.04)
-        s, e = banded_bumps(grid, np.array([np.nan, np.inf, -np.inf]))
-        assert s.tolist() == [0, 200 - 37, 0]
-        assert np.all(np.isnan(e[0])) and np.all(e[1:] == 0.0)
+        z = np.array([np.nan, np.inf, -np.inf])
+        assert [w[0] for w in _windows(monkeypatch, grid, z)] == [0, 200 - 37, 0]
+        act, sums = banded_activation(grid, np.ones(200), z[:, None], np.ones(1))
+        assert np.isnan(act[0, 0]) and np.all(act[1:] == 0.0)
+        assert np.all(np.isnan(sums[:37, 0])) and np.all(sums[37:, 0] == 0.0) and np.all(sums[:, 1:] == 0.0)
 
 
 class TestEvalActivation:

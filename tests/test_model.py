@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rflaf.basis import CHUNK_CELLS, ActivationGrid, banded_bumps, build_grid, bumps
+from rflaf import basis
+from rflaf.basis import ActivationGrid, banded_activation, build_grid, bumps
 from rflaf.model import (
     BASELINE_ACTIVATIONS,
     BaselineRfModel,
@@ -31,10 +32,10 @@ def _random_model(rng, dim=3, m=5, n_basis=4, width=0.5):
 
 
 def _feature_matrix(grid, bank, x):
-    """Dense N x M basis B(x) from banded_bumps; the grids here fit in one band."""
-    s, e = banded_bumps(grid, bank.weights @ x)
-    assert np.all(s == 0) and e.shape == (bank.n_features, grid.n_basis)
-    return e.T
+    """Dense N x M basis B(x) from banded_activation's sums; the grids here fit in one band."""
+    _, sums = banded_activation(grid, np.zeros(grid.n_basis), (bank.weights @ x)[:, None], np.ones(1))
+    assert grid.band_width == grid.n_basis and sums.shape == (grid.n_basis, bank.n_features)
+    return sums
 
 
 def _dense_forward(model, X):
@@ -196,9 +197,22 @@ class TestForward:
 class TestForwardBatch:
     def test_empty(self):
         rng = np.random.default_rng(30)
-        model = _random_model(rng)
-        out = forward_batch(model, np.empty((0, 3)))
-        assert out.shape == (0,)
+        for model in (_random_model(rng), _random_model(rng, m=300, n_basis=200, width=0.04)):
+            for fn in (forward_batch, predict_batch):
+                out = fn(model, np.empty((0, 3)))
+                assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_non_finite_inputs(self):
+        # the shipped geometry, where each window is clipped into the grid: a
+        # NaN pre-activation gives a NaN output, an infinite one only zero bumps
+        rng = np.random.default_rng(35)
+        model = _random_model(rng, dim=2, m=300, n_basis=200, width=0.04)
+        X = np.array([[np.nan, 0.0], [np.inf, 0.0], [-np.inf, 0.0], [1e308, 1e308], [0.3, -0.2]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = forward_batch(model, X)
+            assert batch.tobytes() == np.array([forward(model, x) for x in X]).tobytes()
+        assert np.isnan(batch).tolist() == [True, False, False, False, False]
+        assert batch[1] == batch[2] == 0.0 and np.isfinite(batch[3])
 
     def test_single_row(self):
         rng = np.random.default_rng(31)
@@ -229,17 +243,19 @@ class TestForwardBatch:
         assert model.grid.band_width < n_basis and z.min() < -2.5 and z.max() > 2.5
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 10])
-    def test_rows_independent_across_chunks(self, dim):
-        # the shipped geometry (N=200, h=0.04, M=300); 100 rows span 5 row chunks
+    def test_rows_independent_across_chunks(self, dim, monkeypatch):
+        # the shipped geometry (N=200, h=0.04, M=300); with chunks of 20,000
+        # cells, 100 rows span 3 row chunks of 40 rows
+        monkeypatch.setattr(basis, "CHUNK_CELLS", 20_000)
         rng = np.random.default_rng(36 + dim)
         model = _random_model(rng, dim=dim, m=300, n_basis=200, width=0.04)
         X = rng.standard_normal((100, dim))
-        assert 2 * CHUNK_CELLS < X.shape[0] * 300 * model.grid.band_width
+        assert basis.CHUNK_CELLS // (300 + 200) == 40
         # past np.getbufsize() = 8192 reduced elements per row, where np.einsum's
-        # grouping depends on the row count: M = 9000 (band width 11, 2 rows per
-        # chunk), and the baselines of width 8193 and 12000 below
+        # grouping depends on the row count: M = 9000 (2 rows per chunk), and
+        # the baselines of width 8193 and 12000 below
         wide = _random_model(rng, dim=dim, m=9000, n_basis=200, width=0.01)
-        assert wide.grid.band_width == 11 and CHUNK_CELLS // (9000 * 11) == 2
+        assert wide.grid.band_width == 11 and basis.CHUNK_CELLS // (9000 + 200) == 2
         # the baselines must ignore the other rows too, on the same bank and past 8192
         banks = [(model.bank, model.v)] + [
             (sample_features(dim, width, seed=dim), rng.standard_normal(width)) for width in (8193, 12000)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from rflaf import basis
 from rflaf.basis import build_grid, bumps
 from rflaf.data import Dataset
-from rflaf.model import RflafModel, sample_features
+from rflaf.model import RflafModel, forward, sample_features
 from rflaf.optim import (
     TrainConfig,
     adam_step,
@@ -29,6 +30,20 @@ def _dense_basis(model, x):
     """N x M basis B(x) over every center: the reference for the band."""
     z = model.bank.weights @ x
     return bumps(np.tile(z, (model.grid.n_basis, 1)), model.grid.centers[:, None], model.grid.width)
+
+
+def _dense_reference(model, X, y):
+    """Outputs and plain-MSE gradient in (a, v) over every center, row by row."""
+    m = model.bank.n_features
+    pred, want_a, want_v = [], np.zeros(model.grid.n_basis), np.zeros(m)
+    for x, target in zip(X, y):
+        b = _dense_basis(model, x)
+        pred.append(model.a @ b @ model.v / m)
+        resid = pred[-1] - target
+        want_a += resid * (b @ model.v)
+        want_v += resid * (b.T @ model.a)
+    scale = 2.0 / (X.shape[0] * m)
+    return np.array(pred), scale * want_a, scale * want_v
 
 
 def _instance(rng, n_basis=4, m=6, d=3, n=8, min_abs_a=0.0):
@@ -135,8 +150,6 @@ class TestGrad:
     def test_single_sample_v_gradient_formula(self):
         rng = np.random.default_rng(11)
         model, X, y = _instance(rng, n=1)
-        from rflaf.model import forward
-
         g_a, g_v = grad(model, X, y, PLAIN)
         r = forward(model, X[0]) - y[0]
         b = _dense_basis(model, X[0])
@@ -176,23 +189,46 @@ class TestBandedGrad:
         cfg = TrainConfig(lambda1=1e-2, lambda2=1e-3)
         assert grad_check(model, X, y, cfg, step=1e-5) <= 1e-5
 
-    def test_matches_dense_reference(self):
-        # M=300 and 100 rows span several row chunks of the banded kernel
+    def test_matches_dense_reference(self, monkeypatch):
+        # M=300 and 100 rows span 3 row chunks of 40 rows with chunks of 20,000 cells
+        monkeypatch.setattr(basis, "CHUNK_CELLS", 20_000)
         rng = np.random.default_rng(14)
         model, X, y = _banded_instance(rng, m=300, n=100)
-        m = model.bank.n_features
-        want_a = np.zeros(200)
-        want_v = np.zeros(m)
-        for x, target in zip(X, y):
-            b = _dense_basis(model, x)
-            resid = model.a @ b @ model.v / m - target
-            want_a += resid * (b @ model.v)
-            want_v += resid * (b.T @ model.a)
-        want_a *= 2.0 / (X.shape[0] * m)
-        want_v *= 2.0 / (X.shape[0] * m)
+        assert basis.CHUNK_CELLS // (300 + 200) == 40
+        _, want_a, want_v = _dense_reference(model, X, y)
         g_a, g_v = grad(model, X, y, PLAIN)
         for got, want in ((g_a, want_a), (g_v, want_v)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_window_starts_past_16_bits(self):
+        # 70,000 centers: window starts up to N - W = 69,841 need a 32-bit key,
+        # and 4 rows of 10 features reach at most 40 * 159 of the centers
+        rng = np.random.default_rng(16)
+        grid = build_grid(-2.0, 2.0, 70_000, 0.0005)
+        assert grid.n_basis - grid.band_width >= 2**16 and 4 * 10 * grid.band_width < grid.n_basis
+        bank = sample_features(2, 10, seed=17)
+        model = RflafModel(bank=bank, grid=grid, a=rng.standard_normal(70_000), v=rng.standard_normal(10))
+        X, y = rng.standard_normal((4, 2)), rng.standard_normal(4)
+        batch = predict_batch(model, X)
+        assert batch.tobytes() == np.array([forward(model, x) for x in X]).tobytes()
+        want_pred, want_a, want_v = _dense_reference(model, X, y)
+        for got, want in ((batch, want_pred), *zip(grad(model, X, y, PLAIN), (want_a, want_v))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_evaluates_one_window_per_cell(self, monkeypatch):
+        # every pre-activation meets exactly its band_width centers, clipped
+        # windows past both ends of the support included
+        rng = np.random.default_rng(18)
+        model, X, y = _banded_instance(rng, m=300, n=64)
+        cells = []
+
+        def counting(u, c, h):
+            cells.append(u.size)
+            return bumps(u, c, h)
+
+        monkeypatch.setattr(basis, "bumps", counting)
+        grad(model, X, y, PLAIN)
+        assert sum(cells) == 64 * 300 * 37
 
     def test_repeat_calls_byte_identical(self):
         rng = np.random.default_rng(15)
