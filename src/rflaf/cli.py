@@ -5,8 +5,9 @@
 Modes: kernel-verify, taylor-verify, rate-study, train-compare,
 export-activation, bounds.  Exit code 0 means every check the mode runs
 passed; 1 means a verification check failed; 2 means the config was
-invalid (checked in full, types and ranges included, before any sampling)
-or an I/O problem occurred.
+invalid (checked in full, types and ranges included, before any sampling),
+it names a degenerate target or an unreadable checkpoint, or an I/O problem
+occurred.
 """
 
 from __future__ import annotations

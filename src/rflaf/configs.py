@@ -163,13 +163,10 @@ class TargetSection:
     b2: tuple[float, ...]
     mc_samples: int = data.TargetSpec.mc_samples
     seed: Seed | None = None  # the mode's default seed when left out
-    calib: float = data.TargetSpec.calib
 
     def spec(self, default_seed: int) -> data.TargetSpec:
         seed = default_seed if self.seed is None else self.seed
-        return data.TargetSpec(
-            sigma_kind=self.sigma, b1=self.b1, b2=self.b2, calib=self.calib, mc_samples=self.mc_samples, seed=seed
-        )
+        return data.TargetSpec(sigma_kind=self.sigma, b1=self.b1, b2=self.b2, mc_samples=self.mc_samples, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -217,7 +214,6 @@ class TrainCompareConfig:
     model: ModelSection
     train: TrainSection = field(default_factory=TrainSection)
     baselines: tuple[Literal[tuple(model.BASELINE_ACTIVATIONS)], ...] = ("relu", "tanh", "rbf1", "rbf2")
-    baseline_width: int | None = None  # must equal n_features + n_basis when given
     mse_ratio_max: float = 0.5
     activation_grid_points: Annotated[int, 2] = 401
     min_activation_correlation: float = 0.9
@@ -227,10 +223,7 @@ class TrainCompareConfig:
 
     def __post_init__(self):
         spec = self.target.spec(default_seed=self.seed)
-        _check(spec.calib == 1.0, "target calib must stay 1; calibration is automatic in train-compare")
         _check(self.data.dim == spec.dim, f"data dim {self.data.dim} does not match len(target b1) = {spec.dim}")
-        width = self.model.n_features + self.model.n_basis
-        _check(self.baseline_width in (None, width), f"baseline_width must equal n_features + n_basis = {width}")
         _check(self.train.epochs >= 1, f"train epochs must be >= 1, got {self.train.epochs}")
         ss = np.random.SeedSequence([self.seed, 0x7121]).spawn(3 + 2 * len(self.baselines))
         seeds = tuple(int(s.generate_state(1)[0]) for s in ss)

@@ -37,9 +37,16 @@ __all__ = [
     "gen_dataset",
 ]
 
+# Each sigma is sign * sin(pi (z - shift)) on its closed pieces [lo, hi], as
+# (lo, hi, sign, shift), and 0 elsewhere.
+SIGMA_PIECES = {
+    "s1": ((-1.0, 1.0, 1.0, 0.0),),
+    "s2": ((0.0, 1.0, 1.0, 0.0),),
+    "s3": ((-1.5, -0.5, -1.0, -0.5), (0.5, 1.5, 1.0, 0.5)),
+}
+SIGMA_KINDS = tuple(SIGMA_PIECES)
 # Ends of the pieces on which each sigma is smooth; it is 0 outside the first and last.
-SIGMA_KNOTS = {"s1": (-1.0, 1.0), "s2": (0.0, 1.0), "s3": (-1.5, -0.5, 0.5, 1.5)}
-SIGMA_KINDS = tuple(SIGMA_KNOTS)
+SIGMA_KNOTS = {kind: tuple(sorted({e for piece in pieces for e in piece[:2]})) for kind, pieces in SIGMA_PIECES.items()}
 
 # The quadrature covers |t| <= 9: the Gaussian mass beyond is below 1e-18.
 _T_MAX = 9.0
@@ -62,21 +69,13 @@ def sigma_eval_array(kind: str, z: np.ndarray) -> np.ndarray:
     The sine is only evaluated on the in-support entries; everything else
     stays an exact 0.0.
     """
+    if kind not in SIGMA_PIECES:
+        raise ValueError(f"unknown sigma kind {kind!r}; expected one of {SIGMA_KINDS}")
     z = np.asarray(z, dtype=float)
     out = np.zeros_like(z)
-    if kind == "s1":
-        m = np.abs(z) <= 1.0
-        out[m] = np.sin(np.pi * z[m])
-    elif kind == "s2":
-        m = (z >= 0.0) & (z <= 1.0)
-        out[m] = np.sin(np.pi * z[m])
-    elif kind == "s3":
-        m = (z >= -1.5) & (z <= -0.5)
-        out[m] = -np.sin(np.pi * (z[m] + 0.5))
-        m = (z >= 0.5) & (z <= 1.5)
-        out[m] = np.sin(np.pi * (z[m] - 0.5))
-    else:
-        raise ValueError(f"unknown sigma kind {kind!r}; expected one of {SIGMA_KINDS}")
+    for lo, hi, sign, shift in SIGMA_PIECES[kind]:
+        m = (z >= lo) & (z <= hi)
+        out[m] = sign * np.sin(np.pi * (z[m] - shift))
     return out
 
 

@@ -145,7 +145,7 @@ def rate_study(
     return RateStudyResult(m_values=list(m_values), mean_abs_err=errs, slope=slope, check=check)
 
 
-# --- mode runners, each taking its parsed config (rflaf.configs) ---------------
+# --- mode runners: each takes its parsed config (rflaf.configs) and returns its summary lines (see run)
 
 
 def _fmt(x) -> str:
@@ -166,22 +166,19 @@ def _write_table(out_dir: str, name: str, columns: list[str], rows) -> None:
     _write_lines(out_dir, name, ["\t".join(columns), *("\t".join(_fmt(v) for v in row) for row in rows)])
 
 
-def _verdict(ok: bool) -> str:
-    return "PASS" if ok else "FAIL"
-
-
-def _check_line(what: str, check: data.CrossCheck) -> str:
+def _check_line(what: str, check: data.CrossCheck) -> tuple[str, bool]:
     return (
         f"{what} vs monte carlo ({check.samples} samples): {check.points - check.failures}/{check.points} points "
-        f"within {_fmt(data.CHECK_STDERRS)} stderr (worst {_fmt(check.worst)}): {_verdict(check.ok)}"
+        f"within {_fmt(data.CHECK_STDERRS)} stderr (worst {_fmt(check.worst)})",
+        check.ok,
     )
 
 
-def _run_kernel_verify(cfg: configs.KernelVerifyConfig, out_dir: str) -> int:
+def _run_kernel_verify(cfg: configs.KernelVerifyConfig, out_dir: str) -> list:
     root = np.random.SeedSequence([cfg.seed, 0x5EED])
     pair_rng = np.random.default_rng(root.spawn(1)[0])
     mc_seeds = iter(int(s) for s in root.generate_state(len(cfg.dims) * len(cfg.rbfs) * cfg.trials))
-    rows, summary, all_ok = [], [], True
+    rows, summary = [], []
     for d in cfg.dims:
         for params in cfg.rbfs:
             passes = 0
@@ -194,19 +191,14 @@ def _run_kernel_verify(cfg: configs.KernelVerifyConfig, out_dir: str) -> int:
                 ok = diff <= 4.0 * est.stderr
                 passes += ok
                 rows.append((d, params.center, params.width, t, closed, est.mean, est.stderr, diff, 4.0 * est.stderr, ok))
-            setting_ok = passes >= cfg.min_passes
-            all_ok = all_ok and setting_ok
-            summary.append(
-                f"setting d={d} c={_fmt(params.center)} h={_fmt(params.width)}: {passes}/{cfg.trials} trials pass "
-                f"(need >= {cfg.min_passes}): {_verdict(setting_ok)}"
-            )
+            text = f"setting d={d} c={_fmt(params.center)} h={_fmt(params.width)}: {passes}/{cfg.trials} trials pass"
+            summary.append((f"{text} (need >= {cfg.min_passes})", passes >= cfg.min_passes))
     columns = ["d", "c", "h", "trial", "closed", "mc_mean", "mc_stderr", "abs_diff", "four_stderr", "pass"]
     _write_table(out_dir, "kernel_verify.txt", columns, rows)
-    _write_lines(out_dir, "kernel_verify_summary.txt", [*summary, f"overall: {_verdict(all_ok)}"])
-    return 0 if all_ok else 1
+    return summary
 
 
-def _run_taylor_verify(cfg: configs.TaylorVerifyConfig, out_dir: str) -> int:
+def _run_taylor_verify(cfg: configs.TaylorVerifyConfig, out_dir: str) -> list:
     rec_rows = []
     for p in cfg.p_values:
         derivs = kernel.taylor_derivs(p, cfg.n_max)
@@ -227,31 +219,24 @@ def _run_taylor_verify(cfg: configs.TaylorVerifyConfig, out_dir: str) -> int:
             worst = max(worst, err)
         series_rows.append((params.width, params.center, series.n_terms, worst, series.tol, worst <= series.tol))
     _write_table(out_dir, "taylor_series.txt", ["h", "c", "n_terms", "max_abs_err", "tol", "pass"], series_rows)
-    rec_ok = all(row[-1] for row in rec_rows)
-    series_ok = all(row[-1] for row in series_rows)
-    lines = [
-        f"derivative recurrence vs closed form (rel tol {_fmt(cfg.rel_tol)}): {_verdict(rec_ok)}",
-        f"series partial sums vs closed form (abs tol {_fmt(series.tol)}, {series.n_terms} terms): {_verdict(series_ok)}",
-        f"overall: {_verdict(rec_ok and series_ok)}",
+    rec_ok, series_ok = all(row[-1] for row in rec_rows), all(row[-1] for row in series_rows)
+    return [
+        (f"derivative recurrence vs closed form (rel tol {_fmt(cfg.rel_tol)})", rec_ok),
+        (f"series partial sums vs closed form (abs tol {_fmt(series.tol)}, {series.n_terms} terms)", series_ok),
     ]
-    _write_lines(out_dir, "taylor_verify_summary.txt", lines)
-    return 0 if rec_ok and series_ok else 1
 
 
-def _run_rate_study(cfg: configs.RateStudyConfig, out_dir: str) -> int:
+def _run_rate_study(cfg: configs.RateStudyConfig, out_dir: str) -> list:
     result = rate_study(
         cfg.rbf, cfg.b1, cfg.b2, cfg.m_values, cfg.trials, cfg.seed, cfg.test_points, cfg.ref_samples, cfg.v_scale
     )
     _write_table(out_dir, "rate_study.txt", ["m", "mean_abs_err"], zip(result.m_values, result.mean_abs_err))
     lo, hi = cfg.slope_range
-    ok = math.isfinite(result.slope) and lo <= result.slope <= hi
-    lines = [
+    return [
         f"fitted log-log slope: {_fmt(result.slope)}",
-        f"expected slope range: [{_fmt(lo)}, {_fmt(hi)}]: {_verdict(ok)}",
+        (f"expected slope range: [{_fmt(lo)}, {_fmt(hi)}]", math.isfinite(result.slope) and lo <= result.slope <= hi),
         _check_line("reference quadrature", result.check),
     ]
-    _write_lines(out_dir, "rate_study_summary.txt", lines)
-    return 0 if ok and result.check.ok else 1
 
 
 def _activation_tables(out_dir: str, grid: basis.ActivationGrid, a: np.ndarray, grid_points: int, spec):
@@ -273,8 +258,12 @@ def _activation_tables(out_dir: str, grid: basis.ActivationGrid, a: np.ndarray, 
     return scale, corr
 
 
-def _run_train_compare(cfg: configs.TrainCompareConfig, out_dir: str) -> int:
-    calib = data.calibrate(cfg.spec)
+def _run_train_compare(cfg: configs.TrainCompareConfig, out_dir: str) -> list:
+    try:
+        calib = data.calibrate(cfg.spec)
+    except ValueError as exc:
+        target = f"sigma {cfg.spec.sigma_kind}, b1 {cfg.spec.b1.tolist()}, b2 {cfg.spec.b2.tolist()}"
+        raise ConfigError(f"target ({target}): {exc}") from exc
     spec = cfg.spec.with_calib(calib)
     check = data.TargetSampler(spec).cross_check()
     dim = cfg.data.dim
@@ -300,38 +289,33 @@ def _run_train_compare(cfg: configs.TrainCompareConfig, out_dir: str) -> int:
 
     best_baseline = min(final_mse[k] for k in cfg.baselines)
     ratio = final_mse["rflaf"] / best_baseline if best_baseline > 0 else float("inf")
-    ratio_ok = ratio <= cfg.mse_ratio_max
-    corr_ok = corr >= cfg.min_activation_correlation
-    lines = [f"calibration constant: {_fmt(calib)}", _check_line("target quadrature", check)]
-    lines += [f"final test mse {name}: {_fmt(mse)}" for name, mse in final_mse.items()]
-    lines += [
-        f"mse ratio rflaf/best-baseline: {_fmt(ratio)} (max {_fmt(cfg.mse_ratio_max)}): {_verdict(ratio_ok)}",
+    min_corr = cfg.min_activation_correlation
+    return [
+        f"calibration constant: {_fmt(calib)}",
+        _check_line("target quadrature", check),
+        *(f"final test mse {name}: {_fmt(mse)}" for name, mse in final_mse.items()),
+        (f"mse ratio rflaf/best-baseline: {_fmt(ratio)} (max {_fmt(cfg.mse_ratio_max)})", ratio <= cfg.mse_ratio_max),
         f"activation alignment scale: {_fmt(scale)}",
-        f"activation correlation: {_fmt(corr)} (min {_fmt(cfg.min_activation_correlation)}): {_verdict(corr_ok)}",
-        f"overall: {_verdict(ratio_ok and corr_ok and check.ok)}",
+        (f"activation correlation: {_fmt(corr)} (min {_fmt(min_corr)})", corr >= min_corr),
     ]
-    _write_lines(out_dir, "train_compare_summary.txt", lines)
-    return 0 if ratio_ok and corr_ok and check.ok else 1
 
 
-def _run_export_activation(cfg: configs.ExportActivationConfig, out_dir: str) -> int:
+def _run_export_activation(cfg: configs.ExportActivationConfig, out_dir: str) -> list:
     try:
         trained = model.load_model(cfg.checkpoint)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load checkpoint {cfg.checkpoint!r}: {exc}") from exc
     scale, corr = _activation_tables(out_dir, trained.grid, trained.a, cfg.grid_points, cfg.spec)
     lines = [f"checkpoint: {cfg.checkpoint}", f"grid points: {cfg.grid_points}"]
-    ok = True
     if cfg.spec is not None:
         lines += [f"activation alignment scale: {_fmt(scale)}", f"activation correlation: {_fmt(corr)}"]
-        if cfg.min_activation_correlation is not None:
-            ok = corr >= cfg.min_activation_correlation
-            lines.append(f"correlation threshold {_fmt(cfg.min_activation_correlation)}: {_verdict(ok)}")
-    _write_lines(out_dir, "export_activation_summary.txt", lines)
-    return 0 if ok else 1
+        min_corr = cfg.min_activation_correlation
+        if min_corr is not None:
+            lines.append((f"correlation threshold {_fmt(min_corr)}", corr >= min_corr))
+    return lines
 
 
-def _run_bounds(cfg: configs.BoundsConfig, out_dir: str) -> int:
+def _run_bounds(cfg: configs.BoundsConfig, out_dir: str) -> list:
     lines = [
         f"width h: {_fmt(cfg.width)}",
         f"grid size N: {cfg.n_basis}",
@@ -348,18 +332,17 @@ def _run_bounds(cfg: configs.BoundsConfig, out_dir: str) -> int:
         h_max, spacing_max = cfg.schedule
         lines.append(f"sufficient width for epsilon: {_fmt(h_max)}")
         lines.append(f"sufficient grid spacing for epsilon: {_fmt(spacing_max)}")
-    _write_lines(out_dir, "bounds.txt", lines)
-    return 0
+    return lines
 
 
-# mode -> (name of its config class in rflaf.configs, runner)
+# mode -> (name of its config class in rflaf.configs, runner, summary file)
 MODES = {
-    "kernel-verify": ("KernelVerifyConfig", _run_kernel_verify),
-    "taylor-verify": ("TaylorVerifyConfig", _run_taylor_verify),
-    "rate-study": ("RateStudyConfig", _run_rate_study),
-    "train-compare": ("TrainCompareConfig", _run_train_compare),
-    "export-activation": ("ExportActivationConfig", _run_export_activation),
-    "bounds": ("BoundsConfig", _run_bounds),
+    "kernel-verify": ("KernelVerifyConfig", _run_kernel_verify, "kernel_verify_summary.txt"),
+    "taylor-verify": ("TaylorVerifyConfig", _run_taylor_verify, "taylor_verify_summary.txt"),
+    "rate-study": ("RateStudyConfig", _run_rate_study, "rate_study_summary.txt"),
+    "train-compare": ("TrainCompareConfig", _run_train_compare, "train_compare_summary.txt"),
+    "export-activation": ("ExportActivationConfig", _run_export_activation, "export_activation_summary.txt"),
+    "bounds": ("BoundsConfig", _run_bounds, "bounds.txt"),
 }
 
 
@@ -387,13 +370,23 @@ def parse_config(mode: str, config: dict):
 
 
 def run(mode: str, config: dict, out_dir: str, seed_override: int | None = None) -> int:
-    """Run one experiment mode; returns the process exit code.
+    """Run one experiment mode and write its summary; returns the process exit code.
 
-    0 means all checks passed; 1 means a verification check failed; config
-    problems raise ConfigError (mapped to exit code 2 by the CLI).
+    The mode's runner returns its summary lines, each a string or a check
+    (text, ok), written as "text: PASS" or "text: FAIL"; a summary holding a
+    check ends in "overall: PASS|FAIL".  The exit code is 0 when every check
+    passed and 1 otherwise; config problems raise ConfigError (mapped to
+    exit code 2 by the CLI).
     """
     if seed_override is not None:
         config = dict(config, seed=seed_override)
     cfg = parse_config(mode, config)
     os.makedirs(out_dir, exist_ok=True)
-    return MODES[mode][1](cfg, out_dir)
+    _, runner, summary = MODES[mode]
+    lines = runner(cfg, out_dir)
+    checks = [line[1] for line in lines if isinstance(line, tuple)]
+    if checks:
+        lines.append(("overall", all(checks)))
+    text = (line if isinstance(line, str) else f"{line[0]}: {'PASS' if line[1] else 'FAIL'}" for line in lines)
+    _write_lines(out_dir, summary, text)
+    return 0 if all(checks) else 1

@@ -10,6 +10,7 @@ mechanics but apply a single scalar activation per feature.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,9 +210,9 @@ def save_model(model: RflafModel, path) -> None:
 
 
 def load_model(path) -> RflafModel:
-    """Rebuild a model from a checkpoint written by save_model."""
-    with np.load(path, allow_pickle=False) as data:
-        try:
+    """Rebuild a model from a checkpoint written by save_model; ValueError if path holds none."""
+    try:
+        with np.lib.npyio.NpzFile(path) as data:  # np.load, without its .npy and pickle branches
             version = int(data["format_version"])
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
@@ -223,5 +224,7 @@ def load_model(path) -> RflafModel:
                 float(data["width"]),
             )
             return RflafModel(bank=bank, grid=grid, a=data["a"], v=data["v"])
-        except KeyError as exc:
-            raise ValueError(f"checkpoint missing field {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"checkpoint missing field {exc}") from exc
+    except zipfile.BadZipFile as exc:
+        raise ValueError(f"not a readable .npz file: {exc}") from exc

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rflaf import basis, data, kernel
 from rflaf.basis import (
@@ -137,6 +139,28 @@ class TestBandedBumps:
         act, sums = banded_activation(grid, np.ones(200), z[:, None], np.ones(1))
         assert np.isnan(act[0, 0]) and np.all(act[1:] == 0.0)
         assert np.all(np.isnan(sums[:37, 0])) and np.all(sums[37:, 0] == 0.0) and np.all(sums[:, 1:] == 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 400),
+        h_over_spacing=st.floats(0.05, 40.0),
+        lo=st.floats(-10.0, 10.0),
+        length=st.floats(0.01, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_sum_over_random_geometry(self, n, h_over_spacing, lo, length, seed):
+        # every center left out is past the cutoff, and the summation order costs a few ulps
+        grid = build_grid(lo, lo + length, n, h_over_spacing * length / n)
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(n) * rng.uniform(0.0, 10.0, n)
+        z = rng.uniform(lo - 2.0 * length, lo + 3.0 * length, 64)
+        z = np.concatenate([z, grid.centers[rng.integers(0, n, 8)], [lo, lo + length]])
+        terms = a * _dense(grid, z)
+        bound = math.exp(-BAND_CUTOFF) * np.abs(a).sum() + 8.0 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+        act = banded_activation(grid, a, z)[0]
+        assert np.all(np.abs(act - terms.sum(axis=1)) <= bound)
+        act = banded_activation(grid, a, np.array([np.nan, np.inf, -np.inf]))[0]
+        assert np.isnan(act[0]) and np.array_equal(act[1:], [0.0, 0.0])
 
 
 class TestEvalActivation:

@@ -70,6 +70,25 @@ class TestSigmaEval:
         with pytest.raises(ValueError):
             sigma_eval_array("s4", [0.0])
 
+    def test_pieces_match_the_stated_formulas_bitwise(self):
+        # each sigma written out by hand, against the one table it is evaluated from
+        knots = [k for ks in data.SIGMA_KNOTS.values() for k in ks]
+        z = np.concatenate([np.random.default_rng(3).uniform(-2.0, 2.0, 100_000), knots, [0.0, -0.0, np.nan, np.inf, -np.inf]])
+        z = np.concatenate([z, np.nextafter(z, np.inf), np.nextafter(z, -np.inf)])
+        want = {kind: np.zeros_like(z) for kind in ("s1", "s2", "s3")}
+        m = np.abs(z) <= 1.0
+        want["s1"][m] = np.sin(np.pi * z[m])
+        m = (z >= 0.0) & (z <= 1.0)
+        want["s2"][m] = np.sin(np.pi * z[m])
+        m = (z >= -1.5) & (z <= -0.5)
+        want["s3"][m] = -np.sin(np.pi * (z[m] + 0.5))
+        m = (z >= 0.5) & (z <= 1.5)
+        want["s3"][m] = np.sin(np.pi * (z[m] - 0.5))
+        assert data.SIGMA_KNOTS == {"s1": (-1.0, 1.0), "s2": (0.0, 1.0), "s3": (-1.5, -0.5, 0.5, 1.5)}
+        for kind, values in want.items():
+            got = sigma_eval_array(kind, z)
+            assert np.array_equal(got.view(np.int64), values.view(np.int64)), kind
+
 
 class TestTargetSpec:
     def test_rejects_equal_directions(self):

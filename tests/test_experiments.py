@@ -293,16 +293,28 @@ class TestRunTrainCompare:
         with pytest.raises(ConfigError, match="calib"):
             run("train-compare", cfg, str(tmp_path))
 
+    def test_degenerate_target_exits_2_naming_it(self, tmp_path, capsys):
+        # sigma s1 is odd and max(w1, -w1) = |w1| is even in w, so the target is 0 at every x
+        cfg_path = _write_config(tmp_path, _train_compare_config(**{"target.b2": [-1.0, 0.0]}))
+        assert main(["train-compare", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "target (sigma s1, b1 [1.0, 0.0], b2 [-1.0, 0.0])" in err and "degenerate target" in err
+
+
+def _checkpoint(tmp_path):
+    """A checkpoint whose activation is the quadrature construction of s1 on [-2, 2]."""
+    grid = basis.build_grid(-2.0, 2.0, 100, 2.0 * 4.0 / 100)
+    weights = basis.quadrature_weights(grid, data.sigma_eval_array("s1", grid.centers))
+    bank = model.sample_features(2, 5, seed=1)
+    ckpt = tmp_path / "model.npz"
+    model.save_model(model.RflafModel(bank=bank, grid=grid, a=weights, v=np.ones(5)), ckpt)
+    return ckpt
+
 
 class TestRunExportActivation:
     def test_export_from_quadrature_checkpoint(self, tmp_path):
         # a quadrature-constructed activation correlates with the target
-        grid = basis.build_grid(-2.0, 2.0, 100, 2.0 * 4.0 / 100)
-        weights = basis.quadrature_weights(grid, data.sigma_eval_array("s1", grid.centers))
-        bank = model.sample_features(2, 5, seed=1)
-        snapshot = model.RflafModel(bank=bank, grid=grid, a=weights, v=np.ones(5))
-        ckpt = tmp_path / "model.npz"
-        model.save_model(snapshot, ckpt)
+        ckpt = _checkpoint(tmp_path)
         cfg = {
             "checkpoint": str(ckpt),
             "grid_points": 201,
@@ -321,6 +333,13 @@ class TestRunExportActivation:
         cfg = {"checkpoint": str(tmp_path / "nope.npz")}
         with pytest.raises(ConfigError):
             run("export-activation", cfg, str(tmp_path))
+
+    def test_truncated_checkpoint_exits_2_naming_it(self, tmp_path, capsys):
+        ckpt = _checkpoint(tmp_path)
+        ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+        cfg_path = _write_config(tmp_path, {"checkpoint": str(ckpt)})
+        assert main(["export-activation", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert str(ckpt) in capsys.readouterr().err
 
 
 class TestRunDispatch:
@@ -404,6 +423,45 @@ class TestBadConfigs:
     def test_shipped_config_parses(self, path):
         mode = next(m for m in MODES if path.stem.replace("_", "-").startswith(m))
         assert type(parse_config(mode, load_config(str(path)))).__name__ == MODES[mode][0]
+
+
+_KERNEL_SMALL = {"seed": 3, "trials": 2, "samples": 5000, "dims": [2], "centers": [0.0], "widths": [1.0]}
+_RATE_SMALL = {"seed": 4, "m_values": [16, 64], "trials": 1, "test_points": 50, "ref_samples": 5000}
+_TARGET_S1 = {"sigma": "s1", "b1": [1.0, 0.0], "b2": [0.0, 1.0]}
+
+# (mode, config or a maker of it from a checkpoint path, exit code): a pass and a fail of each mode that checks
+VERDICT_CASES = [
+    ("kernel-verify", _KERNEL_SMALL, 0),
+    ("kernel-verify", dict(_KERNEL_SMALL, centers=[8.0], widths=[0.1]), 1),  # no draw meets the bump: 0 +- 0
+    ("taylor-verify", {"p_values": [1.0], "series": {"n_terms": 80, "widths": [1.0], "centers": [0.0]}}, 0),
+    ("taylor-verify", {"p_values": [1.0], "series": {"n_terms": 60, "widths": [0.5], "centers": [0.0]}}, 1),
+    ("rate-study", dict(_RATE_SMALL, slope_range=[-10.0, 10.0]), 0),
+    ("rate-study", dict(_RATE_SMALL, slope_range=[5.0, 10.0]), 1),
+    ("train-compare", _train_compare_config(**{"train.epochs": 1}), 0),
+    ("train-compare", _train_compare_config(**{"train.epochs": 1, "mse_ratio_max": 1e-9}), 1),
+    ("export-activation", lambda ckpt: {"checkpoint": ckpt}, 0),
+    ("export-activation", lambda ckpt: {"checkpoint": ckpt, "target": _TARGET_S1}, 0),
+    ("export-activation", lambda ckpt: {"checkpoint": ckpt, "target": _TARGET_S1, "min_activation_correlation": 0.9}, 0),
+    ("export-activation", lambda ckpt: {"checkpoint": ckpt, "target": _TARGET_S1, "min_activation_correlation": 2.0}, 1),
+    ("bounds", _BOUNDS_SCHEDULE, 0),
+]
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("mode,cfg,want", VERDICT_CASES, ids=[f"{m}-{i}" for i, (m, _, _) in enumerate(VERDICT_CASES)])
+    def test_exit_code_and_overall_line_follow_the_checks(self, mode, cfg, want, tmp_path):
+        if callable(cfg):
+            cfg = cfg(str(_checkpoint(tmp_path)))
+        code = run(mode, cfg, str(tmp_path / "out"))
+        lines = (tmp_path / "out" / MODES[mode][2]).read_text().splitlines()
+        checks = [line for line in lines if line.endswith((": PASS", ": FAIL"))]
+        assert code == want
+        assert code == (1 if any(line.endswith(": FAIL") for line in lines) else 0)
+        assert lines[-1].startswith("overall: ") == bool(checks)
+        overall = [line for line in lines if line.startswith("overall: ")]
+        assert overall == ([f"overall: {'FAIL' if code else 'PASS'}"] if checks else [])
+        if mode == "bounds":
+            assert code == 0 and not checks
 
 
 class TestCli:

@@ -331,6 +331,15 @@ class TestCheckpoint:
         with pytest.raises((ValueError, OSError)):
             load_model(path)
 
+    def test_load_rejects_truncated_file(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(_random_model(np.random.default_rng(51), dim=2, m=9, n_basis=6), path)
+        whole = path.read_bytes()
+        for cut in (whole[: len(whole) // 2], b""):
+            path.write_bytes(cut)
+            with pytest.raises(ValueError, match="not a readable .npz"):
+                load_model(path)
+
     def test_load_rejects_missing_fields(self, tmp_path):
         path = tmp_path / "short.npz"
         np.savez(path, format_version=np.int64(1), dim=np.int64(2))
