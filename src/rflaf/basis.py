@@ -163,6 +163,19 @@ def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def _draws(seed, n: int, X: np.ndarray):
+    """The n draws w ~ N(0, I) of default_rng(seed), in chunks of CHUNK_CELLS // (rows + dim of X)."""
+    rng = np.random.default_rng(seed)
+    step = max(1, CHUNK_CELLS // (X.shape[0] + X.shape[1]))
+    for lo in range(0, n, step):
+        yield rng.standard_normal((min(step, n - lo), X.shape[1]))
+
+
+def _mean_stderr(total: np.ndarray, squares: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    mean = total / n
+    return mean, np.sqrt(np.maximum(squares / n - mean * mean, 0.0) / max(n - 1, 1))
+
+
 def mc_mean(seed, n: int, X: np.ndarray, sigma, v) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo mean and standard error of v(w) sigma(w.x) at each row x of X, over n draws w ~ N(0, I).
 
@@ -171,20 +184,34 @@ def mc_mean(seed, n: int, X: np.ndarray, sigma, v) -> tuple[np.ndarray, np.ndarr
     whatever n and the dimension; the Generator stream is sequential, so the
     chunking does not change the values drawn.  v maps a (draws, dim) block
     of w to its (draws,) values; sigma maps the (draws, rows) block of w.x,
-    which it may overwrite, to sigma(w.x).
+    which it may overwrite, to sigma(w.x).  A row whose sum of squares is
+    below 2^-970 but whose sum is not 0 takes its standard error from
+    _scaled_stderr.
     """
-    rng = np.random.default_rng(seed)
-    step = max(1, CHUNK_CELLS // (X.shape[0] + X.shape[1]))
     total, squares = np.zeros(X.shape[0]), np.zeros(X.shape[0])
-    for lo in range(0, n, step):
-        w = rng.standard_normal((min(step, n - lo), X.shape[1]))
+    for w in _draws(seed, n, X):
         vw = v(w)
         e = sigma(w @ X.T)
         total += vw @ e
         e *= e
         squares += (vw * vw) @ e
-    mean = total / n
-    return mean, np.sqrt(np.maximum(squares / n - mean * mean, 0.0) / max(n - 1, 1))
+    mean, stderr = _mean_stderr(total, squares, n)
+    low = np.flatnonzero((squares < 2.0**-970) & (total != 0))
+    if low.size:
+        stderr[low] = _scaled_stderr(seed, n, X[low], sigma, v)
+    return mean, stderr
+
+
+def _scaled_stderr(seed, n: int, X: np.ndarray, sigma, v) -> np.ndarray:
+    """mc_mean's standard error from the values v(w) sigma(w.x) times 2^768, an exact scaling.  On the
+    rows mc_mean sends, each |value| is 0 or in [2^-1074, 2^-485) (unless v or sigma alone passes 2^500),
+    so each scaled square is normal, where the value's own square would round to 0 or lose bits."""
+    total, squares = np.zeros(X.shape[0]), np.zeros(X.shape[0])
+    for w in _draws(seed, n, X):
+        p = np.ldexp(sigma(w @ X.T) * v(w)[:, None], 768)
+        total += p.sum(axis=0)
+        squares += (p * p).sum(axis=0)
+    return np.ldexp(_mean_stderr(total, squares, n)[1], -768)
 
 
 def activation_curve(grid: ActivationGrid, a: np.ndarray, zs: np.ndarray) -> np.ndarray:

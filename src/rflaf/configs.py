@@ -112,7 +112,7 @@ class KernelVerifyConfig:
 class SeriesSection:
     widths: tuple[float, ...] = (0.5, 1.0)
     centers: tuple[float, ...] = (0.0, 1.0, 2.0)
-    n_terms: Count = 60
+    n_terms: Count = 80
     grid_points: Count = 101
     tol: NonNegative = 1e-8
     rbfs: tuple[kernel.RbfParams, ...] = field(init=False)  # widths x centers
@@ -194,41 +194,28 @@ class ModelSection:
         _derive(self, grid=basis.build_grid(lo, hi, self.n_basis, width))
 
 
-# optim.TrainConfig without its seed, which train-compare derives from the config seed.
-TrainSection = dataclasses.make_dataclass(
-    "TrainSection",
-    [
-        (name, tp, field(default=getattr(optim.TrainConfig, name)))
-        for name, tp in typing.get_type_hints(optim.TrainConfig).items()
-        if name != "seed"
-    ],
-    frozen=True,
-)
-
-
 @dataclass(frozen=True)
 class TrainCompareConfig:
     seed: Seed
     target: TargetSection
     data: DataSection
     model: ModelSection
-    train: TrainSection = field(default_factory=TrainSection)
+    train: optim.TrainConfig = field(default_factory=optim.TrainConfig)
     baselines: tuple[Literal[tuple(model.BASELINE_ACTIVATIONS)], ...] = ("relu", "tanh", "rbf1", "rbf2")
     mse_ratio_max: float = 0.5
     activation_grid_points: Annotated[int, 2] = 401
     min_activation_correlation: float = 0.9
     spec: data.TargetSpec = field(init=False)
-    train_config: optim.TrainConfig = field(init=False)
     child_seeds: tuple[int, ...] = field(init=False)  # train shuffle, bank, init, then two per baseline
 
     def __post_init__(self):
         spec = self.target.spec(default_seed=self.seed)
         _check(self.data.dim == spec.dim, f"data dim {self.data.dim} does not match len(target b1) = {spec.dim}")
         _check(self.train.epochs >= 1, f"train epochs must be >= 1, got {self.train.epochs}")
+        _check(len(set(self.baselines)) == len(self.baselines), f"baselines must differ, got {list(self.baselines)}")
         ss = np.random.SeedSequence([self.seed, 0x7121]).spawn(3 + 2 * len(self.baselines))
         seeds = tuple(int(s.generate_state(1)[0]) for s in ss)
-        tc = optim.TrainConfig(**dataclasses.asdict(self.train), seed=seeds[0])
-        _derive(self, spec=spec, train_config=tc, child_seeds=seeds)
+        _derive(self, spec=spec, child_seeds=seeds)
 
 
 @dataclass(frozen=True)

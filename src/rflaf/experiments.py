@@ -273,13 +273,13 @@ def _run_train_compare(cfg: configs.TrainCompareConfig, out_dir: str) -> list:
     grid = cfg.model.grid
     seeds = cfg.child_seeds
     bank = model.sample_features(dim, cfg.model.n_features, seeds[1])
-    trained, history = optim.train(optim.new_rflaf_model(bank, grid, seeds[2]), dataset, cfg.train_config)
+    trained, history = optim.train(optim.new_rflaf_model(bank, grid, seeds[2]), dataset, cfg.train, seeds[0])
     model.save_model(trained, os.path.join(out_dir, "model_rflaf.npz"))
     histories = {"rflaf": history}
     for j, kind in enumerate(cfg.baselines):
         b_bank = model.sample_features(dim, cfg.model.n_features + cfg.model.n_basis, seeds[3 + 2 * j])
         b_model = optim.new_baseline_model(b_bank, kind, seeds[4 + 2 * j])
-        histories[kind] = optim.train_baseline(b_model, dataset, cfg.train_config)[1]
+        histories[kind] = optim.train_baseline(b_model, dataset, cfg.train, seeds[0])[1]
     for name, rows in histories.items():
         history_rows = [(row.epoch, row.train_total, row.train_mse, row.test_mse) for row in rows]
         _write_table(out_dir, f"history_{name}.txt", ["epoch", "train_total", "train_mse", "test_mse"], history_rows)

@@ -11,7 +11,7 @@ mechanics but apply a single scalar activation per feature.
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from . import basis
@@ -38,18 +38,18 @@ CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class FeatureBank:
-    """Frozen matrix of Gaussian feature directions, reproducible from its seed."""
+    """Frozen Gaussian feature directions, derived: n_features standard normal rows in R^dim from default_rng(seed)."""
 
-    weights: np.ndarray
     dim: int
     n_features: int
     seed: int
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.n_features, self.dim):
-            raise ValueError(f"weights shape {w.shape} != ({self.n_features}, {self.dim})")
-        object.__setattr__(self, "weights", w)
+        if self.dim < 1 or self.n_features < 1 or not 0 <= self.seed < 2**63:  # save_model stores an int64 seed
+            raise ValueError(f"need dim, n_features >= 1 and 0 <= seed < 2**63: {self.dim, self.n_features, self.seed}")
+        draw = np.random.default_rng(self.seed).standard_normal((self.n_features, self.dim))
+        object.__setattr__(self, "weights", draw)
 
 
 @dataclass(frozen=True)
@@ -104,22 +104,9 @@ class BaselineRfModel:
             raise ValueError("model parameters must be finite")
         object.__setattr__(self, "v", v)
 
-    @property
-    def width(self) -> int:
-        return self.bank.n_features
 
-
-def sample_features(dim: int, n_features: int, seed: int) -> FeatureBank:
-    """Draw the feature bank: n_features i.i.d. standard Gaussian rows in R^dim."""
-    if dim < 1 or n_features < 1:
-        raise ValueError(f"dim and n_features must be >= 1, got {dim}, {n_features}")
-    rng = np.random.default_rng(seed)
-    return FeatureBank(
-        weights=rng.standard_normal((n_features, dim)),
-        dim=dim,
-        n_features=n_features,
-        seed=int(seed),
-    )
+# Draw the feature bank: sample_features(dim, n_features, seed).
+sample_features = FeatureBank
 
 
 def _rows(X: np.ndarray, dim: int) -> np.ndarray:
@@ -167,7 +154,7 @@ def forward(model: RflafModel, x: np.ndarray) -> float:
 
 
 def baseline_features(model: BaselineRfModel, X: np.ndarray) -> np.ndarray:
-    """The (rows, width) activations act(w_m.x) of the rows of X.
+    """The (rows, M) activations act(w_m.x) of the rows of X.
 
     np.einsum, as in forward_chunks, makes each row a function of its own
     row alone; BLAS's X @ W.T does not.  Reduce them per row with
@@ -179,8 +166,8 @@ def baseline_features(model: BaselineRfModel, X: np.ndarray) -> np.ndarray:
 
 
 def baseline_forward_batch(model: BaselineRfModel, X: np.ndarray) -> np.ndarray:
-    """Baseline outputs (1/width) sum_m act(w_m.x) v_m for the rows of X, each a function of its row alone."""
-    return row_dot(baseline_features(model, X), model.v) / model.width
+    """Baseline outputs (1/M) sum_m act(w_m.x) v_m for the rows of X, each a function of its row alone."""
+    return row_dot(baseline_features(model, X), model.v) / model.bank.n_features
 
 
 def baseline_forward(model: BaselineRfModel, x: np.ndarray) -> float:

@@ -8,7 +8,7 @@ The regularized least-squares objective is
 
 with f the model forward pass.  Gradients are exact for the smooth part;
 the L1 term contributes sign(a_i), taken as 0 at a_i = 0.  Everything is
-deterministic for a fixed config seed: shuffling uses a seeded permutation
+deterministic for a fixed shuffle seed: shuffling uses a seeded permutation
 and gradient reductions run in fixed index order.
 
 predict_batch is model.forward_batch, the one forward pass, and the
@@ -67,7 +67,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 5
     batch_size: int = 256
-    seed: int = 0
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -257,19 +256,19 @@ def grad_check(
     return worst
 
 
-def _adam_loop(params, dataset: Dataset, cfg: TrainConfig, loss_and_grad, predict_test):
+def _adam_loop(params, dataset: Dataset, cfg: TrainConfig, seed: int, loss_and_grad, predict_test):
     """The Adam loop shared by every model, over the dataset's train split.
 
     loss_and_grad(params, idx, y_batch) returns the batch's LossBreakdown and
     the gradient in params; predict_test(params) returns the model outputs on
     the test split.  Train metrics are size-weighted running means over the
-    epoch's batches, test_mse is a full pass at the end of each epoch.  Two
-    runs with equal seeds produce identical parameter trajectories.
+    epoch's batches, test_mse is a full pass at the end of each epoch.  seed
+    orders the batches, so equal seeds produce identical parameter trajectories.
     """
     y_train = dataset.y[dataset.train_idx]
     y_test = dataset.y[dataset.test_idx]
     state = init_adam(params.shape[0])
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     history: list[EpochStats] = []
     for epoch in range(cfg.epochs):
         sums = np.zeros(4)  # total, mse, balance, l1 weighted by batch size
@@ -287,8 +286,8 @@ def _adam_loop(params, dataset: Dataset, cfg: TrainConfig, loss_and_grad, predic
     return params, history
 
 
-def train(model: RflafModel, dataset: Dataset, cfg: TrainConfig) -> tuple[RflafModel, list[EpochStats]]:
-    """Adam on (a, v) of the regularized objective; see _adam_loop."""
+def train(model: RflafModel, dataset: Dataset, cfg: TrainConfig, seed: int) -> tuple[RflafModel, list[EpochStats]]:
+    """Adam on (a, v) of the regularized objective, shuffled by seed; see _adam_loop."""
     x_train = dataset.X[dataset.train_idx]
     x_test = dataset.X[dataset.test_idx]
     n_basis = model.grid.n_basis
@@ -301,27 +300,25 @@ def train(model: RflafModel, dataset: Dataset, cfg: TrainConfig) -> tuple[RflafM
         return lb, np.concatenate([g_a, g_v])
 
     params, history = _adam_loop(
-        np.concatenate([model.a, model.v]), dataset, cfg, loss_and_grad, lambda p: predict_batch(at(p), x_test)
+        np.concatenate([model.a, model.v]), dataset, cfg, seed, loss_and_grad, lambda p: predict_batch(at(p), x_test)
     )
     return at(params), history
 
 
 def train_baseline(
-    model: BaselineRfModel,
-    dataset: Dataset,
-    cfg: TrainConfig,
+    model: BaselineRfModel, dataset: Dataset, cfg: TrainConfig, seed: int
 ) -> tuple[BaselineRfModel, list[EpochStats]]:
-    """Adam on v for a fixed-activation baseline; plain MSE objective."""
-    phi_train = baseline_features(model, dataset.X[dataset.train_idx])  # (n_train, width)
+    """Adam on v for a fixed-activation baseline, shuffled by seed; plain MSE objective."""
+    phi_train = baseline_features(model, dataset.X[dataset.train_idx])  # (n_train, M)
     phi_test = baseline_features(model, dataset.X[dataset.test_idx])
-    width = model.width
+    m = model.bank.n_features
 
     def loss_and_grad(v, idx, yb):
         pb = phi_train[idx]
-        resid = pb @ v / width - yb
+        resid = pb @ v / m - yb
         mse = float(resid @ resid) / idx.shape[0]
-        g_v = (2.0 / (idx.shape[0] * width)) * (resid @ pb)
+        g_v = (2.0 / (idx.shape[0] * m)) * (resid @ pb)
         return LossBreakdown(mse=mse, balance=0.0, l1=0.0, total=mse), g_v
 
-    v, history = _adam_loop(model.v.copy(), dataset, cfg, loss_and_grad, lambda v: row_dot(phi_test, v) / width)
+    v, history = _adam_loop(model.v.copy(), dataset, cfg, seed, loss_and_grad, lambda v: row_dot(phi_test, v) / m)
     return BaselineRfModel(bank=model.bank, activation_kind=model.activation_kind, v=v), history

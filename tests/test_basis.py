@@ -283,6 +283,20 @@ class TestMcMean:
         assert np.max(np.abs(mean - terms.mean(axis=0))) <= 1e-14
         assert np.max(np.abs(stderr - terms.std(axis=0, ddof=1) / math.sqrt(50))) <= 1e-14
 
+    def test_stderr_of_values_below_1e_154(self):
+        # v scaled by 2^-600 scales each value exactly, so the mean and standard
+        # error must scale with it, though the values' squares round to 0
+        X = np.random.default_rng(6).standard_normal((3, 2))
+
+        def estimate(scale):
+            return basis.mc_mean(7, 5000, X, lambda u: bumps(u, 0.5, 1.0), lambda w: scale * np.abs(w[:, 0]))
+
+        mean, stderr = estimate(1.0)
+        tiny_mean, tiny_stderr = estimate(2.0**-600)
+        assert np.ldexp(tiny_mean, 600).tobytes() == mean.tobytes()
+        assert np.all(stderr > 0)
+        np.testing.assert_allclose(np.ldexp(tiny_stderr, 600), stderr, rtol=1e-12)
+
     def test_memory_does_not_grow_with_dimension(self):
         # 200,000 draws in 100 dims are 160 MB at once; 2 MB chunks keep each caller's peak within 8 chunks
         rng = np.random.default_rng(4)

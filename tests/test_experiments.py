@@ -128,6 +128,16 @@ def _write_config(tmp_path, payload):
 
 
 class TestRunKernelVerify:
+    def test_stderr_of_estimates_below_1e_154(self, tmp_path):
+        # far out at c = 5, h = 0.2, three of the four 100-draw means lie below
+        # 1e-154, where the squares of the values round to 0
+        cfg = {"seed": 3, "trials": 4, "samples": 100, "dims": [2], "centers": [5.0], "widths": [0.2]}
+        assert run("kernel-verify", cfg, str(tmp_path)) == 1
+        rows = [line.split("\t") for line in (tmp_path / "kernel_verify.txt").read_text().splitlines()[1:]]
+        means, stderrs = (np.array([float(r[col]) for r in rows]) for col in (5, 6))
+        assert np.sum(means < 1e-154) == 3
+        assert np.all(stderrs > 0)
+
     def test_small_run_passes_and_is_deterministic(self, tmp_path):
         cfg = {"seed": 3, "trials": 3, "samples": 20_000, "dims": [2], "centers": [0.0], "widths": [1.0]}
         out1 = tmp_path / "a"
@@ -161,6 +171,9 @@ class TestRunTaylorVerify:
         assert run("taylor-verify", cfg, str(tmp_path)) == 0
         summary = (tmp_path / "taylor_verify_summary.txt").read_text()
         assert "overall: PASS" in summary
+
+    def test_defaults_pass(self, tmp_path):
+        assert run("taylor-verify", {}, str(tmp_path)) == 0
 
     def test_sixty_terms_fail_at_half_width(self, tmp_path):
         # the 60-term truncation error at h = 0.5, |r| = 1 sits near 8.5e-8,
@@ -403,6 +416,7 @@ BAD_CONFIGS = [
     ("export-activation", {"checkpoint": "model.npz", "min_activation_correlation": 0.9}, "min_activation_correlation"),
     ("bounds", dict(_BOUNDS_SCHEDULE, epsilon=1.0, lipschitz_sigma=1.0, radius=1.0, support_len=0.001), "support_len"),
     ("rate-study", {"seed": 1, "ref_samples": 1}, "ref_samples"),
+    ("train-compare", _train_compare_config(baselines=["relu", "relu"]), "baselines"),
 ]
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rflaf.data import gauss_legendre
 from rflaf.kernel import (
     RbfParams,
     kernel_closed,
@@ -21,6 +22,29 @@ from rflaf.kernel import (
 
 UNIT = RbfParams(center=0.0, width=1.0)
 SHIFTED = RbfParams(center=1.0, width=1.0)
+
+
+def _kernel_by_quadrature(x, x2, params):
+    """E[B(w.x) B(w.x2)] as one integral in t = w.x/|x| ~ N(0, 1), x != 0.
+
+    With x2 = alpha x/|x| + beta u, u a unit vector orthogonal to x,
+    E[B(w.x2) | t] = h/sqrt(h^2+beta^2) exp(-(alpha t - c)^2 / (2 (h^2+beta^2))).
+    The log-integrand is quadratic in t, so the 64-node Gauss-Legendre
+    pieces follow its peak: breaks at the peak +- {1, 3, 6, 12, 40} of its
+    standard deviations.
+    """
+    c, h = params.center, params.width
+    r = math.sqrt(x @ x)
+    alpha = float(x2 @ x) / r
+    s2 = h * h + float(np.sum((x2 - alpha * x / r) ** 2))
+    precision = 1.0 + r * r / (h * h) + alpha * alpha / s2
+    peak = c * (r / (h * h) + alpha / s2) / precision
+    edges = peak + np.array([-40.0, -12, -6, -3, -1, 1, 3, 6, 12, 40]) / math.sqrt(precision)
+    nodes, weights = gauss_legendre(64)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = (half * nodes + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
+    log_f = -0.5 * t * t - (r * t - c) ** 2 / (2.0 * h * h) - (alpha * t - c) ** 2 / (2.0 * s2)
+    return float((half * weights).ravel() @ np.exp(log_f)) * h / math.sqrt(2.0 * math.pi * s2)
 
 
 class TestRbfParams:
@@ -82,6 +106,21 @@ class TestKernelClosed:
         params = RbfParams(center=1.0, width=1.0)
         gram = np.array([[kernel_closed(p, q, params) for q in pts] for p in pts])
         assert np.linalg.eigvalsh(gram).min() >= -1e-8
+
+    def test_matches_quadrature_off_the_sphere(self):
+        # the exponent's rounding grows with its size, so the bound grows with |log K|
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(5000):
+            d = int(rng.integers(1, 8))
+            x, x2 = rng.standard_normal((2, d))
+            params = RbfParams(center=float(rng.uniform(-3, 3)), width=float(rng.uniform(0.05, 3)))
+            k = kernel_closed(x, x2, params)
+            if k < 1e-290:  # near the subnormal range
+                continue
+            rel = abs(_kernel_by_quadrature(x, x2, params) - k) / k
+            worst = max(worst, rel / (1.0 + abs(math.log(k))))
+        assert worst <= 1e-13
 
     def test_monte_carlo_oracle_agreement(self):
         # light version of the acceptance check: generic (non-unit) pairs

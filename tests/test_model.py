@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rflaf import basis
 from rflaf.basis import ActivationGrid, banded_activation, build_grid, bumps
@@ -71,6 +73,9 @@ class TestSampleFeatures:
             sample_features(0, 5, seed=0)
         with pytest.raises(ValueError):
             sample_features(2, 0, seed=0)
+        for seed in (-1, 2**63):  # a checkpoint stores the seed as an int64
+            with pytest.raises(ValueError, match="seed"):
+                sample_features(2, 3, seed=seed)
 
 
 class TestFeatureMatrix:
@@ -276,9 +281,12 @@ class TestForwardBatch:
 
 class TestBaselines:
     def test_relu_dead_inputs(self):
-        bank = FeatureBank(weights=np.array([[1.0], [2.0]]), dim=1, n_features=2, seed=0)
-        model = BaselineRfModel(bank=bank, activation_kind="relu", v=np.ones(2))
-        assert baseline_forward(model, np.array([-1.0])) == 0.0
+        bank = FeatureBank(dim=2, n_features=8, seed=0)
+        x = np.array([0.3, -0.7])
+        dead = bank.weights @ x < 0
+        assert dead.any() and not dead.all()
+        model = BaselineRfModel(bank=bank, activation_kind="relu", v=dead.astype(float))
+        assert baseline_forward(model, x) == 0.0
 
     def test_tanh_zero_weights(self):
         bank = sample_features(2, 8, seed=6)
@@ -286,15 +294,17 @@ class TestBaselines:
         assert baseline_forward(model, np.ones(2)) == 0.0
 
     def test_rbf2_peak(self):
-        bank = FeatureBank(weights=np.array([[1.5]]), dim=1, n_features=1, seed=0)
+        bank = FeatureBank(dim=1, n_features=1, seed=0)
         model = BaselineRfModel(bank=bank, activation_kind="rbf2", v=np.array([1.0]))
-        assert baseline_forward(model, np.array([1.0])) == 1.0
+        # w x is 1.5, the bump's center, to within an ulp, where the bump rounds to 1
+        assert baseline_forward(model, np.array([1.5 / bank.weights[0, 0]])) == 1.0
 
     def test_rbf1_matches_formula(self):
-        bank = FeatureBank(weights=np.array([[2.0], [-1.0]]), dim=1, n_features=2, seed=0)
+        bank = FeatureBank(dim=1, n_features=2, seed=0)
         model = BaselineRfModel(bank=bank, activation_kind="rbf1", v=np.array([1.0, 3.0]))
         x = np.array([0.4])
-        want = (math.exp(-0.8**2 / 0.5) * 1.0 + math.exp(-0.4**2 / 0.5) * 3.0) / 2.0
+        (w0,), (w1,) = bank.weights
+        want = (math.exp(-((w0 * 0.4) ** 2) / 0.5) * 1.0 + math.exp(-((w1 * 0.4) ** 2) / 0.5) * 3.0) / 2.0
         assert baseline_forward(model, x) == pytest.approx(want, rel=1e-14)
 
     def test_batch_matches_scalar(self):
@@ -324,6 +334,32 @@ class TestCheckpoint:
         assert np.array_equal(loaded.bank.weights, model.bank.weights)
         X = rng.standard_normal((20, 2))
         assert np.array_equal(forward_batch(loaded, X), forward_batch(model, X))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 6),
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**63 - 1),
+        n_basis=st.integers(2, 60),
+        lo=st.floats(-5.0, 5.0),
+        length=st.floats(0.01, 10.0),
+        width=st.floats(0.001, 5.0),
+    )
+    def test_round_trip_over_random_geometry(self, tmp_path_factory, dim, m, seed, n_basis, lo, length, width):
+        rng = np.random.default_rng(seed)
+        model = RflafModel(
+            bank=FeatureBank(dim, m, seed),
+            grid=build_grid(lo, lo + length, n_basis, width),
+            a=rng.standard_normal(n_basis),
+            v=rng.standard_normal(m),
+        )
+        path = tmp_path_factory.mktemp("ckpt") / "model.npz"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert (loaded.bank, loaded.grid) == (model.bank, model.grid)
+        assert loaded.a.tobytes() == model.a.tobytes() and loaded.v.tobytes() == model.v.tobytes()
+        X = rng.standard_normal((7, dim)) * 3.0
+        assert forward_batch(loaded, X).tobytes() == forward_batch(model, X).tobytes()
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.npz"
@@ -358,6 +394,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             RflafModel(bank=bank, grid=grid, a=np.array([np.nan] * 4), v=np.zeros(3))
 
-    def test_bank_shape_check(self):
-        with pytest.raises(ValueError):
-            FeatureBank(weights=np.zeros((3, 2)), dim=2, n_features=4, seed=0)
+    def test_bank_is_its_seed(self):
+        bank = FeatureBank(dim=2, n_features=4, seed=3)
+        assert bank.weights.tobytes() == np.random.default_rng(3).standard_normal((4, 2)).tobytes()
+        with pytest.raises(TypeError):
+            FeatureBank(weights=np.zeros((4, 2)), dim=2, n_features=4, seed=3)

@@ -345,7 +345,7 @@ class TestTrain:
         grid = build_grid(-2.0, 2.0, 8, 0.5)
         model = new_rflaf_model(bank, grid, seed=2)
         cfg = TrainConfig(epochs=0)
-        trained, history = train(model, ds, cfg)
+        trained, history = train(model, ds, cfg, seed=0)
         assert history == []
         assert np.array_equal(trained.a, model.a)
         assert np.array_equal(trained.v, model.v)
@@ -356,8 +356,8 @@ class TestTrain:
         bank = sample_features(2, 16, seed=4)
         grid = build_grid(-2.0, 2.0, 8, 0.5)
         model = new_rflaf_model(bank, grid, seed=5)
-        cfg = TrainConfig(epochs=50, batch_size=16, learning_rate=1e-2, seed=6)
-        _, history = train(model, ds, cfg)
+        cfg = TrainConfig(epochs=50, batch_size=16, learning_rate=1e-2)
+        _, history = train(model, ds, cfg, seed=6)
         assert len(history) == 50
         assert history[-1].train_total < history[0].train_total
 
@@ -367,9 +367,9 @@ class TestTrain:
         bank = sample_features(2, 12, seed=7)
         grid = build_grid(-2.0, 2.0, 6, 0.5)
         model = new_rflaf_model(bank, grid, seed=8)
-        cfg = TrainConfig(epochs=5, batch_size=16, seed=9)
-        t1, h1 = train(model, ds, cfg)
-        t2, h2 = train(model, ds, cfg)
+        cfg = TrainConfig(epochs=5, batch_size=16)
+        t1, h1 = train(model, ds, cfg, seed=9)
+        t2, h2 = train(model, ds, cfg, seed=9)
         assert np.array_equal(t1.a, t2.a)
         assert np.array_equal(t1.v, t2.v)
         assert h1 == h2
@@ -388,8 +388,8 @@ class TestTrainBaseline:
         ds = _tiny_dataset(rng)
         bank = sample_features(2, 24, seed=12)
         model = new_baseline_model(bank, "tanh", seed=13)
-        cfg = TrainConfig(epochs=50, batch_size=16, learning_rate=5e-2, seed=14)
-        trained, history = train_baseline(model, ds, cfg)
+        cfg = TrainConfig(epochs=50, batch_size=16, learning_rate=5e-2)
+        trained, history = train_baseline(model, ds, cfg, seed=14)
         assert len(history) == 50
         assert history[-1].train_mse < history[0].train_mse
         assert trained.activation_kind == "tanh"
@@ -399,9 +399,9 @@ class TestTrainBaseline:
         ds = _tiny_dataset(rng)
         bank = sample_features(2, 8, seed=15)
         model = new_baseline_model(bank, "relu", seed=16)
-        cfg = TrainConfig(epochs=3, batch_size=16, seed=17)
-        t1, h1 = train_baseline(model, ds, cfg)
-        t2, h2 = train_baseline(model, ds, cfg)
+        cfg = TrainConfig(epochs=3, batch_size=16)
+        t1, h1 = train_baseline(model, ds, cfg, seed=17)
+        t2, h2 = train_baseline(model, ds, cfg, seed=17)
         assert np.array_equal(t1.v, t2.v)
         assert h1 == h2
 
