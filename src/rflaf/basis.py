@@ -9,6 +9,8 @@ the target activation sampled at the centers.
 from __future__ import annotations
 
 import math
+import mmap
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,12 +28,20 @@ BAND_CUTOFF = 40.0
 # peak memory.
 CHUNK_CELLS = 1 << 18
 
+# Fewest cells of work per process of split_rows, in bumps of the banded
+# kernel or their time.  On a 2-core Xeon VM, forking a worker from a 70 MB
+# process, letting it exit and reaping it took 2.3-2.5 ms, plus the
+# copy-on-write faults that follow, and 2^20 bumps took about 8 ms; either
+# loop first ran faster split in two at about 20 ms of work.
+SPLIT_CELLS = 1 << 20
+
 __all__ = [
     "ActivationGrid",
     "build_grid",
     "bumps",
     "banded_activation",
     "row_dot",
+    "split_rows",
     "mc_mean",
     "activation_curve",
     "quadrature_weights",
@@ -119,8 +129,25 @@ def banded_activation(
     a_k times them into act, in increasing k: each cell's sum runs in a
     fixed order over its own window, whatever the other cells.  Given the
     (P, M) z of P rows and the M weights v, H is the (N, P) sums
-    H[k, p] = sum_m v_m exp(-(z[p, m] - c_k)^2 / (2 h^2)), else None.
+    H[k, p] = sum_m v_m exp(-(z[p, m] - c_k)^2 / (2 h^2)), else None.  So
+    each row of act and column of H is a function of its row of z alone,
+    and split_rows splits a 2-D z's rows across processes.
     """
+    act = np.zeros(z.shape)
+    sums = None if v is None else np.zeros((grid.n_basis, z.shape[0]))
+    if z.ndim == 2:
+
+        def block(lo, hi, dst):
+            _banded_rows(grid, a, z[lo:hi], v, *dst)
+
+        split_rows(z.shape[0], block, (act,) if sums is None else (act, sums.T), z.shape[1] * grid.band_width)
+    else:
+        _banded_rows(grid, a, z, v, act)
+    return act, sums
+
+
+def _banded_rows(grid: ActivationGrid, a, z, v, act, sums_t=None) -> None:
+    """banded_activation on z, written into act (C-contiguous) and, with v, sums_t (H transposed), both zeroed."""
     w, n = grid.band_width, grid.n_basis
     cells = z.reshape(-1)
     s = np.floor((cells - grid.support_lo) / grid.spacing)
@@ -131,22 +158,18 @@ def banded_activation(
     lo, hi = first[np.fmax(ks - w + 1, 0)], first[np.fmin(ks, n - w) + 1]
     sorted_z = cells[order]
     sorted_act = np.zeros(cells.shape[0])
-    sums = None
     if v is not None:
         row, col = np.divmod(order, z.shape[1])
         sorted_v = v[col]
-        sums = np.zeros((n, z.shape[0]))
     nonempty = np.flatnonzero(lo < hi)
     for k, start, stop in zip(nonempty.tolist(), lo[nonempty].tolist(), hi[nonempty].tolist()):
         run = slice(start, stop)
         e = bumps(sorted_z[run].copy(), grid.centers[k], grid.width)
-        if sums is not None:
-            sums[k] = np.bincount(row[run], sorted_v[run] * e, z.shape[0])
+        if v is not None:
+            sums_t[:, k] = np.bincount(row[run], sorted_v[run] * e, z.shape[0])
         e *= a[k]
         sorted_act[run] += e
-    act = np.empty_like(sorted_act)
-    act[order] = sorted_act
-    return act.reshape(z.shape), sums
+    act.reshape(-1)[order] = sorted_act
 
 
 def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -161,6 +184,66 @@ def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for lo in range(n, A.shape[-1], n):
         out += np.einsum("...k,...k->...", A[..., lo : lo + n], B[..., lo : lo + n])
     return out
+
+
+def _parts(rows: int, cells_per_row: int) -> int:
+    """Processes for split_rows: one per CPU this process may run on, each with at least SPLIT_CELLS cells."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), rows * cells_per_row // SPLIT_CELLS))
+
+
+def split_rows(n: int, fn, outs: tuple, cells_per_row: int) -> None:
+    """Fill rows 0..n-1 of the zeroed arrays outs (rows on axis 0) by fn(lo, hi, dst), a block of rows per process.
+
+    fn writes rows lo..hi-1 of each out into the zeroed arrays dst, which
+    hold those rows alone.  There is one block per CPU this process may run
+    on, each of at least SPLIT_CELLS cells at cells_per_row per row.  The
+    parent computes the first block into outs.  A forked child computes each
+    other block into anonymous shared memory and leaves by os._exit, so it
+    runs no atexit hook and flushes no inherited buffer; the parent reaps
+    every child, then copies its block into outs.  Without os.fork, or where
+    it raises OSError, the parent computes the rows itself.  The split gives
+    the bits of one process only if each row is a function of its own row
+    alone.  A child that fails makes the parent raise RuntimeError.
+    """
+    parts = max(1, min(_parts(n, cells_per_row), n))
+    bounds = [n * i // parts for i in range(parts + 1)]
+    children, failed = [], []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            # zeroed anonymous memory, shared with the child forked next
+            dst = tuple(np.frombuffer(mmap.mmap(-1, (hi - lo) * o[0].nbytes), o.dtype).reshape(hi - lo, *o.shape[1:])
+                        for o in outs)
+            try:
+                pid = os.fork()
+            except OSError:
+                break
+            if pid == 0:  # the child: compute, then leave by os._exit whatever happens
+                code = 1
+                try:
+                    fn(lo, hi, dst)
+                    code = 0
+                except BaseException:
+                    import traceback  # only a failing worker needs it: 0.3 MB at import
+
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(code)
+            children.append((pid, lo, hi, dst))
+        for lo, hi in [(0, bounds[1]), (bounds[len(children) + 1], n)]:
+            if lo < hi:
+                fn(lo, hi, tuple(o[lo:hi] for o in outs))
+    finally:
+        for pid, lo, hi, _ in children:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                failed.append(f"rows {lo}..{hi - 1} (pid {pid}, exit status {code})")
+    if failed:
+        raise RuntimeError(f"split_rows: a worker failed for {'; '.join(failed)}")
+    for _, lo, hi, dst in children:
+        for o, block in zip(outs, dst):
+            o[lo:hi] = block
 
 
 def _draws(seed, n: int, X: np.ndarray):

@@ -56,6 +56,10 @@ _NODES = 64
 # up: 11 at the erfc call (t, sigma, t delta, a, Phi, erfc's values, and its
 # arguments as a list of Python floats at 4 cells each), 6 inside sigma_eval_array.
 _QUAD_TEMPS = 16
+# A node of the quadrature took as long as about 8 bumps of the banded kernel
+# (61 against 8 ns on a 2-core Xeon VM), mostly in its math.erfc call: its
+# work in basis.SPLIT_CELLS' unit.
+_NODE_BUMPS = 8
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # cross_check's bound on |exact - Monte Carlo| in standard errors.  At 4, one
@@ -123,12 +127,17 @@ def expected_max_quadrature(X, sigma, support, knots, b1, b2, scale: float = 1.0
     X = np.asarray(X, dtype=float)
     b1, b2 = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
     r = np.sqrt(basis.row_dot(X, X))
-    out = np.empty(X.shape[0])
+    out = np.zeros(X.shape[0])
     rule = gauss_legendre(_NODES)
     step = max(1, basis.CHUNK_CELLS // (_QUAD_TEMPS * _NODES))
-    for lo in range(0, X.shape[0], step):
-        rows = slice(lo, lo + step)
-        out[rows] = _quadrature_rows(X[rows], r[rows], sigma, support, knots, b1, b2, *rule)
+
+    def block(start, stop, dst):
+        for lo in range(start, stop, step):
+            rows = slice(lo, min(lo + step, stop))
+            got = _quadrature_rows(X[rows], r[rows], sigma, support, knots, b1, b2, *rule)
+            dst[0][lo - start : rows.stop - start] = got
+
+    basis.split_rows(X.shape[0], block, (out,), (8 + len(knots)) * _NODES * _NODE_BUMPS)  # over a row's pieces
     out[r == 0] = sigma(np.zeros(1))[0] * math.sqrt(float((b1 - b2) @ (b1 - b2))) / _SQRT_2PI
     return scale * out
 
@@ -210,7 +219,7 @@ def cross_check(exact, seed, n: int, sigma, b1, b2, scale: float) -> CrossCheck:
     return CrossCheck(samples=n, points=X.shape[0], failures=int(np.sum(z > CHECK_STDERRS)), worst=float(z.max()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: comparing the arrays field by field would raise
 class TargetSpec:
     """Recipe for one synthetic target function.
 
@@ -293,7 +302,7 @@ def calibrate(spec: TargetSpec, n_points: int = 10_000) -> float:
     return 1.0 / mean_abs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity, as for TargetSpec
 class Dataset:
     """Synthetic regression data with its train/test split."""
 

@@ -88,7 +88,8 @@ def kernel_closed(x: np.ndarray, x2: np.ndarray, params: RbfParams) -> float:
     Returns
         h^2 / sqrt(D) * exp(-c^2/2 * (A + A' - 2<x,x2>) / D)
     with A = h^2 + |x|^2, A' = h^2 + |x2|^2 and D = A*A' - <x,x2>^2.
-    Always lies in (0, 1] for finite inputs.
+    Always lies in [0, 1] for finite inputs: 0.0 where the value underflows
+    (below about 1e-308, e.g. far apart points of a narrow width).
     """
     x, x2 = _validate_pair(x, x2)
     c, h = params.center, params.width

@@ -52,7 +52,7 @@ class FeatureBank:
         object.__setattr__(self, "weights", draw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: comparing the arrays field by field would raise
 class RflafModel:
     """Feature bank, activation grid, and the two learnable weight vectors."""
 
@@ -83,7 +83,7 @@ BASELINE_ACTIVATIONS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity, as for RflafModel
 class BaselineRfModel:
     """Fixed-activation random feature model used for comparisons."""
 

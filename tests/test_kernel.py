@@ -80,6 +80,8 @@ class TestKernelClosed:
             params = RbfParams(center=rng.uniform(-2, 2), width=rng.uniform(0.3, 2))
             v = kernel_closed(x, x2, params)
             assert 0.0 < v <= 1.0
+        # the value here is below the smallest double, so it underflows to 0.0: the range is [0, 1]
+        assert kernel_closed(np.array([1.0756]), np.array([-1.2681]), RbfParams(center=1.968, width=0.0501)) == 0.0
 
     @pytest.mark.parametrize("d", [1, 2, 5, 16])
     def test_symmetry_machine_precision(self, d):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rflaf import basis
 from rflaf.basis import ActivationGrid, banded_activation, build_grid, bumps
+from rflaf.data import Dataset, TargetSpec
 from rflaf.model import (
     BASELINE_ACTIVATIONS,
     BaselineRfModel,
@@ -393,6 +394,20 @@ class TestValidation:
             RflafModel(bank=bank, grid=grid, a=np.zeros(4), v=np.zeros(2))
         with pytest.raises(ValueError):
             RflafModel(bank=bank, grid=grid, a=np.array([np.nan] * 4), v=np.zeros(3))
+
+    def test_records_with_array_fields_compare_by_identity(self):
+        # comparing the array fields field by field would raise "truth value of an array is ambiguous"
+        def build():
+            bank = sample_features(2, 3, seed=9)
+            return [
+                RflafModel(bank=bank, grid=build_grid(-1.0, 1.0, 4, 0.2), a=np.ones(4), v=np.ones(3)),
+                BaselineRfModel(bank=bank, activation_kind="relu", v=np.ones(3)),
+                TargetSpec(sigma_kind="s1", b1=[1.0, 0.0], b2=[0.0, 1.0]),
+                Dataset(X=np.zeros((2, 2)), y=np.zeros(2), train_idx=np.array([0]), test_idx=np.array([1])),
+            ]
+
+        for first, second in zip(build(), build()):
+            assert first == first and first != second and len({first, second}) == 2
 
     def test_bank_is_its_seed(self):
         bank = FeatureBank(dim=2, n_features=4, seed=3)

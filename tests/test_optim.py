@@ -1,6 +1,8 @@
 """Objective, analytic gradients, Adam, and the training loop."""
 
 import math
+import mmap
+import os
 
 import numpy as np
 import pytest
@@ -217,18 +219,32 @@ class TestBandedGrad:
 
     def test_evaluates_one_window_per_cell(self, monkeypatch):
         # every pre-activation meets exactly its band_width centers, clipped
-        # windows past both ends of the support included
+        # windows past both ends of the support included, in whichever
+        # process split_rows runs its row: each process counts into its own
+        # slot of shared memory, slot 0 the parent and slot i its i-th fork
         rng = np.random.default_rng(18)
         model, X, y = _banded_instance(rng, m=300, n=64)
-        cells = []
+        slot, forks, fork = [0], [0], os.fork
+
+        def forking():
+            forks[0] += 1
+            pid = fork()
+            if pid == 0:
+                slot[0] = forks[0]
+            return pid
 
         def counting(u, c, h):
-            cells.append(u.size)
+            cells[slot[0]] += u.size
             return bumps(u, c, h)
 
+        monkeypatch.setattr(os, "fork", forking)
         monkeypatch.setattr(basis, "bumps", counting)
-        grad(model, X, y, PLAIN)
-        assert sum(cells) == 64 * 300 * 37
+        for parts in (1, 2, 3):
+            cells, forks[0] = np.frombuffer(mmap.mmap(-1, 8 * 8), dtype=np.int64), 0
+            monkeypatch.setattr(basis, "_parts", lambda rows, cells_per_row: parts)
+            grad(model, X, y, PLAIN)
+            assert forks[0] == parts - 1 and np.all(cells[:parts] > 0)
+            assert cells.sum() == 64 * 300 * 37
 
     def test_repeat_calls_byte_identical(self):
         rng = np.random.default_rng(15)
