@@ -80,15 +80,19 @@ class ActivationGrid:
         return self.support_hi - self.support_lo
 
     @property
-    def band_width(self) -> int:
-        """Centers evaluated per point by banded_activation.
+    def reach(self) -> int:
+        """Cells from a point's cell to the farthest center banded_activation evaluates for it.
 
         Each center lies in its own partition cell, so every center more than
         ceil(sqrt(2 * BAND_CUTOFF) h / spacing) cells from a point's cell is at
         least sqrt(2 * BAND_CUTOFF) h away from it.
         """
-        reach = math.ceil(math.sqrt(2.0 * BAND_CUTOFF) * self.width / self.spacing)
-        return min(self.n_basis, 2 * reach + 1)
+        return math.ceil(math.sqrt(2.0 * BAND_CUTOFF) * self.width / self.spacing)
+
+    @property
+    def band_width(self) -> int:
+        """At most this many centers are evaluated per point by banded_activation: those within reach."""
+        return min(self.n_basis, 2 * self.reach + 1)
 
 
 def build_grid(support_lo: float, support_hi: float, n_basis: int, width: float) -> ActivationGrid:
@@ -116,19 +120,24 @@ def banded_activation(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """act = sum_k a_k exp(-(z - c_k)^2 / (2 h^2)) at each entry of z, over its band; with v, also H.
 
-    Each entry (cell) of z meets the W = grid.band_width centers of its
-    window, which starts s = z's cell - W // 2 clipped to [0, N - W], so
-    every center left out contributes at most exp(-BAND_CUTOFF) times its
-    weight; with W = N the window is the whole grid.  A NaN or infinite z
-    still gets a window inside the grid.
+    Each entry (cell) of z in partition cell i = floor((z - lo) / spacing)
+    meets the centers k with |k - i| <= R = grid.reach, at most
+    grid.band_width of them: every center left out is at least
+    sqrt(2 BAND_CUTOFF) h away and contributes at most exp(-BAND_CUTOFF)
+    times its weight, and every bump evaluated is within (R + 1) spacings of
+    its point, so no exponent is below -(R + 1)^2 spacing^2 / (2 h^2) (-45.1
+    at N=200, h=0.04 on [-2, 2]).  A cell more than R cells past either end
+    of the grid, an infinite one included, meets no center and gets exactly
+    0; a NaN counts as cell 0, so NaN in gives NaN out.
 
-    Center-major: the cells are stably sorted by s on a small unsigned key
-    (numpy radix-sorts keys of up to 16 bits), so the cells whose window
-    holds center k, s in [k - W + 1, k], are one contiguous run.  Each
-    center with a nonempty run evaluates bumps on that run alone, and adds
-    a_k times them into act, in increasing k: each cell's sum runs in a
-    fixed order over its own window, whatever the other cells.  Given the
-    (P, M) z of P rows and the M weights v, H is the (N, P) sums
+    Center-major: the cells are stably sorted by their cell index, clipped
+    to [-R - 1, N + R] and shifted to a small unsigned key (numpy
+    radix-sorts keys of up to 16 bits), so the cells that center k reaches,
+    cell index in [k - R, k + R], are one contiguous run.  Each center with
+    a nonempty run evaluates bumps on that run alone, and adds a_k times
+    them into act, in increasing k: each cell's sum runs in a fixed order
+    over its own centers, whatever the other cells.  Given the (P, M) z of
+    P rows and the M weights v, H is the (N, P) sums
     H[k, p] = sum_m v_m exp(-(z[p, m] - c_k)^2 / (2 h^2)), else None.  So
     each row of act and column of H is a function of its row of z alone,
     and split_rows splits a 2-D z's rows across processes.
@@ -148,14 +157,15 @@ def banded_activation(
 
 def _banded_rows(grid: ActivationGrid, a, z, v, act, sums_t=None) -> None:
     """banded_activation on z, written into act (C-contiguous) and, with v, sums_t (H transposed), both zeroed."""
-    w, n = grid.band_width, grid.n_basis
+    n, reach = grid.n_basis, grid.reach
     cells = z.reshape(-1)
-    s = np.floor((cells - grid.support_lo) / grid.spacing)
-    s = np.fmin(np.fmax(s - (w // 2), 0.0), n - w).astype(np.min_scalar_type(n - w))
-    order = np.argsort(s, kind="stable")
-    first = np.searchsorted(s[order], np.arange(n - w + 2))
-    ks = np.arange(n)
-    lo, hi = first[np.fmax(ks - w + 1, 0)], first[np.fmin(ks, n - w) + 1]
+    i = np.nan_to_num(np.floor((cells - grid.support_lo) / grid.spacing), copy=False, nan=0.0)
+    key_type = np.min_scalar_type(n + 2 * reach + 1)
+    key = (np.clip(i, -reach - 1, n + reach, out=i) + (reach + 1)).astype(key_type)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    ks = np.arange(1, n + 1, dtype=key_type)  # center k reaches the keys ks[k] = k + 1 .. k + 2 R + 1
+    lo, hi = np.searchsorted(key, ks), np.searchsorted(key, ks + 2 * reach, "right")
     sorted_z = cells[order]
     sorted_act = np.zeros(cells.shape[0])
     if v is not None:

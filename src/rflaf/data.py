@@ -50,15 +50,22 @@ SIGMA_KNOTS = {kind: tuple(sorted({e for piece in pieces for e in piece[:2]})) f
 
 # The quadrature covers |t| <= 9: the Gaussian mass beyond is below 1e-18.
 _T_MAX = 9.0
-# Gauss-Legendre nodes per piece: 256 agree with 64 within 1e-11 (tests/test_data.py).
-_NODES = 64
+# Gauss-Legendre nodes per piece: 256 agree with 32 within 1e-11
+# (tests/test_data.py; 7.7e-13 at worst over 3,000 of its random draws).  32
+# are enough only with the fixed piece ends at t = +-3: without them the
+# same draws reached 4.4e-11 on a full-line bump sigma.
+_NODES = 32
 # Float (rows, nodes) arrays alive at once in one quadrature piece, rounded
 # up: 11 at the erfc call (t, sigma, t delta, a, Phi, erfc's values, and its
-# arguments as a list of Python floats at 4 cells each), 6 inside sigma_eval_array.
+# arguments as a list of Python floats at 4 cells each), 6 inside
+# sigma_eval_array.  So a chunk of CHUNK_CELLS // (_QUAD_TEMPS * _NODES)
+# rows, 512 at 32 nodes, keeps each piece's temporaries within CHUNK_CELLS.
 _QUAD_TEMPS = 16
-# A node of the quadrature took as long as about 8 bumps of the banded kernel
-# (61 against 8 ns on a 2-core Xeon VM), mostly in its math.erfc call: its
-# work in basis.SPLIT_CELLS' unit.
+# A node as the row split counts them (each of a row's 10 + len(knots)
+# pieces at _NODES nodes, empty pieces included) took 31-56 ns over 10,000
+# Gaussian rows of s1, s2 and s3 on a 2-core Xeon VM, much of it in its
+# math.erfc call, against 8 ns per bump of the banded kernel with H: 4-7
+# bumps, rounded up to give its work in basis.SPLIT_CELLS' unit.
 _NODE_BUMPS = 8
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -117,8 +124,9 @@ def expected_max_quadrature(X, sigma, support, knots, b1, b2, scale: float = 1.0
     a = t delta / theta and beta2 = b2.u, or max(t beta1, t beta2) when
     theta = 0.  That is integrated against sigma(|x| t) phi(t) over |t| <= 9
     with the _NODES-point Gauss-Legendre rule on each piece between sigma's
-    knots (at z = |x| t), t = 0 and t = +-{1, 4, 16} theta/|delta|, where
-    E[max | t] bends sharply as theta/|delta| shrinks.  At x = 0 the value is
+    knots (at z = |x| t), t = 0, t = +-3, where phi(t) turns from its
+    bulk to its tails, and t = +-{1, 4, 16} theta/|delta|, where E[max | t]
+    bends sharply as theta/|delta| shrinks.  At x = 0 the value is
     scale sigma(0) |b1 - b2| / sqrt(2 pi).
 
     sigma maps an array of z, which it may overwrite, to sigma(z); it must
@@ -137,7 +145,7 @@ def expected_max_quadrature(X, sigma, support, knots, b1, b2, scale: float = 1.0
             got = _quadrature_rows(X[rows], r[rows], sigma, support, knots, b1, b2, *rule)
             dst[0][lo - start : rows.stop - start] = got
 
-    basis.split_rows(X.shape[0], block, (out,), (8 + len(knots)) * _NODES * _NODE_BUMPS)  # over a row's pieces
+    basis.split_rows(X.shape[0], block, (out,), (10 + len(knots)) * _NODES * _NODE_BUMPS)  # over a row's pieces
     out[r == 0] = sigma(np.zeros(1))[0] * math.sqrt(float((b1 - b2) @ (b1 - b2))) / _SQRT_2PI
     return scale * out
 
@@ -154,7 +162,8 @@ def _quadrature_rows(X, r, sigma, support, knots, b1, b2, xs, ws) -> np.ndarray:
     bend = np.divide(theta, np.abs(delta), out=np.full_like(theta, np.inf), where=delta != 0)
     t_lo = np.maximum(support[0] / r, -_T_MAX)
     t_hi = np.maximum(np.minimum(support[1] / r, _T_MAX), t_lo)
-    ends = [t_lo, t_hi, np.zeros_like(r), *(k * bend for k in (-16, -4, -1, 1, 4, 16)), *(c / r for c in knots)]
+    ends = [t_lo, t_hi, *(np.full_like(r, t) for t in (-3.0, 0.0, 3.0))]
+    ends += [*(k * bend for k in (-16, -4, -1, 1, 4, 16)), *(c / r for c in knots)]
     ends = np.sort(np.clip(np.column_stack(ends), t_lo[:, None], t_hi[:, None]), axis=1)
     params = np.column_stack([r, delta, slope, theta, beta2])
     acc = np.zeros(X.shape[0])

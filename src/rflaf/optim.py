@@ -14,9 +14,10 @@ and gradient reductions run in fixed index order.
 predict_batch is model.forward_batch, the one forward pass, and the
 objective and its gradient run over the same row chunks
 (model.forward_chunks) of the one banded kernel, basis.banded_activation:
-each pre-activation meets only the grid.band_width centers within reach,
-37 of 200 at the shipped geometry (N=200, h=0.04), and every bump left out
-is below exp(-BAND_CUTOFF) ~ 4e-18 of its weight.  The kernel also sums
+each pre-activation meets only the centers within grid.reach cells of its
+own, at most grid.band_width, 37 of 200 at the shipped geometry (N=200,
+h=0.04), and none once it lies more than the reach past the support; every
+bump left out is below exp(-BAND_CUTOFF) ~ 4e-18 of its weight.  The kernel also sums
 each center's bumps per row, H[k, p] = sum_m v_m B_k(w_m . x_p), so the
 weight gradient is H times the residuals.
 """

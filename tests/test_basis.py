@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -109,19 +110,30 @@ class TestRbfFeatures:
             assert act1[0, 0] == act[i, 0] and np.array_equal(sums1[:, 0], sums[:, i])
 
 
+def _reach(grid):
+    """Cells from a point's cell to the farthest center within sqrt(2 BAND_CUTOFF) h: the band's reach rule."""
+    return math.ceil(math.sqrt(2.0 * BAND_CUTOFF) * grid.width / grid.spacing)
+
+
+def _cells(grid, z):
+    """Partition cell index floor((z - lo) / spacing) of each point of z."""
+    return np.floor((np.asarray(z, dtype=float) - grid.support_lo) / grid.spacing)
+
+
 class TestBandedBumps:
     def test_window_holds_every_bump_above_cutoff(self, monkeypatch):
         grid = build_grid(-2.0, 2.0, 200, 0.04)
-        # every cell boundary and midpoint, past both ends of the support
+        reach = _reach(grid)
+        # every cell boundary and midpoint, past both ends of the support and past the reach
         z = np.linspace(-3.0, 3.0, 601)
-        windows = _windows(monkeypatch, grid, z)
-        starts = np.array([w[0] for w in windows])
-        assert all(w == list(range(s, s + 37)) for s, w in zip(starts, windows))
-        assert starts.min() == 0 and starts.max() == 200 - 37
+        want = [list(range(max(i - reach, 0), min(i + reach + 1, 200))) for i in _cells(grid, z).astype(int)]
+        assert reach == 18 and [] in want
+        assert _windows(monkeypatch, grid, z) == want
         _, sums = banded_activation(grid, np.zeros(200), z[:, None], np.ones(1))
         dense = _dense(grid, z)
         inside = np.zeros(dense.shape, dtype=bool)
-        inside[np.arange(601)[:, None], starts[:, None] + np.arange(37)] = True
+        for p, window in enumerate(want):
+            inside[p, window] = True
         np.testing.assert_allclose(sums.T[inside], dense[inside], rtol=0, atol=1e-14)
         assert np.all(sums.T[~inside] == 0.0) and dense[~inside].max() <= math.exp(-BAND_CUTOFF)
 
@@ -133,12 +145,15 @@ class TestBandedBumps:
         np.testing.assert_allclose(sums.T, _dense(grid, z), rtol=0, atol=1e-14)
 
     def test_non_finite_inputs_stay_in_range(self, monkeypatch):
+        # NaN counts as cell 0 and meets centers 0 .. reach; an infinite input is past the reach and meets none
         grid = build_grid(-2.0, 2.0, 200, 0.04)
+        reach = _reach(grid)
         z = np.array([np.nan, np.inf, -np.inf])
-        assert [w[0] for w in _windows(monkeypatch, grid, z)] == [0, 200 - 37, 0]
+        assert _windows(monkeypatch, grid, z) == [list(range(reach + 1)), [], []]
         act, sums = banded_activation(grid, np.ones(200), z[:, None], np.ones(1))
         assert np.isnan(act[0, 0]) and np.all(act[1:] == 0.0)
-        assert np.all(np.isnan(sums[:37, 0])) and np.all(sums[37:, 0] == 0.0) and np.all(sums[:, 1:] == 0.0)
+        assert np.all(np.isnan(sums[: reach + 1, 0])) and np.all(sums[reach + 1 :, 0] == 0.0)
+        assert np.all(sums[:, 1:] == 0.0)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -161,6 +176,41 @@ class TestBandedBumps:
         assert np.all(np.abs(act - terms.sum(axis=1)) <= bound)
         act = banded_activation(grid, a, np.array([np.nan, np.inf, -np.inf]))[0]
         assert np.isnan(act[0]) and np.array_equal(act[1:], [0.0, 0.0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 400),
+        h_over_spacing=st.floats(0.05, 40.0),
+        lo=st.floats(-10.0, 10.0),
+        length=st.floats(0.01, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_evaluates_no_bump_past_the_reach(self, n, h_over_spacing, lo, length, seed):
+        # no exponent below -(reach + 1)^2 spacing^2 / (2 h^2), so np.exp never meets its slow
+        # path below -708 at the shipped geometry (-45.1 there); a cell past the reach gets 0 from no bump
+        grid = build_grid(lo, lo + length, n, h_over_spacing * length / n)
+        reach = _reach(grid)
+        rng = np.random.default_rng(seed)
+        near = rng.uniform(lo - 2.0 * length, lo + 3.0 * length, 64)
+        edges = lo + grid.spacing * np.array([-reach - 1.5, -reach - 0.5, -reach + 0.5, n + reach - 0.5, n + reach + 0.5])
+        far = [lo - 1e6 * length, lo + 1e6 * length, -1e300, 1e300, np.inf, -np.inf]
+        z = np.concatenate([near, edges, grid.centers[rng.integers(0, n, 8)], far])
+        exponents, evaluated = [], []
+
+        def recording(u, c, h):
+            evaluated.append(u.copy())
+            exponents.append(np.square(u - c) * (-1.0 / (2.0 * h * h)))
+            return bumps(u, c, h)
+
+        with mock.patch.object(basis, "bumps", recording):
+            act = banded_activation(grid, np.ones(n), z)[0]
+        # the cell index and the centers round by a few ulps of the support's ends, the exponent by a few of its own
+        far_end = (reach + 1) * grid.spacing + 8.0 * np.spacing(max(abs(lo), abs(lo + length)))
+        assert min(e.min() for e in exponents) >= -(far_end**2) / (2.0 * grid.width**2) * (1.0 + 1e-12)
+        cells = _cells(grid, z)
+        past = (cells < -reach) | (cells >= n + reach)
+        assert past[-6:].all() and np.all(act[past] == 0.0)
+        assert not np.isin(z[past], np.concatenate(evaluated)).any()
 
 
 class TestEvalActivation:

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rflaf import basis, data
@@ -141,11 +141,12 @@ class TestTargetEval:
     def test_rows_independent_past_one_chunk(self):
         # each label is a function of its own row alone, whatever else is in the batch
         spec = _spec(mc=5000)
-        X = np.random.default_rng(21).standard_normal((300, 2))
-        assert X.shape[0] > basis.CHUNK_CELLS // (data._QUAD_TEMPS * data._NODES)
+        chunk = basis.CHUNK_CELLS // (data._QUAD_TEMPS * data._NODES)
+        n = chunk + chunk // 4
+        X = np.random.default_rng(21).standard_normal((n, 2))
         sampler = TargetSampler(spec)
         batch = sampler.means(X)
-        assert [i for i in range(300) if batch[i] != sampler.means(X[i : i + 1])[0]] == []
+        assert [i for i in range(n) if batch[i] != sampler.means(X[i : i + 1])[0]] == []
         assert np.array_equal(sampler.means(X[1:]), batch[1:])
 
     @pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
@@ -185,6 +186,9 @@ class TestQuadrature:
         assert np.max(np.abs(w - ref_w)) <= 1e-14
 
     @settings(max_examples=150, deadline=None)
+    # the worst of 3,000 draws of this distribution: 7.7e-13 at 32 nodes, 2.2e-13 at 64 without the ends at t = +-3
+    @example(kind="bump", d=2, seed=1661854037, log_r=2.454186424181991, log_tilt=-7.0298064956139275,
+             c=-1.2747826063599375, h=0.22145210795941267)
     @given(
         kind=st.sampled_from(["s1", "s2", "s3", "bump"]),
         d=st.sampled_from([1, 2, 3, 5]),
@@ -194,7 +198,7 @@ class TestQuadrature:
         c=st.floats(-2.0, 2.0),
         h=st.floats(0.2, 2.0),
     )
-    def test_64_nodes_match_256(self, kind, d, seed, log_r, log_tilt, c, h):
+    def test_32_nodes_match_256(self, kind, d, seed, log_r, log_tilt, c, h):
         rng = np.random.default_rng(seed)
         b1, b2 = rng.uniform(-3.0, 3.0, d), rng.uniform(-3.0, 3.0, d)
         db = b1 - b2
@@ -203,10 +207,11 @@ class TestQuadrature:
         X = np.stack([near, rng.standard_normal(d), np.zeros(d)])
         X[:2] *= math.exp(log_r) / np.linalg.norm(X[:2], axis=1, keepdims=True)
         sigma, support, knots = _bump_sigma(c, h) if kind == "bump" else _kind_sigma(kind)
-        f64 = expected_max_quadrature(X, sigma, support, knots, b1, b2)
+        assert data._NODES == 32
+        f32 = expected_max_quadrature(X, sigma, support, knots, b1, b2)
         with mock.patch.object(data, "_NODES", 256):
             f256 = expected_max_quadrature(X, sigma, support, knots, b1, b2)
-        assert np.all(np.abs(f64 - f256) <= 1e-11 * np.maximum(1.0, np.abs(f256)))
+        assert np.all(np.abs(f32 - f256) <= 1e-11 * np.maximum(1.0, np.abs(f256)))
 
     @pytest.mark.parametrize("kind", ["s1", "s2", "s3", "bump"])
     def test_origin(self, kind):

@@ -209,8 +209,8 @@ class TestForwardBatch:
                 assert out.shape == (0,) and out.dtype == np.float64
 
     def test_non_finite_inputs(self):
-        # the shipped geometry, where each window is clipped into the grid: a
-        # NaN pre-activation gives a NaN output, an infinite one only zero bumps
+        # the shipped geometry: a NaN pre-activation gives a NaN output, an
+        # infinite one meets no center
         rng = np.random.default_rng(35)
         model = _random_model(rng, dim=2, m=300, n_basis=200, width=0.04)
         X = np.array([[np.nan, 0.0], [np.inf, 0.0], [-np.inf, 0.0], [1e308, 1e308], [0.3, -0.2]])
@@ -236,7 +236,7 @@ class TestForwardBatch:
 
     def test_predict_batch_agrees(self):
         # The second case is the shipped geometry (N=200, h=0.04), where each
-        # pre-activation is evaluated against a 37-center band; rows scaled by
+        # pre-activation is evaluated against at most 37 centers; rows scaled by
         # 4 put pre-activations past both ends of the support [-2, 2].
         for seed, n_basis, width, scale in [(33, 7, 0.5, 1.0), (34, 200, 0.04, 4.0)]:
             rng = np.random.default_rng(seed)

@@ -167,10 +167,10 @@ class TestGrad:
 
 
 def _banded_instance(rng, m, n, min_abs_a=0.05):
-    """Shipped grid geometry (N=200, h=0.04 on [-2, 2]): a 37-center band.
+    """Shipped grid geometry (N=200, h=0.04 on [-2, 2]): a band of at most 37 centers.
 
     Inputs are scaled so that pre-activations fall past both ends of the
-    support, where the band is clipped to the first or last 37 centers.
+    support, where the band holds only the centers within reach, or none.
     """
     bank = sample_features(2, m, seed=int(rng.integers(2**31)))
     grid = build_grid(-2.0, 2.0, 200, 0.04)
@@ -203,7 +203,7 @@ class TestBandedGrad:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_window_starts_past_16_bits(self):
-        # 70,000 centers: window starts up to N - W = 69,841 need a 32-bit key,
+        # 70,000 centers: cell keys up to N + 2 reach + 1 = 70,159 need a 32-bit key,
         # and 4 rows of 10 features reach at most 40 * 159 of the centers
         rng = np.random.default_rng(16)
         grid = build_grid(-2.0, 2.0, 70_000, 0.0005)
@@ -218,12 +218,17 @@ class TestBandedGrad:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_evaluates_one_window_per_cell(self, monkeypatch):
-        # every pre-activation meets exactly its band_width centers, clipped
-        # windows past both ends of the support included, in whichever
+        # every pre-activation in cell i meets exactly the centers of [i - reach, i + reach]
+        # within [0, N), none past the reach beyond either end of the support, in whichever
         # process split_rows runs its row: each process counts into its own
         # slot of shared memory, slot 0 the parent and slot i its i-th fork
         rng = np.random.default_rng(18)
         model, X, y = _banded_instance(rng, m=300, n=64)
+        grid = model.grid
+        reach = math.ceil(math.sqrt(2.0 * basis.BAND_CUTOFF) * grid.width / grid.spacing)
+        cell = np.floor((np.einsum("pd,md->pm", X, model.bank.weights) - grid.support_lo) / grid.spacing)
+        want = np.maximum(np.minimum(cell + reach, 199) - np.maximum(cell - reach, 0) + 1, 0).sum()
+        assert reach == 18 and 0 < want < 64 * 300 * 37
         slot, forks, fork = [0], [0], os.fork
 
         def forking():
@@ -244,7 +249,7 @@ class TestBandedGrad:
             monkeypatch.setattr(basis, "_parts", lambda rows, cells_per_row: parts)
             grad(model, X, y, PLAIN)
             assert forks[0] == parts - 1 and np.all(cells[:parts] > 0)
-            assert cells.sum() == 64 * 300 * 37
+            assert cells.sum() == want
 
     def test_repeat_calls_byte_identical(self):
         rng = np.random.default_rng(15)
