@@ -35,6 +35,9 @@ CHUNK_CELLS = 1 << 18
 # loop first ran faster split in two at about 20 ms of work.
 SPLIT_CELLS = 1 << 20
 
+# Draws per block of mc_mean, the unit split_rows hands to a worker.
+MC_BLOCK = 1 << 17
+
 __all__ = [
     "ActivationGrid",
     "build_grid",
@@ -256,12 +259,14 @@ def split_rows(n: int, fn, outs: tuple, cells_per_row: int) -> None:
             o[lo:hi] = block
 
 
-def _draws(seed, n: int, X: np.ndarray):
-    """The n draws w ~ N(0, I) of default_rng(seed), in chunks of CHUNK_CELLS // (rows + dim of X)."""
-    rng = np.random.default_rng(seed)
+def _draws(seed, n: int, X: np.ndarray, blocks):
+    """(b, w) for each chunk of CHUNK_CELLS // (rows + dim of X) draws w ~ N(0, I) of mc_mean's blocks b of n."""
     step = max(1, CHUNK_CELLS // (X.shape[0] + X.shape[1]))
-    for lo in range(0, n, step):
-        yield rng.standard_normal((min(step, n - lo), X.shape[1]))
+    for b in blocks:
+        rng = np.random.Generator(np.random.PCG64(seed).jumped(b))
+        size = min(MC_BLOCK, n - b * MC_BLOCK)
+        for lo in range(0, size, step):
+            yield b, rng.standard_normal((min(step, size - lo), X.shape[1]))
 
 
 def _mean_stderr(total: np.ndarray, squares: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -272,22 +277,31 @@ def _mean_stderr(total: np.ndarray, squares: np.ndarray, n: int) -> tuple[np.nda
 def mc_mean(seed, n: int, X: np.ndarray, sigma, v) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo mean and standard error of v(w) sigma(w.x) at each row x of X, over n draws w ~ N(0, I).
 
-    The draws come from default_rng(seed) and stream in chunks of
-    CHUNK_CELLS // (rows + dim of X), so the temporaries stay that size
-    whatever n and the dimension; the Generator stream is sequential, so the
-    chunking does not change the values drawn.  v maps a (draws, dim) block
-    of w to its (draws,) values; sigma maps the (draws, rows) block of w.x,
-    which it may overwrite, to sigma(w.x).  A row whose sum of squares is
-    below 2^-970 but whose sum is not 0 takes its standard error from
-    _scaled_stderr.
+    Draws b MC_BLOCK .. (b + 1) MC_BLOCK - 1 (block b) come from
+    Generator(PCG64(seed).jumped(b)), so n <= MC_BLOCK draws are those of
+    default_rng(seed).  A block streams in chunks of
+    CHUNK_CELLS // (rows + dim of X), which do not change the values drawn,
+    so the temporaries stay that size whatever n and the dimension, and sums
+    them with np.einsum in chunk order.  split_rows spreads the blocks over processes and the block sums
+    are added in block order, so the values depend on neither the process
+    count nor the BLAS threads.  v maps a (draws, dim) block of w to its
+    (draws,) values; sigma maps the (draws, rows) block of w.x, which it may
+    overwrite, to sigma(w.x).  A row whose sum of squares is below 2^-970
+    but whose sum is not 0 takes its standard error from _scaled_stderr.
     """
-    total, squares = np.zeros(X.shape[0]), np.zeros(X.shape[0])
-    for w in _draws(seed, n, X):
-        vw = v(w)
-        e = sigma(w @ X.T)
-        total += vw @ e
-        e *= e
-        squares += (vw * vw) @ e
+    blocks = -(-n // MC_BLOCK)
+    sums = np.zeros((blocks, 2, X.shape[0]))  # each block's (total, squares)
+
+    def block(lo, hi, dst):
+        for b, w in _draws(seed, n, X, range(lo, hi)):
+            vw = v(w)
+            e = sigma(w @ X.T)
+            dst[0][b - lo, 0] += np.einsum("n,nr->r", vw, e)
+            e *= e
+            dst[0][b - lo, 1] += np.einsum("n,nr->r", vw * vw, e)
+
+    split_rows(blocks, block, (sums,), MC_BLOCK * (X.shape[0] + X.shape[1]))
+    total, squares = sums.cumsum(axis=0)[-1]  # cumsum adds the blocks in block order
     mean, stderr = _mean_stderr(total, squares, n)
     low = np.flatnonzero((squares < 2.0**-970) & (total != 0))
     if low.size:
@@ -296,11 +310,11 @@ def mc_mean(seed, n: int, X: np.ndarray, sigma, v) -> tuple[np.ndarray, np.ndarr
 
 
 def _scaled_stderr(seed, n: int, X: np.ndarray, sigma, v) -> np.ndarray:
-    """mc_mean's standard error from the values v(w) sigma(w.x) times 2^768, an exact scaling.  On the
-    rows mc_mean sends, each |value| is 0 or in [2^-1074, 2^-485) (unless v or sigma alone passes 2^500),
+    """mc_mean's standard error from its draws' values v(w) sigma(w.x) times 2^768, an exact scaling.  On
+    the rows mc_mean sends, each |value| is 0 or in [2^-1074, 2^-485) (unless v or sigma alone passes 2^500),
     so each scaled square is normal, where the value's own square would round to 0 or lose bits."""
     total, squares = np.zeros(X.shape[0]), np.zeros(X.shape[0])
-    for w in _draws(seed, n, X):
+    for _, w in _draws(seed, n, X, range(-(-n // MC_BLOCK))):
         p = np.ldexp(sigma(w @ X.T) * v(w)[:, None], 768)
         total += p.sum(axis=0)
         squares += (p * p).sum(axis=0)

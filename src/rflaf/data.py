@@ -146,7 +146,7 @@ def expected_max_quadrature(X, sigma, support, knots, b1, b2, scale: float = 1.0
             dst[0][lo - start : rows.stop - start] = got
 
     basis.split_rows(X.shape[0], block, (out,), (10 + len(knots)) * _NODES * _NODE_BUMPS)  # over a row's pieces
-    out[r == 0] = sigma(np.zeros(1))[0] * math.sqrt(float((b1 - b2) @ (b1 - b2))) / _SQRT_2PI
+    out[r == 0] = sigma(np.zeros(1))[0] * math.sqrt(float(basis.row_dot(b1 - b2, b1 - b2))) / _SQRT_2PI
     return scale * out
 
 
@@ -194,8 +194,8 @@ def _quadrature_rows(X, r, sigma, support, knots, b1, b2, xs, ws) -> np.ndarray:
 def mc_expected_max(seed, n: int, X: np.ndarray, sigma, b1, b2, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo mean and standard error of scale * sigma(w.x) max(b1.w, b2.w) at each row x of X.
 
-    basis.mc_mean over n draws w ~ N(0, I) from default_rng(seed), in chunks
-    of basis.CHUNK_CELLS cells; sigma is as in expected_max_quadrature.
+    basis.mc_mean over n draws w ~ N(0, I) in blocks of seed's jumped streams,
+    the first default_rng(seed)'s; sigma is as in expected_max_quadrature.
     """
     return basis.mc_mean(seed, n, X, sigma, lambda w: scale * np.maximum(w @ b1, w @ b2))
 
@@ -286,7 +286,7 @@ class TargetSampler:
         return expected_max_quadrature(X, s.sigma, (knots[0], knots[-1]), knots, s.b1, s.b2, s.calib)
 
     def cross_check(self) -> CrossCheck:
-        """means against spec.mc_samples draws from default_rng(spec.seed) at the check points."""
+        """means against spec.mc_samples draws from mc_mean's block stream of spec.seed at the check points."""
         s = self.spec
         return cross_check(self.means, s.seed, s.mc_samples, s.sigma, s.b1, s.b2, s.calib)
 

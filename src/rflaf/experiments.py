@@ -247,12 +247,13 @@ def _activation_tables(out_dir: str, grid: basis.ActivationGrid, a: np.ndarray, 
     scale = corr = None
     if spec is not None:
         learned, true_vals = curves["learned"], spec.sigma(zs)
-        denom = float(learned @ learned)
-        scale = float(learned @ true_vals) / denom if denom > 0 else 0.0
+        dot = basis.row_dot
+        denom = float(dot(learned, learned))
+        scale = float(dot(learned, true_vals)) / denom if denom > 0 else 0.0
         curves.update(true=true_vals, aligned=scale * learned)
         uc, wc = curves["aligned"] - curves["aligned"].mean(), true_vals - true_vals.mean()
-        denom = math.sqrt(float(uc @ uc) * float(wc @ wc))  # Pearson correlation of aligned and true
-        corr = float(uc @ wc) / denom if scale != 0 and denom != 0 else 0.0
+        denom = math.sqrt(float(dot(uc, uc)) * float(dot(wc, wc)))  # Pearson correlation of aligned and true
+        corr = float(dot(uc, wc)) / denom if scale != 0 and denom != 0 else 0.0
     for name, values in curves.items():
         _write_table(out_dir, f"activation_{name}.txt", ["z", "activation"], zip(zs, values))
     return scale, corr

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import bumps, mc_mean
+from .basis import bumps, mc_mean, row_dot
 
 __all__ = [
     "RbfParams",
@@ -94,9 +94,9 @@ def kernel_closed(x: np.ndarray, x2: np.ndarray, params: RbfParams) -> float:
     x, x2 = _validate_pair(x, x2)
     c, h = params.center, params.width
     h2 = h * h
-    a1 = h2 + float(x @ x)
-    a2 = h2 + float(x2 @ x2)
-    dot = float(x @ x2)
+    a1 = h2 + float(row_dot(x, x))
+    a2 = h2 + float(row_dot(x2, x2))
+    dot = float(row_dot(x, x2))
     denom = a1 * a2 - dot * dot
     # Cauchy-Schwarz plus h > 0 makes denom >= h^4 + h^2(|x|^2+|x2|^2) > 0.
     if denom <= 0:
@@ -125,20 +125,23 @@ def kernel_mc(
     samples: int,
     seed: int,
 ) -> McEstimate:
-    """Monte-Carlo estimate of the kernel over w ~ N(0, I_d): basis.mc_mean
-    of B(w.x) B(w.x2) over samples draws from default_rng(seed).
+    """Monte-Carlo estimate of the kernel over w ~ N(0, I_d), drawn in the span of x and x2.
 
-    Deterministic for a fixed seed.  stderr is the sample standard
-    deviation of the integrand divided by sqrt(samples).
+    With [x x2] = Q R, Q of min(d, 2) orthonormal columns, (w.x, w.x2) is
+    (g.R[:, 0], g.R[:, 1]) for g = Q^T w ~ N(0, I_min(d,2)), exactly in law,
+    x = 0 and parallel pairs included: basis.mc_mean of B(g.R[:, 0])
+    B(g.R[:, 1]) over samples draws g, fixed by seed.  stderr is the sample
+    standard deviation of the integrand divided by sqrt(samples).
     """
     x, x2 = _validate_pair(x, x2)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
+    r = np.linalg.qr(np.stack([x, x2], axis=1), mode="r")
 
     def bump(z):
         return bumps(z, params.center, params.width)
 
-    mean, stderr = mc_mean(seed, samples, x2[None], bump, lambda w: bump(w @ x))
+    mean, stderr = mc_mean(seed, samples, r[:, 1:].T, bump, lambda g: bump(g @ r[:, 0]))
     return McEstimate(mean=float(mean[0]), stderr=float(stderr[0]), samples=samples)
 
 

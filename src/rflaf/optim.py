@@ -185,14 +185,14 @@ def _loss_and_grad(
     sq_resid = 0.0
     for rows, act, h, pred in forward_chunks(model, X, sums=True):
         resid = pred - y[rows]
-        sq_resid += float(resid @ resid)
-        g_v += resid @ act
+        sq_resid += float(row_dot(resid, resid))
+        g_v += np.einsum("p,pm->m", resid, act)
         # d(pred_p)/d(a_k) = H[k, p] / M
         g_a += row_dot(h, resid)
     scale = 2.0 / (n * m)
     g_a *= scale
     g_v *= scale
-    gap = float(model.a @ model.a) - float(model.v @ model.v)
+    gap = float(row_dot(model.a, model.a)) - float(row_dot(model.v, model.v))
     balance = cfg.lambda1 * gap * gap
     l1 = cfg.lambda2 * float(np.sum(np.abs(model.a)))
     g_a += 4.0 * cfg.lambda1 * gap * model.a + cfg.lambda2 * np.sign(model.a)
@@ -282,7 +282,7 @@ def _adam_loop(params, dataset: Dataset, cfg: TrainConfig, seed: int, loss_and_g
             sums += idx.shape[0] * np.array([lb.total, lb.mse, lb.balance, lb.l1])
             seen += idx.shape[0]
         test_resid = predict_test(params) - y_test
-        test_mse = float(test_resid @ test_resid) / max(1, y_test.shape[0])
+        test_mse = float(row_dot(test_resid, test_resid)) / max(1, y_test.shape[0])
         history.append(EpochStats(epoch, *(sums / seen), test_mse=test_mse))
     return params, history
 
@@ -316,9 +316,9 @@ def train_baseline(
 
     def loss_and_grad(v, idx, yb):
         pb = phi_train[idx]
-        resid = pb @ v / m - yb
-        mse = float(resid @ resid) / idx.shape[0]
-        g_v = (2.0 / (idx.shape[0] * m)) * (resid @ pb)
+        resid = row_dot(pb, v) / m - yb
+        mse = float(row_dot(resid, resid)) / idx.shape[0]
+        g_v = (2.0 / (idx.shape[0] * m)) * np.einsum("p,pm->m", resid, pb)
         return LossBreakdown(mse=mse, balance=0.0, l1=0.0, total=mse), g_v
 
     v, history = _adam_loop(model.v.copy(), dataset, cfg, seed, loss_and_grad, lambda v: row_dot(phi_test, v) / m)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -308,12 +309,14 @@ def _expected_max_case(bump):
 
 
 def _kernel_case(bump):
-    """kernel.kernel_mc on one pair in 3 dims: chunks of 64 // (1 + 3) = 16 draws, v's bump before sigma's."""
+    """kernel.kernel_mc on one pair in 3 dims, drawn in their 2-dim span: chunks of 64 // (1 + 2) = 21 draws,
+    v's bump before sigma's."""
     x, x2 = np.random.default_rng(12).standard_normal((2, 3))
     est = kernel.kernel_mc(x, x2, RbfParams(0.5, 0.8), 50, 99)
-    w = np.random.default_rng(99).standard_normal((50, 3))
-    terms = (_gauss(w @ x) * _gauss(w @ x2))[:, None]
-    return np.array([est.mean]), np.array([est.stderr]), terms, [(16,), (16, 1)] * 3 + [(2,), (2, 1)]
+    r = np.linalg.qr(np.stack([x, x2], axis=1), mode="r")
+    g = np.random.default_rng(99).standard_normal((50, 2))
+    terms = (_gauss(g @ r[:, 0]) * _gauss(g @ r[:, 1]))[:, None]
+    return np.array([est.mean]), np.array([est.stderr]), terms, [(21,), (21, 1)] * 2 + [(8,), (8, 1)]
 
 
 class TestMcMean:
@@ -332,6 +335,58 @@ class TestMcMean:
         assert bump_blocks == blocks
         assert np.max(np.abs(mean - terms.mean(axis=0))) <= 1e-14
         assert np.max(np.abs(stderr - terms.std(axis=0, ddof=1) / math.sqrt(50))) <= 1e-14
+
+    def _blocked(self, seed, parts, sigma=None):
+        """mc_mean of 50 draws in blocks of 16 (the last of 2) on 7 rows in 3 dims, split into parts."""
+        rng = np.random.default_rng(12)
+        X, b = rng.standard_normal((7, 3)), rng.standard_normal(3)
+        with mock.patch.object(basis, "MC_BLOCK", 16), mock.patch.object(basis, "_parts", lambda rows, cells: parts):
+            return basis.mc_mean(seed, 50, X, sigma or (lambda u: bumps(u, 0.5, 0.8)), lambda w: w @ b)
+
+    @pytest.mark.parametrize("seed", [5, np.random.SeedSequence([5, 6])], ids=["int", "seed_sequence"])
+    def test_blocks_byte_identical_across_part_counts(self, seed):
+        # 4 blocks over 1, 2 and 3 processes; block b is PCG64(seed) jumped b times
+        got = {tuple(part.tobytes() for part in self._blocked(seed, parts)) for parts in (1, 2, 3)}
+        assert len(got) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        rng = np.random.default_rng(12)
+        X, b = rng.standard_normal((7, 3)), rng.standard_normal(3)
+        w = np.concatenate(
+            [np.random.Generator(np.random.PCG64(seed).jumped(k)).standard_normal((16, 3)) for k in range(4)]
+        )[:50]
+        terms = (w @ b)[:, None] * _gauss(w @ X.T)
+        mean, stderr = self._blocked(seed, 2)
+        assert np.max(np.abs(mean - terms.mean(axis=0))) <= 1e-14
+        assert np.max(np.abs(stderr - terms.std(axis=0, ddof=1) / math.sqrt(50))) <= 1e-14
+
+    @pytest.mark.parametrize("seed", [8, np.random.SeedSequence([8, 9])], ids=["int", "seed_sequence"])
+    def test_one_block_draws_default_rng(self, seed):
+        # n <= MC_BLOCK draws are those of default_rng(seed), whatever the chunking
+        seen = []
+
+        def v(w):
+            seen.append(w.copy())
+            return np.ones(w.shape[0])
+
+        X = np.ones((5, 4))
+        basis.mc_mean(seed, basis.MC_BLOCK, X, np.abs, v)
+        assert len(seen) > 1
+        assert np.array_equal(np.concatenate(seen), np.random.default_rng(seed).standard_normal((basis.MC_BLOCK, 4)))
+
+    def test_failing_worker_raises(self, capfd):
+        parent = os.getpid()
+
+        def sigma(u):
+            if os.getpid() != parent:
+                raise ValueError("sigma in a worker")
+            return np.abs(u)
+
+        with pytest.raises(RuntimeError, match="worker failed"):
+            self._blocked(3, 2, sigma)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert "ValueError: sigma in a worker" in capfd.readouterr().err
 
     def test_stderr_of_values_below_1e_154(self):
         # v scaled by 2^-600 scales each value exactly, so the mean and standard

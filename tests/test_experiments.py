@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from rflaf.experiments import MODES, ConfigError, load_config, parse_config, rat
 from rflaf.kernel import RbfParams
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 
@@ -149,6 +153,21 @@ class TestRunKernelVerify:
         assert len(table1.splitlines()) == 4  # header + 3 trials
         summary = (out1 / "kernel_verify_summary.txt").read_text()
         assert "overall: PASS" in summary
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # every sum over the draws runs in a fixed order, so a BLAS thread count changes no bit
+        config = _write_config(tmp_path, dict(load_config(str(CONFIG_DIR / "kernel_verify.json")), trials=3))
+        tables = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+            out = tmp_path / f"threads_{threads}"
+            argv = [sys.executable, "-m", "rflaf.cli", "kernel-verify", "--config", config, "--out", str(out)]
+            run_ = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+            assert run_.returncode == 0, run_.stderr
+            tables.append((out / "kernel_verify.txt").read_bytes())
+        assert len(tables[0].splitlines()) == 25  # header + 3 trials of 8 settings
+        assert tables[0] == tables[1]
 
     def test_unknown_key_named_in_error(self, tmp_path):
         with pytest.raises(ConfigError, match="bogus"):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rflaf import basis, kernel
+from rflaf.basis import bumps
 from rflaf.data import gauss_legendre
 from rflaf.kernel import (
     RbfParams,
@@ -246,6 +248,38 @@ class TestKernelMc:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             kernel_mc(np.zeros(2), np.zeros(2), UNIT, 1, seed=0)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            lambda x: (np.zeros(3), x),
+            lambda x: (x, 2.0 * x),
+            lambda x: (x, -x),
+            lambda x: (x[:1], x[1:2]),
+            lambda x: tuple(np.random.default_rng(17).standard_normal((2, 100)) / 5.0),
+        ],
+        ids=["x_zero", "x2_twice_x", "x2_minus_x", "d_1", "d_100"],
+    )
+    def test_span_draws_match_closed_form_at_the_edges(self, pair):
+        # the 2-dim span of the pair loses nothing: a zero, a parallel or a 1-dim pair included
+        x, x2 = pair(np.array([0.8, -0.5, 0.3]))
+        est = kernel_mc(x, x2, SHIFTED, 100_000, seed=11)
+        assert est.stderr > 0
+        assert abs(kernel_closed(x, x2, SHIFTED) - est.mean) <= 4.0 * est.stderr
+
+    def test_draws_live_in_the_span_at_d_100(self, monkeypatch):
+        # chunks of CHUNK_CELLS // (1 row + 2 dims) draws, not // (1 + 100): the draws are (n, 2)
+        shapes = []
+
+        def bump(u, c, h):
+            shapes.append(u.shape)
+            return bumps(u, c, h)
+
+        monkeypatch.setattr(kernel, "bumps", bump)
+        x, x2 = np.random.default_rng(17).standard_normal((2, 100))
+        kernel_mc(x, x2, UNIT, 100_000, seed=11)
+        step = basis.CHUNK_CELLS // 3
+        assert shapes == [(step,), (step, 1), (100_000 - step,), (100_000 - step, 1)]
 
 
 class TestTaylorDerivs:

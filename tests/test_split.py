@@ -1,4 +1,4 @@
-"""split_rows: row blocks across forked workers give the bits of one process."""
+"""split_rows: row blocks, and mc_mean's blocks of draws, across forked workers give the bits of one process."""
 
 import os
 import subprocess
@@ -145,10 +145,17 @@ class TestSplitRows:
             print("unflushed line")
             grid = basis.build_grid(-2.0, 2.0, 40, 0.1)
             z = np.linspace(-3.0, 3.0, 90).reshape(9, 10)
+            def mc():
+                return basis.mc_mean(4, 50, z[:, :3], np.abs, lambda w: w[:, 0])
+
             with mock.patch.object(basis, "_parts", lambda rows, cells_per_row: 3):
                 split = basis.banded_activation(grid, np.ones(40), z, np.ones(10))
+                with mock.patch.object(basis, "MC_BLOCK", 16):
+                    split_mc = mc()
             one = basis.banded_activation(grid, np.ones(40), z, np.ones(10))
-            assert all(s.tobytes() == o.tobytes() for s, o in zip(split, one))
+            with mock.patch.object(basis, "MC_BLOCK", 16):
+                one_mc = mc()
+            assert all(s.tobytes() == o.tobytes() for s, o in zip(split + split_mc, one + one_mc))
             """
         )
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # keep the line in stdout's buffer
