@@ -8,9 +8,11 @@ the target activation sampled at the centers.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +30,9 @@ BAND_CUTOFF = 40.0
 # peak memory.
 CHUNK_CELLS = 1 << 18
 
-# Fewest cells of work per process of split_rows, in bumps of the banded
-# kernel or their time.  On a 2-core Xeon VM, forking a worker from a 70 MB
+# Fewest cells of work per process, in bumps or their time: of split_rows
+# (the target quadrature and mc_mean) and of a banded_activation call inside
+# kernel_workers.  On a 2-core Xeon VM, forking a worker from a 70 MB
 # process, letting it exit and reaping it took 2.3-2.5 ms, plus the
 # copy-on-write faults that follow, and 2^20 bumps took about 8 ms; either
 # loop first ran faster split in two at about 20 ms of work.
@@ -43,6 +46,7 @@ __all__ = [
     "build_grid",
     "bumps",
     "banded_activation",
+    "kernel_workers",
     "row_dot",
     "split_rows",
     "mc_mean",
@@ -142,24 +146,23 @@ def banded_activation(
     over its own centers, whatever the other cells.  Given the (P, M) z of
     P rows and the M weights v, H is the (N, P) sums
     H[k, p] = sum_m v_m exp(-(z[p, m] - c_k)^2 / (2 h^2)), else None.  So
-    each row of act and column of H is a function of its row of z alone,
-    and split_rows splits a 2-D z's rows across processes.
+    each row of act and column of H is a function of its row of z alone:
+    inside kernel_workers a 2-D z's rows are split across its workers, and
+    elsewhere this process computes every row.
     """
     act = np.zeros(z.shape)
     sums = None if v is None else np.zeros((grid.n_basis, z.shape[0]))
-    if z.ndim == 2:
-
-        def block(lo, hi, dst):
-            _banded_rows(grid, a, z[lo:hi], v, *dst)
-
-        split_rows(z.shape[0], block, (act,) if sums is None else (act, sums.T), z.shape[1] * grid.band_width)
+    sums_t = None if sums is None else sums.T
+    pool = _workers
+    if pool is not None and pool.serves(grid, z):
+        pool.run(a, z, v, act, sums_t)
     else:
-        _banded_rows(grid, a, z, v, act)
+        _banded_rows(grid, a, z, v, act, sums_t)
     return act, sums
 
 
 def _banded_rows(grid: ActivationGrid, a, z, v, act, sums_t=None) -> None:
-    """banded_activation on z, written into act (C-contiguous) and, with v, sums_t (H transposed), both zeroed."""
+    """banded_activation on z, written into act (C-contiguous) and, with v, sums_t (H transposed, zeroed)."""
     n, reach = grid.n_basis, grid.reach
     cells = z.reshape(-1)
     i = np.nan_to_num(np.floor((cells - grid.support_lo) / grid.spacing), copy=False, nan=0.0)
@@ -185,6 +188,147 @@ def _banded_rows(grid: ActivationGrid, a, z, v, act, sums_t=None) -> None:
     act.reshape(-1)[order] = sorted_act
 
 
+class _Workers:
+    """The processes of one kernel_workers scope and the shared memory they compute in.
+
+    Anonymous shared memory, mapped before the fork, holds a call's z rows,
+    a and v, and the act and H rows the workers write: at most the rows of
+    the largest chunk model.forward_chunks makes, CHUNK_CELLS // (M + N).
+    """
+
+    def __init__(self, grid: ActivationGrid, n_features: int):
+        self.grid, self.m = grid, n_features
+        self.rows = max(1, CHUNK_CELLS // (n_features + grid.n_basis))
+
+        def shared(*shape):
+            return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), float).reshape(shape)
+
+        self.z, self.act, self.sums = shared(self.rows, self.m), shared(self.rows, self.m), shared(grid.n_basis, self.rows)
+        self.a, self.v = shared(grid.n_basis), shared(self.m)
+        self.procs = []  # (pid, request pipe, answer pipe) per worker
+        self.thread = threading.get_ident()  # the shared memory serves one call at a time
+
+    def fork(self, count: int) -> None:
+        """Fork up to count workers; where os.fork raises OSError, stop at those forked so far."""
+        for _ in range(count):
+            req_r, req_w = os.pipe()
+            ans_r, ans_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (req_r, req_w, ans_r, ans_w):
+                    os.close(fd)
+                return
+            if pid == 0:  # the worker drops the parent's pipe ends, so it reads EOF once the parent closes them
+                for fd in (req_w, ans_r, *(fd for _, w, r in self.procs for fd in (w, r))):
+                    os.close(fd)
+                self._serve(req_r, ans_w)
+            os.close(req_r)
+            os.close(ans_w)
+            self.procs.append((pid, req_w, ans_r))
+
+    def _serve(self, req: int, ans: int) -> None:
+        """A worker's loop: compute each row range read from req, answer one byte, leave by os._exit at EOF."""
+        code = 1
+        try:
+            while msg := os.read(req, 24):
+                lo, hi, with_v = np.frombuffer(msg, np.int64).tolist()
+                self.sums[:, lo:hi] = 0.0
+                v = self.v if with_v else None
+                _banded_rows(self.grid, self.a, self.z[lo:hi], v, self.act[lo:hi], self.sums[:, lo:hi].T)
+                os.write(ans, b"\0")
+            code = 0
+        except BaseException:
+            import traceback  # only a failing worker needs it: 0.3 MB at import
+
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(code)
+
+    def serves(self, grid: ActivationGrid, z: np.ndarray) -> bool:
+        """Whether a banded_activation call fits the shared memory, from the thread that opened the scope."""
+        fits = z.ndim == 2 and grid == self.grid and z.shape[1] == self.m and z.shape[0] <= self.rows
+        return fits and threading.get_ident() == self.thread
+
+    def run(self, a, z, v, act, sums_t) -> None:
+        """_banded_rows on z in blocks of rows: the first here, one on each of as many workers as _parts allows."""
+        n = z.shape[0]
+        parts = max(1, min(len(self.procs) + 1, _parts(n, self.m * self.grid.band_width), n))
+        bounds = [n * i // parts for i in range(parts + 1)]
+        blocks = list(zip(self.procs, bounds[1:-1], bounds[2:]))
+        self.a[:] = a
+        if v is not None:
+            self.v[:] = v
+        sent, failed = [], []
+        try:
+            for (pid, req, ans), lo, hi in blocks:
+                self.z[lo:hi] = z[lo:hi]
+                try:
+                    os.write(req, np.array([lo, hi, v is not None], np.int64).tobytes())
+                    sent.append((pid, ans, lo, hi))
+                except OSError:  # a dead worker's pipe
+                    failed.append((pid, lo, hi))
+            top = bounds[1]
+            _banded_rows(self.grid, a, z[:top], v, act[:top], None if sums_t is None else sums_t[:top])
+        finally:
+            for pid, ans, lo, hi in sent:
+                if os.read(ans, 1) != b"\0":  # EOF: the worker has left
+                    failed.append((pid, lo, hi))
+        if failed:
+            codes = self.close()  # the scope's later calls run in this process alone
+            rows = "; ".join(f"rows {lo}..{hi - 1} (pid {pid}, exit status {codes[pid]})" for pid, lo, hi in failed)
+            raise RuntimeError(f"kernel_workers: a worker failed for {rows}")
+        for _, lo, hi in blocks:
+            act[lo:hi] = self.act[lo:hi]
+            if sums_t is not None:
+                sums_t[lo:hi] = self.sums[:, lo:hi].T
+
+    def close(self) -> dict:
+        """Close each request pipe, so each worker reads EOF and leaves, and reap them; their exit codes by pid."""
+        for _, req, _ in self.procs:
+            os.close(req)
+        codes = {}
+        for pid, _, ans in self.procs:
+            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(ans)
+        self.procs = []
+        return codes
+
+
+_workers: _Workers | None = None  # the open kernel_workers scope's
+
+
+@contextlib.contextmanager
+def kernel_workers(grid: ActivationGrid, n_features: int):
+    """Scope in which banded_activation splits the rows of a 2-D z over workers forked once, on entry.
+
+    It forks one worker per CPU past the first that _parts allows for the
+    largest chunk of model.forward_chunks (none without os.fork, or inside
+    another scope).  A call from this thread on grid, with n_features
+    columns and at most that chunk's rows, sends _parts(rows, ...) - 1
+    workers a row range over a pipe and computes the first block itself
+    meanwhile; each worker answers one byte, and the parent copies its rows
+    from shared memory.  Other calls, and every call after a worker has
+    failed, run in the calling thread alone.
+    A worker that dies or raises makes the call raise RuntimeError naming
+    its rows.  Workers run no BLAS and leave by os._exit, so they run no
+    atexit hook and flush no inherited buffer; on exit, by an exception
+    too, the scope closes the pipes and reaps every worker.
+    """
+    global _workers
+    if _workers is not None:
+        yield
+        return
+    pool = _Workers(grid, n_features)
+    try:
+        pool.fork(_parts(pool.rows, n_features * grid.band_width) - 1)
+        _workers = pool
+        yield
+    finally:
+        _workers = None
+        pool.close()
+
+
 def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """sum_k A[..., k] B[..., k] per row (B may be one row), each a function of its own row alone.
 
@@ -200,7 +344,8 @@ def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _parts(rows: int, cells_per_row: int) -> int:
-    """Processes for split_rows: one per CPU this process may run on, each with at least SPLIT_CELLS cells."""
+    """Processes for split_rows or a kernel_workers call: one per CPU this process may run on, each with at
+    least SPLIT_CELLS cells."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), rows * cells_per_row // SPLIT_CELLS))
@@ -209,7 +354,10 @@ def _parts(rows: int, cells_per_row: int) -> int:
 def split_rows(n: int, fn, outs: tuple, cells_per_row: int) -> None:
     """Fill rows 0..n-1 of the zeroed arrays outs (rows on axis 0) by fn(lo, hi, dst), a block of rows per process.
 
-    fn writes rows lo..hi-1 of each out into the zeroed arrays dst, which
+    It serves one-shot calls of 0.1-0.2 s, which amortize a fork: the
+    target quadrature's rows and mc_mean's blocks of draws.  (The banded
+    kernel's calls are too short; they split inside kernel_workers.)  fn
+    writes rows lo..hi-1 of each out into the zeroed arrays dst, which
     hold those rows alone.  There is one block per CPU this process may run
     on, each of at least SPLIT_CELLS cells at cells_per_row per row.  The
     parent computes the first block into outs.  A forked child computes each

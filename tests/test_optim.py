@@ -220,7 +220,7 @@ class TestBandedGrad:
     def test_evaluates_one_window_per_cell(self, monkeypatch):
         # every pre-activation in cell i meets exactly the centers of [i - reach, i + reach]
         # within [0, N), none past the reach beyond either end of the support, in whichever
-        # process split_rows runs its row: each process counts into its own
+        # process of basis.kernel_workers runs its row: each process counts into its own
         # slot of shared memory, slot 0 the parent and slot i its i-th fork
         rng = np.random.default_rng(18)
         model, X, y = _banded_instance(rng, m=300, n=64)
@@ -247,7 +247,8 @@ class TestBandedGrad:
         for parts in (1, 2, 3):
             cells, forks[0] = np.frombuffer(mmap.mmap(-1, 8 * 8), dtype=np.int64), 0
             monkeypatch.setattr(basis, "_parts", lambda rows, cells_per_row: parts)
-            grad(model, X, y, PLAIN)
+            with basis.kernel_workers(grid, 300):
+                grad(model, X, y, PLAIN)
             assert forks[0] == parts - 1 and np.all(cells[:parts] > 0)
             assert cells.sum() == want
 

@@ -1,9 +1,12 @@
-"""split_rows: row blocks, and mc_mean's blocks of draws, across forked workers give the bits of one process."""
+"""Row blocks across forked workers give the bits of one process: split_rows (the quadrature's rows and
+mc_mean's blocks of draws) and the banded kernel inside kernel_workers."""
 
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -12,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rflaf import basis, data
-from rflaf.basis import banded_activation, build_grid, split_rows
-from rflaf.data import expected_max_quadrature
+from rflaf import basis, data, optim
+from rflaf.basis import banded_activation, build_grid, kernel_workers, split_rows
+from rflaf.data import Dataset, expected_max_quadrature
 from rflaf.model import RflafModel, sample_features
-from rflaf.optim import TrainConfig, grad, predict_batch
+from rflaf.optim import TrainConfig, grad, predict_batch, train
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -41,6 +44,20 @@ def _no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test that waits on a worker for over 60 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("waited over 60 s on a kernel worker")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 class TestSplitRows:
     @settings(max_examples=20, deadline=None)
     @given(rows=ROWS, m=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
@@ -51,7 +68,7 @@ class TestSplitRows:
         z = _with_non_finite(rng, rng.uniform(-3.0, 3.0, (rows, m)))
         got = set()
         for parts in (1, 2, 3):
-            with _parts(parts):
+            with _parts(parts), kernel_workers(grid, m):
                 act, sums = banded_activation(grid, a, z, v)
                 bare, none = banded_activation(grid, a, z)
             assert none is None and bare.tobytes() == act.tobytes()
@@ -88,9 +105,10 @@ class TestSplitRows:
         cfg = TrainConfig(lambda1=1e-2, lambda2=1e-3)
         got = set()
         for parts in (1, 2, 3):
-            with _parts(parts):
+            with _parts(parts), kernel_workers(grid, 300):
                 got.add(tuple(g.tobytes() for g in (*grad(model, X, y, cfg), predict_batch(model, X))))
         assert len(got) == 1
+        _no_children_left()
 
     def test_fork_failure_runs_every_row_here(self):
         def fn(lo, hi, dst):
@@ -139,7 +157,8 @@ class TestSplitRows:
             import atexit
             from unittest import mock
             import numpy as np
-            from rflaf import basis
+            from rflaf import basis, data, optim
+            from rflaf.model import sample_features
 
             atexit.register(print, "atexit marker")
             print("unflushed line")
@@ -148,14 +167,26 @@ class TestSplitRows:
             def mc():
                 return basis.mc_mean(4, 50, z[:, :3], np.abs, lambda w: w[:, 0])
 
+            def fit():
+                rng = np.random.default_rng(5)
+                X, y = rng.standard_normal((90, 2)), rng.standard_normal(90)
+                ds = data.Dataset(X, y, np.arange(70), np.arange(70, 90))
+                model = optim.new_rflaf_model(sample_features(2, 10, 6), grid, 7)
+                trained, history = optim.train(model, ds, optim.TrainConfig(epochs=2, batch_size=32), 8)
+                return trained.a, trained.v, np.array([h.test_mse for h in history])
+
             with mock.patch.object(basis, "_parts", lambda rows, cells_per_row: 3):
-                split = basis.banded_activation(grid, np.ones(40), z, np.ones(10))
+                with basis.kernel_workers(grid, 10):
+                    split = basis.banded_activation(grid, np.ones(40), z, np.ones(10))
                 with mock.patch.object(basis, "MC_BLOCK", 16):
                     split_mc = mc()
+                split_fit = fit()
             one = basis.banded_activation(grid, np.ones(40), z, np.ones(10))
             with mock.patch.object(basis, "MC_BLOCK", 16):
                 one_mc = mc()
-            assert all(s.tobytes() == o.tobytes() for s, o in zip(split + split_mc, one + one_mc))
+            one_fit = fit()
+            pairs = zip(split + split_mc + split_fit, one + one_mc + one_fit)
+            assert all(s.tobytes() == o.tobytes() for s, o in pairs)
             """
         )
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # keep the line in stdout's buffer
@@ -163,3 +194,152 @@ class TestSplitRows:
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.count("unflushed line") == 1 and run.stdout.count("atexit marker") == 1
+
+
+def _fit_case(rows=700):
+    """Shipped geometry (N = 200, M = 300): a model and a dataset whose train split ends in a short batch."""
+    rng = np.random.default_rng(41)
+    model = optim.new_rflaf_model(sample_features(2, 300, seed=42), build_grid(-2.0, 2.0, 200, 0.04), 43)
+    X = 2.0 * rng.standard_normal((rows, 2))
+    y = np.abs(X[:, 0]) - X[:, 1] + 0.1 * rng.standard_normal(rows)
+    split = rng.permutation(rows)
+    return model, Dataset(X, y, split[: rows * 4 // 5], split[rows * 4 // 5 :])
+
+
+def _fit_bytes(model, dataset, epochs=2):
+    trained, history = train(model, dataset, TrainConfig(learning_rate=1e-2, epochs=epochs), 44)
+    return trained.a.tobytes(), trained.v.tobytes(), repr(history)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestKernelWorkers:
+    def test_train_byte_identical_to_serial(self):
+        model, dataset = _fit_case()
+        serial = _fit_bytes(model, dataset)
+        for parts in (1, 2, 3):
+            with _parts(parts):
+                assert _fit_bytes(model, dataset) == serial
+            _no_children_left()
+
+    def test_forks_once_per_train(self, monkeypatch):
+        model, dataset = _fit_case()
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        with _parts(3):
+            _fit_bytes(model, dataset)
+        assert len(forks) == 2  # two workers for the whole run, not two per call
+
+    def test_calls_outside_the_scope_or_its_geometry_run_here(self):
+        model, dataset = _fit_case()
+        X, y = dataset.X[:300], dataset.y[:300]
+        z = X @ model.bank.weights.T
+        with _parts(3), mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+            grad(model, X, y, TrainConfig())
+            predict_batch(model, X)
+        split = mock.patch.object(basis._Workers, "run", side_effect=AssertionError("split"))
+        with _parts(3), kernel_workers(model.grid, 300), split:
+            banded_activation(build_grid(-2.0, 2.0, 100, 0.04), np.ones(100), z)  # another grid
+            banded_activation(model.grid, model.a, z[:, :299])  # another width
+            banded_activation(model.grid, model.a, np.tile(z, (2, 1)))  # 600 rows, past the shared 524
+            basis.activation_curve(model.grid, model.a, np.linspace(-3.0, 3.0, 50))
+        _no_children_left()
+
+    def test_serves_only_the_thread_that_opened_it(self):
+        grid = build_grid(-2.0, 2.0, 60, 0.05)
+        z = np.zeros((10, 20))
+        with _parts(2), kernel_workers(grid, 20):
+            elsewhere = []
+            thread = threading.Thread(target=lambda: elsewhere.append(basis._workers.serves(grid, z)))
+            thread.start()
+            thread.join(60)
+            assert not thread.is_alive() and elsewhere == [False]
+            assert basis._workers.serves(grid, z)
+
+    def test_without_fork_train_runs_here(self, monkeypatch):
+        model, dataset = _fit_case()
+        with _parts(2):
+            split = _fit_bytes(model, dataset)
+        monkeypatch.delattr(os, "fork")
+        assert _fit_bytes(model, dataset) == split
+
+    def test_killed_worker_raises_naming_its_rows(self, monkeypatch):
+        model, dataset = _fit_case()
+        steps, adam_step = [0], optim.adam_step
+
+        def kill_after_first_step(*args):
+            steps[0] += 1
+            if steps[0] == 1:
+                pid = basis._workers.procs[-1][0]
+                os.kill(pid, signal.SIGKILL)
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+            return adam_step(*args)
+
+        monkeypatch.setattr(optim, "adam_step", kill_after_first_step)
+        with _parts(3), pytest.raises(RuntimeError, match=r"rows 170\.\.255 \(pid \d+, exit status -9\)") as err:
+            _fit_bytes(model, dataset)
+        assert not isinstance(err.value.__context__, BrokenPipeError)
+        assert steps[0] == 1
+        _no_children_left()
+
+    def test_failing_worker_raises_and_leaves_no_child(self, monkeypatch, capfd):
+        model, dataset = _fit_case()
+        parent, banded_rows = os.getpid(), basis._banded_rows
+
+        def failing_in_workers(*args):
+            if os.getpid() != parent:
+                raise ValueError("worker rows")
+            return banded_rows(*args)
+
+        monkeypatch.setattr(basis, "_banded_rows", failing_in_workers)
+        with _parts(3), pytest.raises(RuntimeError, match=r"rows 85\.\.169 .*exit status 1.*rows 170\.\.255 "):
+            _fit_bytes(model, dataset)
+        _no_children_left()
+        assert "ValueError: worker rows" in capfd.readouterr().err
+
+    def test_failing_parent_rows_reap_every_worker(self, monkeypatch):
+        model, dataset = _fit_case()
+        parent, banded_rows = os.getpid(), basis._banded_rows
+
+        def failing_here(*args):
+            if os.getpid() == parent:
+                raise ValueError("parent rows")
+            return banded_rows(*args)
+
+        monkeypatch.setattr(basis, "_banded_rows", failing_here)
+        with _parts(3), pytest.raises(ValueError, match="parent rows"):
+            _fit_bytes(model, dataset)
+        _no_children_left()
+
+    def test_failure_anywhere_in_train_reaps_every_worker(self, monkeypatch):
+        model, dataset = _fit_case()
+        monkeypatch.setattr(optim, "adam_step", mock.Mock(side_effect=ValueError("adam")))
+        with _parts(3), pytest.raises(ValueError, match="adam"):
+            _fit_bytes(model, dataset)
+        _no_children_left()
+
+    def test_calls_in_one_scope_keep_nothing_from_the_last(self):
+        # a center that some worker rows reach in one call and none in the next
+        grid = build_grid(-2.0, 2.0, 60, 0.05)
+        rng = np.random.default_rng(46)
+        a, v = rng.standard_normal(60), rng.standard_normal(20)
+        zs = [_with_non_finite(rng, rng.uniform(-3.0, 3.0, (50, 20))), rng.uniform(0.0, 0.2, (40, 20))]
+        zs += [zs[0], zs[1][:7], rng.uniform(-0.5, 0.5, (3, 20)), zs[0][:0]]
+        want = [banded_activation(grid, a, z, vv) for z in zs for vv in (v, None)]
+        with _parts(3), kernel_workers(grid, 20):
+            got = [banded_activation(grid, a, z, vv) for z in zs for vv in (v, None)]
+        for (g_act, g_sums), (w_act, w_sums) in zip(got, want):
+            assert g_act.tobytes() == w_act.tobytes()
+            assert (g_sums is None and w_sums is None) or g_sums.tobytes() == w_sums.tobytes()
+
+    def test_calls_after_a_failure_run_here(self):
+        grid = build_grid(-2.0, 2.0, 60, 0.05)
+        rng = np.random.default_rng(45)
+        a, v, z = rng.standard_normal(60), rng.standard_normal(20), rng.uniform(-3.0, 3.0, (50, 20))
+        want = banded_activation(grid, a, z, v)
+        with _parts(2), kernel_workers(grid, 20):
+            os.kill(basis._workers.procs[0][0], signal.SIGKILL)
+            with pytest.raises(RuntimeError, match=r"rows 25\.\.49 "):
+                banded_activation(grid, a, z, v)
+            _no_children_left()
+            got = banded_activation(grid, a, z, v)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
