@@ -30,9 +30,10 @@ BAND_CUTOFF = 40.0
 # peak memory.
 CHUNK_CELLS = 1 << 18
 
-# Fewest cells of work per process, in bumps or their time: of split_rows
-# (the target quadrature and mc_mean) and of a banded_activation call inside
-# kernel_workers.  On a 2-core Xeon VM, forking a worker from a 70 MB
+# Fewest cells of work per process, in bumps or their time, of each split
+# over _Workers: a split_rows call (the target quadrature and mc_mean), which
+# forks its workers, and a banded_activation call inside kernel_workers, whose
+# workers run already.  On a 2-core Xeon VM, forking a worker from a 70 MB
 # process, letting it exit and reaping it took 2.3-2.5 ms, plus the
 # copy-on-write faults that follow, and 2^20 bumps took about 8 ms; either
 # loop first ran faster split in two at about 20 ms of work.
@@ -189,7 +190,94 @@ def _banded_rows(grid: ActivationGrid, a, z, v, act, sums_t=None) -> None:
 
 
 class _Workers:
-    """The processes of one kernel_workers scope and the shared memory they compute in.
+    """Processes forked once, each computing serve(lo, hi, flag) on every row range it reads from its pipe.
+
+    The process protocol of split_rows and kernel_workers.  A worker inherits
+    serve and the anonymous shared memory it writes (mapped before the fork),
+    answers one byte per range, and leaves by os._exit when its pipe closes,
+    with the traceback on stderr if serve raised: it runs no atexit hook and
+    flushes no inherited buffer.
+    """
+
+    def __init__(self):
+        self.procs = []  # (pid, request pipe as an unbuffered file, answer pipe) per worker
+
+    def fork(self, serve, count: int) -> None:
+        """Fork up to count workers running serve; where os.fork raises OSError, stop at those forked so far."""
+        for _ in range(count):
+            req_r, req_w = os.pipe()
+            ans_r, ans_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (req_r, req_w, ans_r, ans_w):
+                    os.close(fd)
+                return
+            if pid == 0:  # the worker drops the parent's pipe ends, so it reads EOF once the parent closes them
+                for fd in (req_w, ans_r, *(fd for _, w, r in self.procs for fd in (w.fileno(), r))):
+                    os.close(fd)
+                code = 1
+                try:
+                    while msg := os.read(req_r, 24):
+                        serve(*np.frombuffer(msg, np.int64).tolist())
+                        os.write(ans_w, b"\0")
+                    code = 0
+                except BaseException:
+                    import traceback  # only a failing worker needs it: 0.3 MB at import
+
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(code)
+            os.close(req_r)
+            os.close(ans_w)
+            self.procs.append((pid, open(req_w, "wb", buffering=0), ans_r))
+
+    def blocks(self, n: int, parts: int) -> list:
+        """(lo, hi) of rows 0..n-1 in at most parts blocks: the first for this process, then one per worker."""
+        parts = max(1, min(len(self.procs) + 1, parts, n))
+        bounds = [n * i // parts for i in range(parts + 1)]
+        return list(zip(bounds, bounds[1:]))
+
+    def run(self, blocks: list, flag: int, here, last: bool = False) -> None:
+        """Send each worker its block of blocks[1:] and flag, compute here(*blocks[0]) meanwhile, and wait for
+        them.  A worker that has left or leaves unanswered makes this close the pool, so later calls run here
+        alone, and raise RuntimeError naming its rows, pid and exit status.  On the pool's last call each
+        worker reads EOF after its block, so it leaves while this process still computes."""
+        sent, failed = [], []
+        try:
+            for (pid, req, ans), (lo, hi) in zip(self.procs, blocks[1:]):
+                try:
+                    req.write(np.array([lo, hi, flag], np.int64).tobytes())
+                    sent.append((pid, ans, lo, hi))
+                except OSError:  # a dead worker's pipe
+                    failed.append((pid, lo, hi))
+            if last:
+                for _, req, _ in self.procs:
+                    req.close()
+            here(*blocks[0])
+        finally:
+            for pid, ans, lo, hi in sent:
+                if os.read(ans, 1) != b"\0":  # EOF: the worker has left
+                    failed.append((pid, lo, hi))
+        if failed:
+            codes = self.close()
+            rows = "; ".join(f"rows {lo}..{hi - 1} (pid {pid}, exit status {codes[pid]})" for pid, lo, hi in failed)
+            raise RuntimeError(f"a row worker failed for {rows}")
+
+    def close(self) -> dict:
+        """Close each request pipe, so each worker reads EOF and leaves, and reap them; their exit codes by pid."""
+        for _, req, _ in self.procs:
+            req.close()
+        codes = {}
+        for pid, _, ans in self.procs:
+            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(ans)
+        self.procs = []
+        return codes
+
+
+class _KernelScope:
+    """The shared memory of one kernel_workers scope and the workers that compute in it.
 
     Anonymous shared memory, mapped before the fork, holds a call's z rows,
     a and v, and the act and H rows the workers write: at most the rows of
@@ -205,45 +293,14 @@ class _Workers:
 
         self.z, self.act, self.sums = shared(self.rows, self.m), shared(self.rows, self.m), shared(grid.n_basis, self.rows)
         self.a, self.v = shared(grid.n_basis), shared(self.m)
-        self.procs = []  # (pid, request pipe, answer pipe) per worker
+        self.pool = _Workers()
         self.thread = threading.get_ident()  # the shared memory serves one call at a time
 
-    def fork(self, count: int) -> None:
-        """Fork up to count workers; where os.fork raises OSError, stop at those forked so far."""
-        for _ in range(count):
-            req_r, req_w = os.pipe()
-            ans_r, ans_w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                for fd in (req_r, req_w, ans_r, ans_w):
-                    os.close(fd)
-                return
-            if pid == 0:  # the worker drops the parent's pipe ends, so it reads EOF once the parent closes them
-                for fd in (req_w, ans_r, *(fd for _, w, r in self.procs for fd in (w, r))):
-                    os.close(fd)
-                self._serve(req_r, ans_w)
-            os.close(req_r)
-            os.close(ans_w)
-            self.procs.append((pid, req_w, ans_r))
-
-    def _serve(self, req: int, ans: int) -> None:
-        """A worker's loop: compute each row range read from req, answer one byte, leave by os._exit at EOF."""
-        code = 1
-        try:
-            while msg := os.read(req, 24):
-                lo, hi, with_v = np.frombuffer(msg, np.int64).tolist()
-                self.sums[:, lo:hi] = 0.0
-                v = self.v if with_v else None
-                _banded_rows(self.grid, self.a, self.z[lo:hi], v, self.act[lo:hi], self.sums[:, lo:hi].T)
-                os.write(ans, b"\0")
-            code = 0
-        except BaseException:
-            import traceback  # only a failing worker needs it: 0.3 MB at import
-
-            os.write(2, traceback.format_exc().encode())
-        finally:
-            os._exit(code)
+    def serve(self, lo: int, hi: int, with_v: int) -> None:
+        """A worker's part of a call: _banded_rows on rows lo..hi-1 of the shared memory."""
+        self.sums[:, lo:hi] = 0.0
+        v = self.v if with_v else None
+        _banded_rows(self.grid, self.a, self.z[lo:hi], v, self.act[lo:hi], self.sums[:, lo:hi].T)
 
     def serves(self, grid: ActivationGrid, z: np.ndarray) -> bool:
         """Whether a banded_activation call fits the shared memory, from the thread that opened the scope."""
@@ -252,50 +309,21 @@ class _Workers:
 
     def run(self, a, z, v, act, sums_t) -> None:
         """_banded_rows on z in blocks of rows: the first here, one on each of as many workers as _parts allows."""
-        n = z.shape[0]
-        parts = max(1, min(len(self.procs) + 1, _parts(n, self.m * self.grid.band_width), n))
-        bounds = [n * i // parts for i in range(parts + 1)]
-        blocks = list(zip(self.procs, bounds[1:-1], bounds[2:]))
+        blocks = self.pool.blocks(z.shape[0], _parts(z.shape[0], self.m * self.grid.band_width))
         self.a[:] = a
         if v is not None:
             self.v[:] = v
-        sent, failed = [], []
-        try:
-            for (pid, req, ans), lo, hi in blocks:
-                self.z[lo:hi] = z[lo:hi]
-                try:
-                    os.write(req, np.array([lo, hi, v is not None], np.int64).tobytes())
-                    sent.append((pid, ans, lo, hi))
-                except OSError:  # a dead worker's pipe
-                    failed.append((pid, lo, hi))
-            top = bounds[1]
-            _banded_rows(self.grid, a, z[:top], v, act[:top], None if sums_t is None else sums_t[:top])
-        finally:
-            for pid, ans, lo, hi in sent:
-                if os.read(ans, 1) != b"\0":  # EOF: the worker has left
-                    failed.append((pid, lo, hi))
-        if failed:
-            codes = self.close()  # the scope's later calls run in this process alone
-            rows = "; ".join(f"rows {lo}..{hi - 1} (pid {pid}, exit status {codes[pid]})" for pid, lo, hi in failed)
-            raise RuntimeError(f"kernel_workers: a worker failed for {rows}")
-        for _, lo, hi in blocks:
+        for lo, hi in blocks[1:]:
+            self.z[lo:hi] = z[lo:hi]
+        self.pool.run(blocks, v is not None, lambda lo, hi: _banded_rows(
+            self.grid, a, z[lo:hi], v, act[lo:hi], None if sums_t is None else sums_t[lo:hi]))
+        for lo, hi in blocks[1:]:
             act[lo:hi] = self.act[lo:hi]
             if sums_t is not None:
                 sums_t[lo:hi] = self.sums[:, lo:hi].T
 
-    def close(self) -> dict:
-        """Close each request pipe, so each worker reads EOF and leaves, and reap them; their exit codes by pid."""
-        for _, req, _ in self.procs:
-            os.close(req)
-        codes = {}
-        for pid, _, ans in self.procs:
-            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            os.close(ans)
-        self.procs = []
-        return codes
 
-
-_workers: _Workers | None = None  # the open kernel_workers scope's
+_workers: _KernelScope | None = None  # the open kernel_workers scope
 
 
 @contextlib.contextmanager
@@ -305,28 +333,23 @@ def kernel_workers(grid: ActivationGrid, n_features: int):
     It forks one worker per CPU past the first that _parts allows for the
     largest chunk of model.forward_chunks (none without os.fork, or inside
     another scope).  A call from this thread on grid, with n_features
-    columns and at most that chunk's rows, sends _parts(rows, ...) - 1
-    workers a row range over a pipe and computes the first block itself
-    meanwhile; each worker answers one byte, and the parent copies its rows
-    from shared memory.  Other calls, and every call after a worker has
-    failed, run in the calling thread alone.
-    A worker that dies or raises makes the call raise RuntimeError naming
-    its rows.  Workers run no BLAS and leave by os._exit, so they run no
-    atexit hook and flush no inherited buffer; on exit, by an exception
-    too, the scope closes the pipes and reaps every worker.
+    columns and at most that chunk's rows, runs on _parts(rows, ...) - 1
+    workers and here; other calls, and every call after a worker has failed,
+    run here alone.  Workers run no BLAS.  On exit, by an exception too, the
+    scope reaps every worker.
     """
     global _workers
     if _workers is not None:
         yield
         return
-    pool = _Workers(grid, n_features)
+    scope = _KernelScope(grid, n_features)
     try:
-        pool.fork(_parts(pool.rows, n_features * grid.band_width) - 1)
-        _workers = pool
+        scope.pool.fork(scope.serve, _parts(scope.rows, n_features * grid.band_width) - 1)
+        _workers = scope
         yield
     finally:
         _workers = None
-        pool.close()
+        scope.pool.close()
 
 
 def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -344,8 +367,8 @@ def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _parts(rows: int, cells_per_row: int) -> int:
-    """Processes for split_rows or a kernel_workers call: one per CPU this process may run on, each with at
-    least SPLIT_CELLS cells."""
+    """Processes of a split over _Workers, by split_rows or inside kernel_workers: one per CPU this process
+    may run on, each with at least SPLIT_CELLS cells."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), rows * cells_per_row // SPLIT_CELLS))
@@ -360,51 +383,26 @@ def split_rows(n: int, fn, outs: tuple, cells_per_row: int) -> None:
     writes rows lo..hi-1 of each out into the zeroed arrays dst, which
     hold those rows alone.  There is one block per CPU this process may run
     on, each of at least SPLIT_CELLS cells at cells_per_row per row.  The
-    parent computes the first block into outs.  A forked child computes each
-    other block into anonymous shared memory and leaves by os._exit, so it
-    runs no atexit hook and flushes no inherited buffer; the parent reaps
-    every child, then copies its block into outs.  Without os.fork, or where
-    it raises OSError, the parent computes the rows itself.  The split gives
-    the bits of one process only if each row is a function of its own row
-    alone.  A child that fails makes the parent raise RuntimeError.
+    parent computes the first block into outs; _Workers forked for this call
+    compute the others into zeroed shared copies of outs, which the parent
+    copies in after reaping them.  The split gives the bits of one process
+    only if each row is a function of its own row alone.
     """
     parts = max(1, min(_parts(n, cells_per_row), n))
-    bounds = [n * i // parts for i in range(parts + 1)]
-    children, failed = [], []
+    if parts == 1:
+        fn(0, n, outs)
+        return
+    shared = tuple(np.frombuffer(mmap.mmap(-1, o.nbytes), o.dtype).reshape(o.shape) for o in outs)
+    pool = _Workers()
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            # zeroed anonymous memory, shared with the child forked next
-            dst = tuple(np.frombuffer(mmap.mmap(-1, (hi - lo) * o[0].nbytes), o.dtype).reshape(hi - lo, *o.shape[1:])
-                        for o in outs)
-            try:
-                pid = os.fork()
-            except OSError:
-                break
-            if pid == 0:  # the child: compute, then leave by os._exit whatever happens
-                code = 1
-                try:
-                    fn(lo, hi, dst)
-                    code = 0
-                except BaseException:
-                    import traceback  # only a failing worker needs it: 0.3 MB at import
-
-                    os.write(2, traceback.format_exc().encode())
-                finally:
-                    os._exit(code)
-            children.append((pid, lo, hi, dst))
-        for lo, hi in [(0, bounds[1]), (bounds[len(children) + 1], n)]:
-            if lo < hi:
-                fn(lo, hi, tuple(o[lo:hi] for o in outs))
+        pool.fork(lambda lo, hi, _: fn(lo, hi, tuple(s[lo:hi] for s in shared)), parts - 1)
+        blocks = pool.blocks(n, parts)
+        pool.run(blocks, 0, lambda lo, hi: fn(lo, hi, tuple(o[lo:hi] for o in outs)), last=True)
     finally:
-        for pid, lo, hi, _ in children:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code:
-                failed.append(f"rows {lo}..{hi - 1} (pid {pid}, exit status {code})")
-    if failed:
-        raise RuntimeError(f"split_rows: a worker failed for {'; '.join(failed)}")
-    for _, lo, hi, dst in children:
-        for o, block in zip(outs, dst):
-            o[lo:hi] = block
+        pool.close()
+    for lo, hi in blocks[1:]:
+        for o, s in zip(outs, shared):
+            o[lo:hi] = s[lo:hi]
 
 
 def _draws(seed, n: int, X: np.ndarray, blocks):

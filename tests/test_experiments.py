@@ -131,6 +131,20 @@ def _write_config(tmp_path, payload):
     return str(path)
 
 
+def _bytes_at_blas_threads(tmp_path, mode, payload, names):
+    """For OPENBLAS_NUM_THREADS 1 and 2, the bytes of the files names that `rflaf mode` writes from payload."""
+    config, got = _write_config(tmp_path, payload), []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        out = tmp_path / f"threads_{threads}"
+        argv = [sys.executable, "-m", "rflaf.cli", mode, "--config", config, "--out", str(out)]
+        run_ = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+        assert run_.returncode == 0, run_.stderr
+        got.append([(out / name).read_bytes() for name in names])
+    return got
+
+
 class TestRunKernelVerify:
     def test_stderr_of_estimates_below_1e_154(self, tmp_path):
         # far out at c = 5, h = 0.2, three of the four 100-draw means lie below
@@ -156,16 +170,8 @@ class TestRunKernelVerify:
 
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # every sum over the draws runs in a fixed order, so a BLAS thread count changes no bit
-        config = _write_config(tmp_path, dict(load_config(str(CONFIG_DIR / "kernel_verify.json")), trials=3))
-        tables = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-            out = tmp_path / f"threads_{threads}"
-            argv = [sys.executable, "-m", "rflaf.cli", "kernel-verify", "--config", config, "--out", str(out)]
-            run_ = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
-            assert run_.returncode == 0, run_.stderr
-            tables.append((out / "kernel_verify.txt").read_bytes())
+        payload = dict(load_config(str(CONFIG_DIR / "kernel_verify.json")), trials=3)
+        tables = [files[0] for files in _bytes_at_blas_threads(tmp_path, "kernel-verify", payload, ["kernel_verify.txt"])]
         assert len(tables[0].splitlines()) == 25  # header + 3 trials of 8 settings
         assert tables[0] == tables[1]
 
@@ -227,6 +233,15 @@ class TestRunRateStudy:
         assert summary[0].startswith("fitted log-log slope: ")
         assert summary[2].startswith("reference quadrature vs monte carlo (100000 samples): 64/64 points within 5 stderr")
         assert summary[2].endswith(": PASS")
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the shipped config's 2,000 test points: mc_mean projects each bank in chunks of 130 draws on 2,000 rows,
+        # and the cross-check in chunks of 3,971 draws on 64 rows, by BLAS w @ X.T, as the shipped run does
+        payload = dict(load_config(str(CONFIG_DIR / "rate_study.json")), m_values=[64, 512, 2048], trials=1)
+        payload.update(ref_samples=200_000, slope_range=[-10.0, 10.0])
+        one, two = _bytes_at_blas_threads(tmp_path, "rate-study", payload, ["rate_study.txt", "rate_study_summary.txt"])
+        assert len(one[0].splitlines()) == 4  # header + 3 widths
+        assert one == two
 
 
 class TestRunBounds:

@@ -1,12 +1,16 @@
 """Row blocks across forked workers give the bits of one process: split_rows (the quadrature's rows and
-mc_mean's blocks of draws) and the banded kernel inside kernel_workers."""
+mc_mean's blocks of draws) and the banded kernel inside kernel_workers, both on basis._Workers."""
 
+import contextlib
+import gc
 import os
 import signal
 import subprocess
 import sys
 import textwrap
 import threading
+import time
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -140,6 +144,78 @@ class TestSplitRows:
         _no_children_left()
         assert "ValueError: no rows from 3" in capfd.readouterr().err
 
+    def test_forks_parts_minus_one_workers_per_call(self, monkeypatch):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+        def fn(lo, hi, dst):
+            dst[0][:] = np.arange(lo, hi) * 2.0
+
+        cpus = len(os.sched_getaffinity(0))
+        for parts, n, cells_per_row, want in ((3, 10, 1, 2), (3, 2, 1, 1), (3, 1, 1, 0), (None, 1, 10**9, 0),
+                                              (None, 10, basis.SPLIT_CELLS, min(cpus, 10) - 1)):
+            forks.clear()
+            out = np.zeros(n)
+            with _parts(parts) if parts else contextlib.nullcontext():
+                split_rows(n, fn, (out,), cells_per_row)
+            assert len(forks) == want and out.tolist() == [2.0 * i for i in range(n)]
+        _no_children_left()
+
+    def test_killed_worker_raises_naming_its_rows(self):
+        def fn(lo, hi, dst):
+            if lo == 6:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        with _parts(3), pytest.raises(RuntimeError, match=r"rows 6\.\.9 \(pid \d+, exit status -9\)") as err:
+            split_rows(10, fn, (np.zeros(10),), 1)
+        assert "rows 3..5" not in str(err.value)
+        _no_children_left()
+
+    def test_workers_leave_while_the_parent_computes(self):
+        def fn(lo, hi, dst):
+            if lo == 0:  # the parent's block: wait until the worker has left, without reaping it
+                deadline = time.monotonic() + 10.0
+                while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+                    assert time.monotonic() < deadline, "the worker outlived its block"
+                    time.sleep(0.005)
+            dst[0][:] = 1.0
+
+        out = np.zeros(10)
+        with _parts(2):
+            split_rows(10, fn, (out,), 1)
+        assert out.tolist() == [1.0] * 10
+        _no_children_left()
+
+    def test_scopes_free_their_pool_and_shared_memory_without_the_cyclic_gc(self, monkeypatch):
+        pools, maps, mmap_ = [], [], basis.mmap.mmap
+
+        class Recorded(basis._Workers):
+            def __init__(self, *args):
+                super().__init__(*args)
+                pools.append(weakref.ref(self))
+
+        def recorded_mmap(*args):
+            buffer = mmap_(*args)
+            maps.append(weakref.ref(buffer))
+            return buffer
+
+        monkeypatch.setattr(basis, "_Workers", Recorded)
+        monkeypatch.setattr(basis.mmap, "mmap", recorded_mmap)
+        grid = build_grid(-2.0, 2.0, 60, 0.05)
+        z = np.random.default_rng(47).uniform(-3.0, 3.0, (50, 20))
+        gc.disable()
+        try:
+            with _parts(2):
+                with kernel_workers(grid, 20):
+                    scope = weakref.ref(basis._workers)
+                    banded_activation(grid, np.ones(60), z, np.ones(20))
+                assert scope() is None
+                split_rows(10, lambda lo, hi, dst: None, (np.zeros(10), np.zeros((10, 3))), 1)
+        finally:
+            gc.enable()
+        assert pools and maps and all(ref() is None for ref in pools + maps)
+        _no_children_left()
+
     def test_failing_parent_block_reaps_its_children(self):
         def fn(lo, hi, dst):
             if lo == 0:
@@ -269,7 +345,7 @@ class TestKernelWorkers:
         def kill_after_first_step(*args):
             steps[0] += 1
             if steps[0] == 1:
-                pid = basis._workers.procs[-1][0]
+                pid = basis._workers.pool.procs[-1][0]
                 os.kill(pid, signal.SIGKILL)
                 os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
             return adam_step(*args)
@@ -337,7 +413,7 @@ class TestKernelWorkers:
         a, v, z = rng.standard_normal(60), rng.standard_normal(20), rng.uniform(-3.0, 3.0, (50, 20))
         want = banded_activation(grid, a, z, v)
         with _parts(2), kernel_workers(grid, 20):
-            os.kill(basis._workers.procs[0][0], signal.SIGKILL)
+            os.kill(basis._workers.pool.procs[0][0], signal.SIGKILL)
             with pytest.raises(RuntimeError, match=r"rows 25\.\.49 "):
                 banded_activation(grid, a, z, v)
             _no_children_left()
