@@ -21,9 +21,9 @@ import numpy as np
 # banded evaluation: its value is below exp(-40) ~ 4.2e-18 of its weight.
 BAND_CUTOFF = 40.0
 
-# Cells per chunk of model.forward_chunks (activations and feature sums
-# together), of the target quadrature and of every Monte-Carlo estimate
-# (mc_mean): 2 MB per float64 temporary.  On a 2-core Xeon, no size of
+# Cells per chunk (chunk_rows) of model.forward_chunks (activations and
+# feature sums together), of the target quadrature and of every Monte-Carlo
+# estimate (mc_mean): 2 MB per float64 temporary.  On a 2-core Xeon, no size of
 # 2^16 .. 2^22 cells ran the shipped geometry's 256-row gradient (25-40 ms)
 # or 1,200-row predict (79-115 ms) measurably faster than another, within
 # the host's drift; chunks of tens of MB also fragment the heap and raise
@@ -49,6 +49,7 @@ __all__ = [
     "banded_activation",
     "kernel_workers",
     "row_dot",
+    "chunk_rows",
     "split_rows",
     "mc_mean",
     "activation_curve",
@@ -153,12 +154,12 @@ def banded_activation(
     """
     act = np.zeros(z.shape)
     sums = None if v is None else np.zeros((grid.n_basis, z.shape[0]))
-    sums_t = None if sums is None else sums.T
+    outs = (act,) if sums is None else (act, sums.T)
     pool = _workers
     if pool is not None and pool.serves(grid, z):
-        pool.run(a, z, v, act, sums_t)
+        pool.run(a, z, v, outs)
     else:
-        _banded_rows(grid, a, z, v, act, sums_t)
+        _banded_rows(grid, a, z, v, *outs)
     return act, sums
 
 
@@ -189,18 +190,27 @@ def _banded_rows(grid: ActivationGrid, a, z, v, act, sums_t=None) -> None:
     act.reshape(-1)[order] = sorted_act
 
 
-class _Workers:
-    """Processes forked once, each computing serve(lo, hi, flag) on every row range it reads from its pipe.
+def _shared(shape: tuple) -> np.ndarray:
+    """A zeroed float array of shape in anonymous shared memory, which a process forked later shares."""
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * max(1, size)), float, size).reshape(shape)
 
-    The process protocol of split_rows and kernel_workers.  A worker inherits
-    serve and the anonymous shared memory it writes (mapped before the fork),
-    answers one byte per range, and leaves by os._exit when its pipe closes,
-    with the traceback on stderr if serve raised: it runs no atexit hook and
-    flushes no inherited buffer.
+
+class _Workers:
+    """Processes forked once, each computing serve(lo, hi, flag, dst) on every row range it reads from its pipe.
+
+    The process protocol of split_rows and kernel_workers.  The pool owns
+    zeroed float arrays of the given shapes (rows on axis 0) in shared
+    memory, mapped before any fork: a worker's dst is its rows lo..hi-1 of
+    them, which run copies into the caller's arrays.  A worker inherits
+    serve, answers one byte per range, and leaves by os._exit when its pipe
+    closes, with the traceback on stderr if serve raised: it runs no atexit
+    hook and flushes no inherited buffer.
     """
 
-    def __init__(self):
+    def __init__(self, *shapes: tuple):
         self.procs = []  # (pid, request pipe as an unbuffered file, answer pipe) per worker
+        self.shared = tuple(_shared(shape) for shape in shapes)
 
     def fork(self, serve, count: int) -> None:
         """Fork up to count workers running serve; where os.fork raises OSError, stop at those forked so far."""
@@ -219,7 +229,8 @@ class _Workers:
                 code = 1
                 try:
                     while msg := os.read(req_r, 24):
-                        serve(*np.frombuffer(msg, np.int64).tolist())
+                        lo, hi, flag = np.frombuffer(msg, np.int64).tolist()
+                        serve(lo, hi, flag, tuple(s[lo:hi] for s in self.shared))
                         os.write(ans_w, b"\0")
                     code = 0
                 except BaseException:
@@ -238,11 +249,11 @@ class _Workers:
         bounds = [n * i // parts for i in range(parts + 1)]
         return list(zip(bounds, bounds[1:]))
 
-    def run(self, blocks: list, flag: int, here, last: bool = False) -> None:
-        """Send each worker its block of blocks[1:] and flag, compute here(*blocks[0]) meanwhile, and wait for
-        them.  A worker that has left or leaves unanswered makes this close the pool, so later calls run here
-        alone, and raise RuntimeError naming its rows, pid and exit status.  On the pool's last call each
-        worker reads EOF after its block, so it leaves while this process still computes."""
+    def run(self, blocks: list, flag: int, outs: tuple, here, last: bool = False) -> None:
+        """Send each worker its block of blocks[1:] and flag, compute here(lo, hi, outs' rows) on blocks[0], and
+        copy the workers' shared rows into outs once they answer.  A worker that has left or leaves unanswered
+        makes this close the pool, so later calls run here alone, and raise RuntimeError naming its rows, pid and
+        exit status.  On the last call each worker reads EOF after its block and leaves while this one computes."""
         sent, failed = [], []
         try:
             for (pid, req, ans), (lo, hi) in zip(self.procs, blocks[1:]):
@@ -254,7 +265,8 @@ class _Workers:
             if last:
                 for _, req, _ in self.procs:
                     req.close()
-            here(*blocks[0])
+            lo, hi = blocks[0]
+            here(lo, hi, tuple(o[lo:hi] for o in outs))
         finally:
             for pid, ans, lo, hi in sent:
                 if os.read(ans, 1) != b"\0":  # EOF: the worker has left
@@ -263,6 +275,9 @@ class _Workers:
             codes = self.close()
             rows = "; ".join(f"rows {lo}..{hi - 1} (pid {pid}, exit status {codes[pid]})" for pid, lo, hi in failed)
             raise RuntimeError(f"a row worker failed for {rows}")
+        for lo, hi in blocks[1:]:
+            for o, s in zip(outs, self.shared):
+                o[lo:hi] = s[lo:hi]
 
     def close(self) -> dict:
         """Close each request pipe, so each worker reads EOF and leaves, and reap them; their exit codes by pid."""
@@ -277,50 +292,34 @@ class _Workers:
 
 
 class _KernelScope:
-    """The shared memory of one kernel_workers scope and the workers that compute in it.
-
-    Anonymous shared memory, mapped before the fork, holds a call's z rows,
-    a and v, and the act and H rows the workers write: at most the rows of
-    the largest chunk model.forward_chunks makes, CHUNK_CELLS // (M + N).
-    """
+    """One kernel_workers scope: a call's z rows, a and v in shared memory, and the pool whose workers compute
+    from them into its shared act and H^T rows, chunk_rows(M + N) of each: model.forward_chunks' largest chunk."""
 
     def __init__(self, grid: ActivationGrid, n_features: int):
         self.grid, self.m = grid, n_features
-        self.rows = max(1, CHUNK_CELLS // (n_features + grid.n_basis))
-
-        def shared(*shape):
-            return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), float).reshape(shape)
-
-        self.z, self.act, self.sums = shared(self.rows, self.m), shared(self.rows, self.m), shared(grid.n_basis, self.rows)
-        self.a, self.v = shared(grid.n_basis), shared(self.m)
-        self.pool = _Workers()
+        self.rows = chunk_rows(n_features + grid.n_basis)
+        self.z, self.a, self.v = _shared((self.rows, self.m)), _shared((grid.n_basis,)), _shared((self.m,))
+        self.pool = _Workers((self.rows, self.m), (self.rows, grid.n_basis))
         self.thread = threading.get_ident()  # the shared memory serves one call at a time
 
-    def serve(self, lo: int, hi: int, with_v: int) -> None:
-        """A worker's part of a call: _banded_rows on rows lo..hi-1 of the shared memory."""
-        self.sums[:, lo:hi] = 0.0
-        v = self.v if with_v else None
-        _banded_rows(self.grid, self.a, self.z[lo:hi], v, self.act[lo:hi], self.sums[:, lo:hi].T)
+    def serve(self, lo: int, hi: int, with_v: int, dst: tuple) -> None:
+        """A worker's part of a call: _banded_rows on rows lo..hi-1 of the shared inputs, into dst (act, H^T)."""
+        dst[1][...] = 0.0
+        _banded_rows(self.grid, self.a, self.z[lo:hi], self.v if with_v else None, *dst)
 
     def serves(self, grid: ActivationGrid, z: np.ndarray) -> bool:
         """Whether a banded_activation call fits the shared memory, from the thread that opened the scope."""
         fits = z.ndim == 2 and grid == self.grid and z.shape[1] == self.m and z.shape[0] <= self.rows
         return fits and threading.get_ident() == self.thread
 
-    def run(self, a, z, v, act, sums_t) -> None:
-        """_banded_rows on z in blocks of rows: the first here, one on each of as many workers as _parts allows."""
+    def run(self, a, z, v, outs: tuple) -> None:
+        """_banded_rows on z into outs in blocks of rows: the first here, one on each worker _parts allows."""
         blocks = self.pool.blocks(z.shape[0], _parts(z.shape[0], self.m * self.grid.band_width))
         self.a[:] = a
         if v is not None:
             self.v[:] = v
-        for lo, hi in blocks[1:]:
-            self.z[lo:hi] = z[lo:hi]
-        self.pool.run(blocks, v is not None, lambda lo, hi: _banded_rows(
-            self.grid, a, z[lo:hi], v, act[lo:hi], None if sums_t is None else sums_t[lo:hi]))
-        for lo, hi in blocks[1:]:
-            act[lo:hi] = self.act[lo:hi]
-            if sums_t is not None:
-                sums_t[lo:hi] = self.sums[:, lo:hi].T
+        self.z[blocks[0][1] : z.shape[0]] = z[blocks[0][1] :]  # the workers' rows
+        self.pool.run(blocks, v is not None, outs, lambda lo, hi, dst: _banded_rows(self.grid, a, z[lo:hi], v, *dst))
 
 
 _workers: _KernelScope | None = None  # the open kernel_workers scope
@@ -374,8 +373,13 @@ def _parts(rows: int, cells_per_row: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), rows * cells_per_row // SPLIT_CELLS))
 
 
+def chunk_rows(cells_per_row: int) -> int:
+    """Rows per chunk of work at cells_per_row cells each: CHUNK_CELLS // cells_per_row, at least 1."""
+    return max(1, CHUNK_CELLS // cells_per_row)
+
+
 def split_rows(n: int, fn, outs: tuple, cells_per_row: int) -> None:
-    """Fill rows 0..n-1 of the zeroed arrays outs (rows on axis 0) by fn(lo, hi, dst), a block of rows per process.
+    """Fill rows 0..n-1 of the zeroed float arrays outs (rows on axis 0) by fn(lo, hi, dst), a block per process.
 
     It serves one-shot calls of 0.1-0.2 s, which amortize a fork: the
     target quadrature's rows and mc_mean's blocks of draws.  (The banded
@@ -383,88 +387,70 @@ def split_rows(n: int, fn, outs: tuple, cells_per_row: int) -> None:
     writes rows lo..hi-1 of each out into the zeroed arrays dst, which
     hold those rows alone.  There is one block per CPU this process may run
     on, each of at least SPLIT_CELLS cells at cells_per_row per row.  The
-    parent computes the first block into outs; _Workers forked for this call
-    compute the others into zeroed shared copies of outs, which the parent
-    copies in after reaping them.  The split gives the bits of one process
-    only if each row is a function of its own row alone.
+    parent computes the first block into outs, and _Workers forked for this
+    call the others into the pool's shared rows, which it copies into outs.
+    The split gives the bits of one process only if each row is a function
+    of its own row alone.
     """
     parts = max(1, min(_parts(n, cells_per_row), n))
     if parts == 1:
         fn(0, n, outs)
         return
-    shared = tuple(np.frombuffer(mmap.mmap(-1, o.nbytes), o.dtype).reshape(o.shape) for o in outs)
-    pool = _Workers()
+    pool = _Workers(*(o.shape for o in outs))
     try:
-        pool.fork(lambda lo, hi, _: fn(lo, hi, tuple(s[lo:hi] for s in shared)), parts - 1)
-        blocks = pool.blocks(n, parts)
-        pool.run(blocks, 0, lambda lo, hi: fn(lo, hi, tuple(o[lo:hi] for o in outs)), last=True)
+        pool.fork(lambda lo, hi, _, dst: fn(lo, hi, dst), parts - 1)
+        pool.run(pool.blocks(n, parts), 0, outs, fn, last=True)
     finally:
         pool.close()
-    for lo, hi in blocks[1:]:
-        for o, s in zip(outs, shared):
-            o[lo:hi] = s[lo:hi]
-
-
-def _draws(seed, n: int, X: np.ndarray, blocks):
-    """(b, w) for each chunk of CHUNK_CELLS // (rows + dim of X) draws w ~ N(0, I) of mc_mean's blocks b of n."""
-    step = max(1, CHUNK_CELLS // (X.shape[0] + X.shape[1]))
-    for b in blocks:
-        rng = np.random.Generator(np.random.PCG64(seed).jumped(b))
-        size = min(MC_BLOCK, n - b * MC_BLOCK)
-        for lo in range(0, size, step):
-            yield b, rng.standard_normal((min(step, size - lo), X.shape[1]))
-
-
-def _mean_stderr(total: np.ndarray, squares: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    mean = total / n
-    return mean, np.sqrt(np.maximum(squares / n - mean * mean, 0.0) / max(n - 1, 1))
 
 
 def mc_mean(seed, n: int, X: np.ndarray, sigma, v) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo mean and standard error of v(w) sigma(w.x) at each row x of X, over n draws w ~ N(0, I).
+    """Monte-Carlo mean and standard error of v(w) sigma(w.x) at each row x of X, over n >= 1 draws w ~ N(0, I).
 
     Draws b MC_BLOCK .. (b + 1) MC_BLOCK - 1 (block b) come from
     Generator(PCG64(seed).jumped(b)), so n <= MC_BLOCK draws are those of
-    default_rng(seed).  A block streams in chunks of
-    CHUNK_CELLS // (rows + dim of X), which do not change the values drawn,
-    so the temporaries stay that size whatever n and the dimension, and sums
-    them with np.einsum in chunk order.  split_rows spreads the blocks over processes and the block sums
-    are added in block order, so the values depend on neither the process
-    count nor the BLAS threads.  v maps a (draws, dim) block of w to its
-    (draws,) values; sigma maps the (draws, rows) block of w.x, which it may
-    overwrite, to sigma(w.x).  A row whose sum of squares is below 2^-970
-    but whose sum is not 0 takes its standard error from _scaled_stderr.
+    default_rng(seed).  A block streams in chunks of chunk_rows(rows + dim
+    of X) draws, which do not change the values drawn, so the temporaries
+    stay that size whatever n and the dimension, and sums them with
+    np.einsum in chunk order.  split_rows spreads the blocks over processes
+    and the block sums are added in block order, so the values depend on
+    neither the process count nor the BLAS threads.  v maps a (draws, dim)
+    block of w to its (draws,) values; sigma maps the (draws, rows) block of
+    w.x, which it may overwrite, to sigma(w.x).
+
+    A row x whose sum of squares is below 2^-970 but whose sum is not 0
+    takes 2^-768 times the standard error of mc_mean with sigma = 1 and v =
+    v(w) sigma(w.x) 2^768, exact unless v or sigma alone passes 2^500: each
+    value is 0 or in [2^-1074, 2^-485), so its scaled square is normal where
+    its own rounds to 0 or loses bits.  (v and sigma scaled apart would not
+    do: squared, one below 2^-922 rounds to 0 even times 2^768.)
     """
-    blocks = -(-n // MC_BLOCK)
+    if n < 1:
+        raise ValueError(f"need at least 1 draw, got {n}")
+    blocks, step = -(-n // MC_BLOCK), chunk_rows(X.shape[0] + X.shape[1])
     sums = np.zeros((blocks, 2, X.shape[0]))  # each block's (total, squares)
 
     def block(lo, hi, dst):
-        for b, w in _draws(seed, n, X, range(lo, hi)):
-            vw = v(w)
-            e = sigma(w @ X.T)
-            dst[0][b - lo, 0] += np.einsum("n,nr->r", vw, e)
-            e *= e
-            dst[0][b - lo, 1] += np.einsum("n,nr->r", vw * vw, e)
+        for b in range(lo, hi):
+            rng = np.random.Generator(np.random.PCG64(seed).jumped(b))
+            size = min(MC_BLOCK, n - b * MC_BLOCK)
+            for start in range(0, size, step):
+                w = rng.standard_normal((min(step, size - start), X.shape[1]))
+                vw = v(w)
+                e = sigma(w @ X.T)
+                dst[0][b - lo, 0] += np.einsum("n,nr->r", vw, e)
+                e *= e
+                dst[0][b - lo, 1] += np.einsum("n,nr->r", vw * vw, e)
 
     split_rows(blocks, block, (sums,), MC_BLOCK * (X.shape[0] + X.shape[1]))
     total, squares = sums.cumsum(axis=0)[-1]  # cumsum adds the blocks in block order
-    mean, stderr = _mean_stderr(total, squares, n)
-    low = np.flatnonzero((squares < 2.0**-970) & (total != 0))
-    if low.size:
-        stderr[low] = _scaled_stderr(seed, n, X[low], sigma, v)
+    mean = total / n
+    stderr = np.sqrt(np.maximum(squares / n - mean * mean, 0.0) / max(n - 1, 1))
+    for i in np.flatnonzero((squares < 2.0**-970) & (total != 0)):
+        x = X[i : i + 1]
+        scaled = mc_mean(seed, n, x, np.ones_like, lambda w: np.ldexp(v(w) * sigma(w @ x.T)[:, 0], 768))[1]
+        stderr[i] = np.ldexp(scaled[0], -768)
     return mean, stderr
-
-
-def _scaled_stderr(seed, n: int, X: np.ndarray, sigma, v) -> np.ndarray:
-    """mc_mean's standard error from its draws' values v(w) sigma(w.x) times 2^768, an exact scaling.  On
-    the rows mc_mean sends, each |value| is 0 or in [2^-1074, 2^-485) (unless v or sigma alone passes 2^500),
-    so each scaled square is normal, where the value's own square would round to 0 or lose bits."""
-    total, squares = np.zeros(X.shape[0]), np.zeros(X.shape[0])
-    for _, w in _draws(seed, n, X, range(-(-n // MC_BLOCK))):
-        p = np.ldexp(sigma(w @ X.T) * v(w)[:, None], 768)
-        total += p.sum(axis=0)
-        squares += (p * p).sum(axis=0)
-    return np.ldexp(_mean_stderr(total, squares, n)[1], -768)
 
 
 def activation_curve(grid: ActivationGrid, a: np.ndarray, zs: np.ndarray) -> np.ndarray:

@@ -58,7 +58,7 @@ _NODES = 32
 # Float (rows, nodes) arrays alive at once in one quadrature piece, rounded
 # up: 11 at the erfc call (t, sigma, t delta, a, Phi, erfc's values, and its
 # arguments as a list of Python floats at 4 cells each), 6 inside
-# sigma_eval_array.  So a chunk of CHUNK_CELLS // (_QUAD_TEMPS * _NODES)
+# sigma_eval_array.  So a chunk of basis.chunk_rows(_QUAD_TEMPS * _NODES)
 # rows, 512 at 32 nodes, keeps each piece's temporaries within CHUNK_CELLS.
 _QUAD_TEMPS = 16
 # A node as the row split counts them (each of a row's 10 + len(knots)
@@ -137,7 +137,7 @@ def expected_max_quadrature(X, sigma, support, knots, b1, b2, scale: float = 1.0
     r = np.sqrt(basis.row_dot(X, X))
     out = np.zeros(X.shape[0])
     rule = gauss_legendre(_NODES)
-    step = max(1, basis.CHUNK_CELLS // (_QUAD_TEMPS * _NODES))
+    step = basis.chunk_rows(_QUAD_TEMPS * _NODES)
 
     def block(start, stop, dst):
         for lo in range(start, stop, step):

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import bumps, mc_mean, row_dot
+from .basis import bumps, mc_mean
 
 __all__ = [
     "RbfParams",
@@ -82,26 +82,34 @@ def _unit_inner(r: float) -> float:
     return min(1.0, max(-1.0, r))
 
 
+def _units(t: float) -> int:
+    """t in units of 2^-1138, exactly: every double is a multiple of 2^-1074, a nonzero one 2^64 units or more."""
+    p, q = t.as_integer_ratio()
+    return p << 1139 - q.bit_length()
+
+
 def kernel_closed(x: np.ndarray, x2: np.ndarray, params: RbfParams) -> float:
     """Closed-form kernel value for an arbitrary pair of points.
 
     Returns
-        h^2 / sqrt(D) * exp(-c^2/2 * (A + A' - 2<x,x2>) / D)
-    with A = h^2 + |x|^2, A' = h^2 + |x2|^2 and D = A*A' - <x,x2>^2.
-    Always lies in [0, 1] for finite inputs: 0.0 where the value underflows
-    (below about 1e-308, e.g. far apart points of a narrow width).
+        h^2 / sqrt(D) * exp(-c^2/2 * (2 h^2 + |x - x2|^2) / D)
+    with D = (h^2 + |x|^2)(h^2 + |x2|^2) - <x,x2>^2.  D, which cancels in
+    floats on large, nearly parallel pairs, and the exponent are exact
+    integers in _units, so neither cancels nor overflows.  The value is
+    bitwise symmetric, within a few ulp plus |log K| ulp, and in [0, 1]:
+    0.0 where it underflows (e.g. far apart points of a narrow width).
     """
-    x, x2 = _validate_pair(x, x2)
-    c, h = params.center, params.width
-    h2 = h * h
-    a1 = h2 + float(row_dot(x, x))
-    a2 = h2 + float(row_dot(x2, x2))
-    dot = float(row_dot(x, x2))
-    denom = a1 * a2 - dot * dot
-    # Cauchy-Schwarz plus h > 0 makes denom >= h^4 + h^2(|x|^2+|x2|^2) > 0.
-    if denom <= 0:
-        raise ValueError(f"degenerate kernel denominator {denom}; inputs must be finite")
-    return h2 / math.sqrt(denom) * math.exp(-0.5 * c * c * (a1 + a2 - 2.0 * dot) / denom)
+    xs, x2s = ([_units(t) for t in v.tolist()] for v in _validate_pair(x, x2))
+    h2 = _units(params.width) ** 2
+    dot = sum(s * t for s, t in zip(xs, x2s))
+    denom = (h2 + sum(t * t for t in xs)) * (h2 + sum(t * t for t in x2s)) - dot * dot
+    cp, cq = params.center.as_integer_ratio()
+    # the exponent num / den, with the ratio's units 2^-2276 restored
+    num = cp * cp * (2 * h2 + sum((s - t) ** 2 for s, t in zip(xs, x2s))) << 2275
+    den = cq * cq * denom
+    if num > 746 * den:  # exp(-746) is below half the smallest double
+        return 0.0
+    return h2 / math.isqrt(denom) * math.exp(-(num / den))  # D >= h^4 >= 2^256 units: isqrt to 2^-128
 
 
 def kernel_rot(r: float, params: RbfParams) -> float:

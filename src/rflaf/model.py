@@ -128,7 +128,7 @@ def _project(X: np.ndarray, bank: FeatureBank) -> np.ndarray:
 
 
 def forward_chunks(model: RflafModel, X: np.ndarray, sums: bool = False):
-    """Yield (rows, act, H, out) per chunk of basis.CHUNK_CELLS // (M + N) rows (at least 1).
+    """Yield (rows, act, H, out) per chunk of basis.chunk_rows(M + N) rows.
 
     rows slices X; act is the chunk's (rows, M) activations from
     basis.banded_activation and, with sums set, H its (N, rows) sums
@@ -140,7 +140,7 @@ def forward_chunks(model: RflafModel, X: np.ndarray, sums: bool = False):
     """
     X = _rows(X, model.bank.dim)
     m = model.bank.n_features
-    step = max(1, basis.CHUNK_CELLS // (m + model.grid.n_basis))
+    step = basis.chunk_rows(m + model.grid.n_basis)
     for lo in range(0, X.shape[0], step):
         rows = slice(lo, min(lo + step, X.shape[0]))
         z = _project(X[rows], model.bank)
@@ -206,20 +206,24 @@ def save_model(model: RflafModel, path) -> None:
     )
 
 
+def _field(data, name: str, kind: type):
+    """Checkpoint field name as kind (int or float); ValueError unless it is 0-d, of an integer dtype for an int."""
+    value = data[name]
+    if value.shape != () or value.dtype.kind not in ("iu" if kind is int else "iuf"):
+        raise ValueError(f"checkpoint field {name!r} must be one {kind.__name__}, got {value.dtype} of shape {value.shape}")
+    return kind(value)
+
+
 def load_model(path) -> RflafModel:
     """Rebuild a model from a checkpoint written by save_model; ValueError if path holds none."""
     try:
         with np.lib.npyio.NpzFile(path) as data:  # np.load, without its .npy and pickle branches
-            version = int(data["format_version"])
+            version = _field(data, "format_version", int)
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
-            bank = sample_features(int(data["dim"]), int(data["n_features"]), int(data["bank_seed"]))
-            grid = build_grid(
-                float(data["support_lo"]),
-                float(data["support_hi"]),
-                int(data["n_basis"]),
-                float(data["width"]),
-            )
+            bank = sample_features(*(_field(data, name, int) for name in ("dim", "n_features", "bank_seed")))
+            lo, hi, width = (_field(data, name, float) for name in ("support_lo", "support_hi", "width"))
+            grid = build_grid(lo, hi, _field(data, "n_basis", int), width)
             return RflafModel(bank=bank, grid=grid, a=data["a"], v=data["v"])
     except KeyError as exc:
         raise ValueError(f"checkpoint missing field {exc}") from exc

@@ -402,6 +402,44 @@ class TestMcMean:
         assert np.all(stderr > 0)
         np.testing.assert_allclose(np.ldexp(tiny_stderr, 600), stderr, rtol=1e-12)
 
+    def test_low_row_stderr_byte_identical_across_part_counts(self):
+        # sigma scaled by 2^-700 puts every row's squares below 2^-970, so each row is estimated again
+        def tiny(u):
+            return np.ldexp(bumps(u, 0.5, 0.8), -700)
+
+        got = {tuple(part.tobytes() for part in self._blocked(5, parts, tiny)) for parts in (1, 2, 3)}
+        assert len(got) == 1
+        _, stderr = self._blocked(5, 1)
+        tiny_stderr = np.frombuffer(got.pop()[1])
+        assert np.all(tiny_stderr > 0)
+        np.testing.assert_allclose(np.ldexp(tiny_stderr, 700), stderr, rtol=1e-12)
+
+    def test_stderr_where_one_factor_is_below_2_to_the_minus_922(self):
+        # v near 1 and sigma near 2^-1000: scaled by 2^384 each, sigma's square would still round to 0
+        X = np.random.default_rng(6).standard_normal((3, 2))
+
+        def estimate(scale):
+            return basis.mc_mean(7, 5000, X, lambda u: scale * bumps(u, 0.5, 1.0), lambda w: np.abs(w[:, 0]))
+
+        mean, stderr = estimate(1.0)
+        tiny_mean, tiny_stderr = estimate(2.0**-1000)
+        assert np.all(np.isfinite(tiny_stderr)) and np.all(tiny_stderr > 0)
+        np.testing.assert_allclose(np.ldexp(tiny_mean, 1000), mean, rtol=1e-9)
+        np.testing.assert_allclose(np.ldexp(tiny_stderr, 1000), stderr, rtol=1e-9)
+
+    def test_rejects_no_draws(self):
+        with pytest.raises(ValueError, match="at least 1 draw"):
+            basis.mc_mean(3, 0, np.ones((2, 3)), np.abs, lambda w: w[:, 0])
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_no_rows_give_empty_arrays(self, parts):
+        # 4 blocks in 1 or 2 processes: the pool's shared rows of no row are empty
+        with mock.patch.object(basis, "MC_BLOCK", 16), mock.patch.object(basis, "_parts", lambda rows, cells: parts):
+            mean, stderr = basis.mc_mean(3, 50, np.zeros((0, 3)), np.abs, lambda w: w[:, 0])
+        assert mean.shape == stderr.shape == (0,)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_memory_does_not_grow_with_dimension(self):
         # 200,000 draws in 100 dims are 160 MB at once; 2 MB chunks keep each caller's peak within 8 chunks
         rng = np.random.default_rng(4)

@@ -389,6 +389,17 @@ class TestRunExportActivation:
         assert str(ckpt) in capsys.readouterr().err
 
 
+    def test_malformed_checkpoint_field_exits_2_naming_it(self, tmp_path, capsys):
+        ckpt = _checkpoint(tmp_path)
+        with np.load(ckpt) as fields:
+            fields = dict(fields)
+        np.savez(ckpt, **{**fields, "dim": np.array([2, 3])})
+        cfg_path = _write_config(tmp_path, {"checkpoint": str(ckpt)})
+        assert main(["export-activation", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "'dim'" in err
+
+
 class TestRunDispatch:
     def test_unknown_mode(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown mode"):

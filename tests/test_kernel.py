@@ -1,5 +1,6 @@
 """Kernel closed form, Monte-Carlo oracle, and Taylor machinery."""
 
+import decimal
 import math
 
 import numpy as np
@@ -63,7 +64,70 @@ class TestRbfParams:
             RbfParams(center=0.0, width=math.inf)
 
 
+def _kernel_decimal(x, x2, params):
+    """kernel_closed's value in 60-digit decimals, rounded to a float, D as h^4 + h^2 (|x|^2 + |x2|^2) + sum_{i<j} (x_i x2_j - x_j x2_i)^2,
+    a sum of nonnegative terms that does not cancel."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        xs, x2s = [decimal.Decimal(t) for t in x.tolist()], [decimal.Decimal(t) for t in x2.tolist()]
+        h2, c = decimal.Decimal(params.width) ** 2, decimal.Decimal(params.center)
+        pairs = [(i, j) for i in range(len(xs)) for j in range(i + 1, len(xs))]
+        minors = sum(((xs[i] * x2s[j] - xs[j] * x2s[i]) ** 2 for i, j in pairs), decimal.Decimal(0))
+        denom = h2 * h2 + h2 * (sum(t * t for t in xs) + sum(t * t for t in x2s)) + minors
+        num = 2 * h2 + sum((s - t) ** 2 for s, t in zip(xs, x2s))
+        return float(h2 / denom.sqrt() * (-c * c * num / (2 * denom)).exp())
+
+
 class TestKernelClosed:
+    @pytest.mark.parametrize("scale", [1e4, 1e6, 1e8, 1e100])
+    def test_large_nearly_parallel_pairs(self, scale):
+        # in floats D = A A' - <x,x2>^2 cancels: 3.9e-5 off at 1e6, ValueError at 1e8
+        params = RbfParams(center=1.0, width=0.5)
+        for x2 in (np.array([0.6, 0.8]) * scale, np.array([0.6, 0.8 + 1e-12]) * scale):
+            x = np.array([0.6, 0.8]) * scale
+            want = _kernel_decimal(x, x2, params)
+            assert abs(kernel_closed(x, x2, params) - want) <= 1e-15 * want
+
+    def test_beyond_float_squares(self):
+        # |x|^2 overflows a double here; the value is h / (sqrt(2) |x|) to first order
+        x = np.array([1e160, 0.0])
+        got = kernel_closed(x, x, RbfParams(center=1.0, width=0.5))
+        assert got == pytest.approx(0.5 / (math.sqrt(2.0) * 1e160), rel=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        log_norm=st.floats(-100.0, 100.0),
+        ratio=st.floats(0.2, 5.0),
+        angle=st.sampled_from([0.0, 1e-14, 1e-7, 0.5, 3.0]),
+        c=st.floats(-3.0, 3.0),
+        log_h=st.floats(-2.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_decimal_reference_at_norms_up_to_1e100(self, d, log_norm, ratio, angle, c, log_h, seed):
+        # pairs of any norm up to 1e100, parallel to far apart; the exponent's rounding grows with |log K|
+        u, e = np.random.default_rng(seed).standard_normal((2, d))
+        x = u * (10.0**log_norm / np.linalg.norm(u))
+        x2 = (u + angle * e) * (ratio * 10.0**log_norm / np.linalg.norm(u))
+        params = RbfParams(center=c, width=10.0**log_h)
+        k = kernel_closed(x, x2, params)
+        want = _kernel_decimal(x, x2, params)
+        if want > 1e-290:  # clear of the subnormal range
+            assert abs(k - want) <= 1e-13 * (1.0 + abs(math.log(k))) * want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+        x2=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+        c=st.floats(allow_nan=False, allow_infinity=False),
+        h=st.floats(min_value=5e-324, allow_infinity=False),
+    )
+    def test_finite_inputs_give_a_symmetric_value_in_range(self, x, x2, c, h):
+        params = RbfParams(center=c, width=h)
+        k = kernel_closed(np.array(x), np.array(x2), params)
+        assert 0.0 <= k <= 1.0
+        assert k.hex() == kernel_closed(np.array(x2), np.array(x), params).hex()
+
     def test_at_origin_is_one(self):
         for d in (1, 2, 5):
             assert kernel_closed(np.zeros(d), np.zeros(d), UNIT) == 1.0

@@ -401,6 +401,20 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match="not a readable .npz"):
                 load_model(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dim", np.array([2, 3])), ("n_basis", np.float64(10.7)), ("width", np.array([0.5])), ("bank_seed", np.str_("7"))],
+    )
+    def test_load_rejects_malformed_scalar_fields(self, tmp_path, field, value):
+        # each field must be 0-d, and of an integer dtype where save_model stores an int
+        path = tmp_path / "model.npz"
+        save_model(_random_model(np.random.default_rng(52), dim=2, m=9, n_basis=6), path)
+        with np.load(path) as ckpt:
+            fields = dict(ckpt)
+        np.savez(path, **{**fields, field: value})
+        with pytest.raises(ValueError, match=f"checkpoint field '{field}'"):
+            load_model(path)
+
     def test_load_rejects_missing_fields(self, tmp_path):
         path = tmp_path / "short.npz"
         np.savez(path, format_version=np.int64(1), dim=np.int64(2))

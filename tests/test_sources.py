@@ -1,0 +1,28 @@
+"""Each job that ROADMAP aim 2 says is done in one place is written once in src/: read from the source text,
+with the standard library alone."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rflaf"
+
+
+def _sources() -> dict:
+    return {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def test_one_fork_one_shared_mapping_one_exp():
+    # the worker pool (basis._Workers), its shared memory (basis._shared) and the Gaussian bump (basis.bumps)
+    for call in ("os.fork(", "mmap.mmap(", "np.exp("):
+        sites = [name for name, text in _sources().items() for _ in range(text.count(call))]
+        assert sites == ["basis.py"], (call, sites)
+
+
+def test_one_chunk_rule():
+    # every chunk size in rows comes from basis.chunk_rows
+    text = _sources()["basis.py"]
+    rule = next(node for node in ast.parse(text).body if isinstance(node, ast.FunctionDef) and node.name == "chunk_rows")
+    for name, source in _sources().items():
+        for number, line in enumerate(source.splitlines(), 1):
+            if "CHUNK_CELLS //" in line:
+                assert name == "basis.py" and rule.lineno <= number <= rule.end_lineno, (name, number, line)

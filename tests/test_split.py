@@ -305,6 +305,22 @@ class TestKernelWorkers:
             _fit_bytes(model, dataset)
         assert len(forks) == 2  # two workers for the whole run, not two per call
 
+    @pytest.mark.parametrize("chunk_cells", [basis.CHUNK_CELLS, 20_000], ids=["shipped", "smaller"])
+    def test_every_call_in_train_reaches_the_scope(self, monkeypatch, chunk_cells):
+        # the scope holds chunk_rows(M + N) rows, the largest chunk forward_chunks makes: no call runs here alone
+        monkeypatch.setattr(basis, "CHUNK_CELLS", chunk_cells)
+        model, dataset = _fit_case()
+        served, banded = [], basis.banded_activation
+
+        def recorded(grid, a, z, v=None):
+            served.append(basis._workers is not None and basis._workers.serves(grid, z))
+            return banded(grid, a, z, v)
+
+        monkeypatch.setattr(basis, "banded_activation", recorded)
+        with _parts(2):
+            _fit_bytes(model, dataset, epochs=1)
+        assert len(served) >= 4 and all(served)
+
     def test_calls_outside_the_scope_or_its_geometry_run_here(self):
         model, dataset = _fit_case()
         X, y = dataset.X[:300], dataset.y[:300]
