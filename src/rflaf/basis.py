@@ -481,8 +481,8 @@ def quadrature_norm_bounds(grid: ActivationGrid, sigma_sup: float) -> tuple[floa
         sum |a_i|  <= sigma_sup |K| / (sqrt(2 pi) h)
         sum a_i^2  <= sigma_sup^2 |K|^2 / (2 pi h^2 N)
     """
-    if sigma_sup < 0:
-        raise ValueError("sigma_sup must be nonnegative")
+    if not 0 <= sigma_sup < math.inf:
+        raise ValueError(f"sigma_sup must be nonnegative and finite, got {sigma_sup}")
     k = grid.support_len
     l1 = sigma_sup * k / (math.sqrt(2.0 * math.pi) * grid.width)
     l2 = sigma_sup**2 * k**2 / (2.0 * math.pi * grid.width**2 * grid.n_basis)

@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(mode, help=f"run the {mode} experiment")
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", required=True, help="directory for output artifacts")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=int, default=None, help="override the config seed; modes that draw nothing ignore it")
     return parser
 
 

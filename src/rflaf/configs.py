@@ -98,14 +98,10 @@ class KernelVerifyConfig:
     dims: tuple[Count, ...] = (2, 5)
     centers: tuple[float, ...] = (0.0, 1.0)
     widths: tuple[float, ...] = (0.5, 1.0)
-    min_passes: int | None = None  # max(1, trials - 1) when left out
     rbfs: tuple[kernel.RbfParams, ...] = field(init=False)  # centers x widths
 
     def __post_init__(self):
-        min_passes = max(1, self.trials - 1) if self.min_passes is None else self.min_passes
-        _check(1 <= min_passes <= self.trials, f"min_passes must lie in [1, trials={self.trials}], got {min_passes}")
-        rbfs = tuple(kernel.RbfParams(c, h) for c in self.centers for h in self.widths)
-        _derive(self, min_passes=min_passes, rbfs=rbfs)
+        _derive(self, rbfs=tuple(kernel.RbfParams(c, h) for c in self.centers for h in self.widths))
 
 
 @dataclass(frozen=True)
@@ -123,7 +119,6 @@ class SeriesSection:
 
 @dataclass(frozen=True)
 class TaylorVerifyConfig:
-    seed: Seed | None = None  # accepted so that --seed applies to every mode; nothing is drawn
     p_values: tuple[NonNegative, ...] = (0.0, 0.5, 1.0, 2.0, 5.0)
     n_max: Annotated[int, 2] = 16
     rel_tol: NonNegative = 1e-8
@@ -146,7 +141,6 @@ class RateStudyConfig:
     rbf: RbfSection = field(default_factory=RbfSection)
     b1: tuple[float, ...] = (1.0, 0.0)
     b2: tuple[float, ...] = (0.0, 1.0)
-    v_scale: float = 1.0
     slope_range: tuple[float, float] = (-0.65, -0.35)
 
     def __post_init__(self):
@@ -174,7 +168,6 @@ class DataSection:
     n: Annotated[int, 2]
     dim: int
     test_fraction: float = 0.2
-    seed: Seed | None = None  # the config seed + 1 when left out
 
     def __post_init__(self):
         data.holdout_size(self.n, self.test_fraction)
@@ -221,7 +214,6 @@ class TrainCompareConfig:
 @dataclass(frozen=True)
 class ExportActivationConfig:
     checkpoint: str
-    seed: Seed | None = None  # accepted so that --seed applies to every mode; nothing is drawn
     grid_points: Annotated[int, 2] = 401
     target: TargetSection | None = None
     min_activation_correlation: float | None = None  # checked only against a target
@@ -242,7 +234,6 @@ class BoundsConfig:
     sigma_sup: float
     support_len: float
     radius: float
-    seed: Seed | None = None  # accepted so that --seed applies to every mode; nothing is drawn
     epsilon: float | None = None  # with lipschitz_sigma: the approximation schedule
     lipschitz_sigma: float | None = None
     report: BoundsReport = field(init=False)

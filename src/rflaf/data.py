@@ -355,17 +355,14 @@ def holdout_size(n: int, test_fraction: float) -> int:
 def gen_dataset(
     spec: TargetSpec,
     n: int,
-    d: int,
     test_fraction: float,
     seed: int,
 ) -> Dataset:
-    """Draw Gaussian inputs, label them with the exact target values, split by permutation."""
-    if d != spec.dim:
-        raise ValueError(f"requested dim {d} does not match spec dim {spec.dim}")
+    """Draw Gaussian inputs in spec.dim dimensions, label them with the exact target values, split by permutation."""
     n_test = holdout_size(n, test_fraction)
     rng_x = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     rng_split = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    X = rng_x.standard_normal((n, d))
+    X = rng_x.standard_normal((n, spec.dim))
     y = TargetSampler(spec).means(X)
     perm = rng_split.permutation(n)
     test_idx = np.sort(perm[:n_test])

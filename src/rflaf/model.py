@@ -224,7 +224,11 @@ def load_model(path) -> RflafModel:
             bank = sample_features(*(_field(data, name, int) for name in ("dim", "n_features", "bank_seed")))
             lo, hi, width = (_field(data, name, float) for name in ("support_lo", "support_hi", "width"))
             grid = build_grid(lo, hi, _field(data, "n_basis", int), width)
-            return RflafModel(bank=bank, grid=grid, a=data["a"], v=data["v"])
+            a, v = data["a"], data["v"]
+            for name, value in (("a", a), ("v", v)):
+                if value.dtype.kind != "f":  # RflafModel would drop an imaginary part or parse strings
+                    raise ValueError(f"checkpoint field {name!r} must hold real floats, got {value.dtype}")
+            return RflafModel(bank=bank, grid=grid, a=a, v=v)
     except KeyError as exc:
         raise ValueError(f"checkpoint missing field {exc}") from exc
     except zipfile.BadZipFile as exc:

@@ -62,6 +62,10 @@ __all__ = [
 ]
 
 
+# Adam's moment decays and denominator guard, Kingma and Ba's defaults (Adam, ICLR 2015), used by every run.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for the regularized objective and the Adam loop."""
@@ -71,23 +75,16 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 5
     batch_size: int = 256
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("regularizer weights lambda1 and lambda2 must be nonnegative")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (0 <= self.lambda1 < math.inf and 0 <= self.lambda2 < math.inf):
+            raise ValueError(f"lambda1 and lambda2 must be nonnegative and finite, got {self.lambda1}, {self.lambda2}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("Adam betas adam_beta1 and adam_beta2 must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -142,11 +139,11 @@ def adam_step(
             f"state {state.first_moment.shape}"
         )
     t = state.step + 1
-    m = cfg.adam_beta1 * state.first_moment + (1.0 - cfg.adam_beta1) * grads
-    s = cfg.adam_beta2 * state.second_moment + (1.0 - cfg.adam_beta2) * grads * grads
-    m_hat = m / (1.0 - cfg.adam_beta1**t)
-    s_hat = s / (1.0 - cfg.adam_beta2**t)
-    new_params = params - cfg.learning_rate * m_hat / (np.sqrt(s_hat) + cfg.adam_eps)
+    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grads
+    s = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    s_hat = s / (1.0 - ADAM_BETA2**t)
+    new_params = params - cfg.learning_rate * m_hat / (np.sqrt(s_hat) + ADAM_EPS)
     return AdamState(first_moment=m, second_moment=s, step=t), new_params
 
 

@@ -293,6 +293,11 @@ class TestQuadratureWeights:
         with pytest.raises(ValueError):
             quadrature_weights(g, np.zeros(49))
 
+    @pytest.mark.parametrize("sigma_sup", [-1.0, math.nan, math.inf])
+    def test_norm_bounds_reject_negative_or_non_finite_sup(self, sigma_sup):
+        with pytest.raises(ValueError, match="sigma_sup"):
+            quadrature_norm_bounds(build_grid(-2.0, 2.0, 50, 0.1), sigma_sup)
+
 
 def _gauss(u):
     return np.exp(-((u - 0.5) ** 2) / (2 * 0.8**2))

@@ -314,22 +314,22 @@ class TestCalibrate:
 
 class TestGenDataset:
     def test_split_sizes_and_disjointness(self):
-        ds = gen_dataset(_spec(mc=1000), 10, 2, 0.2, seed=5)
+        ds = gen_dataset(_spec(mc=1000), 10, 0.2, seed=5)
         assert len(ds.train_idx) == 8
         assert len(ds.test_idx) == 2
         assert set(ds.train_idx) | set(ds.test_idx) == set(range(10))
         assert not set(ds.train_idx) & set(ds.test_idx)
 
     def test_deterministic(self):
-        a = gen_dataset(_spec(mc=1000), 20, 2, 0.25, seed=6)
-        b = gen_dataset(_spec(mc=1000), 20, 2, 0.25, seed=6)
+        a = gen_dataset(_spec(mc=1000), 20, 0.25, seed=6)
+        b = gen_dataset(_spec(mc=1000), 20, 0.25, seed=6)
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.train_idx, b.train_idx)
 
     def test_labels_match_target(self):
         spec = _spec(mc=2000)
-        ds = gen_dataset(spec, 12, 2, 0.25, seed=7)
+        ds = gen_dataset(spec, 12, 0.25, seed=7)
         assert np.array_equal(ds.y, TargetSampler(spec).means(ds.X))
         mean, stderr = mc_expected_max(spec.seed, spec.mc_samples, ds.X, spec.sigma, B1, B2, 1.0)
         assert np.all(np.abs(ds.y - mean) <= data.CHECK_STDERRS * stderr)
@@ -337,18 +337,14 @@ class TestGenDataset:
     def test_calibrated_mean_abs_near_one(self):
         spec = _spec(kind="s2", mc=20_000, seed=13)
         calibrated = spec.with_calib(calibrate(spec))
-        ds = gen_dataset(calibrated, 15_000, 2, 0.2, seed=8)
+        ds = gen_dataset(calibrated, 15_000, 0.2, seed=8)
         assert float(np.mean(np.abs(ds.y))) == pytest.approx(1.0, rel=0.05)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            gen_dataset(_spec(mc=1000), 10, 3, 0.2, seed=9)
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
-            gen_dataset(_spec(mc=1000), 10, 2, 0.0, seed=9)
+            gen_dataset(_spec(mc=1000), 10, 0.0, seed=9)
         with pytest.raises(ValueError):
-            gen_dataset(_spec(mc=1000), 10, 2, 1.0, seed=9)
+            gen_dataset(_spec(mc=1000), 10, 1.0, seed=9)
 
 
 class TestDatasetInvariants:

@@ -1,10 +1,13 @@
 """Experiment runner, bounds calculator, and CLI surface."""
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -52,19 +55,27 @@ class TestTheoryBounds:
         with pytest.raises(ValueError):
             theory_bounds(0.0, 10, 10, 0.1, 1.0, 4.0, 1.0)
 
+    @pytest.mark.parametrize("position", [0, 1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_inputs_rejected(self, position, value):
+        # a nan width gave a nan a bound, an infinite radius infinite v and f bounds
+        args = [0.1, 10, 10, 0.1, 1.0, 4.0, 1.0]
+        args[position] = value
+        with pytest.raises(ValueError):
+            theory_bounds(*args)
+
 
 class TestRateStudy:
     def test_zero_target_gives_zero_error(self):
         result = rate_study(
             RbfParams(center=1.0, width=1.0),
-            np.array([1.0, 0.0]),
-            np.array([0.0, 1.0]),
+            np.zeros(2),
+            np.zeros(2),
             m_values=[8, 32],
             trials=1,
             seed=0,
             test_points=50,
             ref_samples=2000,
-            v_scale=0.0,
         )
         assert np.all(result.mean_abs_err == 0.0)
         assert math.isnan(result.slope)
@@ -100,9 +111,7 @@ class TestRateStudy:
         # reference is exact, and each bank's estimate is bit-identical to the earlier per-bank estimator
         raw = dict(load_config(str(CONFIG_DIR / "rate_study.json")), ref_samples=200_000)
         cfg = parse_config("rate-study", raw)
-        result = rate_study(
-            cfg.rbf, cfg.b1, cfg.b2, cfg.m_values, cfg.trials, cfg.seed, cfg.test_points, cfg.ref_samples, cfg.v_scale
-        )
+        result = rate_study(cfg.rbf, cfg.b1, cfg.b2, cfg.m_values, cfg.trials, cfg.seed, cfg.test_points, cfg.ref_samples)
         pinned = [
             0.06755283302481718,
             0.05294768181851343,
@@ -184,7 +193,7 @@ class TestRunKernelVerify:
             run("kernel-verify", {"trials": 3}, str(tmp_path))
 
     def test_single_trial_needs_its_pass(self, tmp_path):
-        # min_passes defaults to max(1, trials - 1): one trial cannot pass with zero passes
+        # kernel-verify needs max(1, trials - 1) passes: one trial cannot pass with zero passes
         cfg = {"seed": 3, "trials": 1, "samples": 20_000, "dims": [2], "centers": [0.0], "widths": [1.0]}
         assert run("kernel-verify", cfg, str(tmp_path)) == 0
         assert "1/1 trials pass (need >= 1): PASS" in (tmp_path / "kernel_verify_summary.txt").read_text()
@@ -388,6 +397,16 @@ class TestRunExportActivation:
         assert main(["export-activation", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
         assert str(ckpt) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dtype", [complex, str])
+    def test_weights_that_are_not_real_floats_exit_2(self, dtype, tmp_path, capsys):
+        ckpt = _checkpoint(tmp_path)
+        with np.load(ckpt) as fields:
+            fields = dict(fields)
+        np.savez(ckpt, **{**fields, "a": fields["a"].astype(dtype)})
+        cfg_path = _write_config(tmp_path, {"checkpoint": str(ckpt)})
+        assert main(["export-activation", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "'a'" in err
 
     def test_malformed_checkpoint_field_exits_2_naming_it(self, tmp_path, capsys):
         ckpt = _checkpoint(tmp_path)
@@ -430,8 +449,8 @@ BAD_CONFIGS = [
     ("kernel-verify", {"seed": 1, "trials": "x"}, "trials"),
     ("kernel-verify", {"seed": 1, "trials": 0}, "trials"),
     ("kernel-verify", {"seed": 1, "samples": 1}, "samples"),
-    ("kernel-verify", {"seed": 1, "trials": 3, "min_passes": 0}, "min_passes"),
-    ("kernel-verify", {"seed": 1, "trials": 3, "min_passes": 4}, "min_passes"),
+    ("kernel-verify", {"seed": 1, "dims": [0]}, "dims"),
+    ("kernel-verify", {"seed": 1, "centers": []}, "centers"),
     ("kernel-verify", {"seed": True}, "seed"),
     ("kernel-verify", {"seed": 1, "widths": [0.0]}, "width"),
     ("rate-study", {"seed": 1, "slope_range": [1]}, "slope_range"),
@@ -482,6 +501,70 @@ class TestBadConfigs:
     def test_shipped_config_parses(self, path):
         mode = next(m for m in MODES if path.stem.replace("_", "-").startswith(m))
         assert type(parse_config(mode, load_config(str(path)))).__name__ == MODES[mode][0]
+
+
+def _key_paths(cls, prefix=()):
+    """(class, field, key path) of each settable value of the config dataclass cls, through its sections."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    for f in dataclasses.fields(cls):
+        if f.init:
+            tp = hints[f.name]
+            while typing.get_origin(tp) in (typing.Union, types.UnionType, typing.Annotated):
+                tp = typing.get_args(tp)[0]
+            if dataclasses.is_dataclass(tp):
+                yield from _key_paths(tp, (*prefix, f.name))
+            else:
+                yield cls, f.name, (*prefix, f.name)
+
+
+def _sets(raw, path) -> bool:
+    for key in path:
+        if not isinstance(raw, dict) or key not in raw:
+            return False
+        raw = raw[key]
+    return True
+
+
+# Keys that no shipped config set; each now exits 2 as unknown.
+REMOVED_KEYS = [
+    ("kernel-verify", "kernel_verify.json", "min_passes", 19),
+    ("taylor-verify", "taylor_verify.json", "seed", 1),
+    ("rate-study", "rate_study.json", "v_scale", 1.0),
+    ("train-compare", "train_compare_s1.json", "data.seed", 2027),
+    ("train-compare", "train_compare_s1.json", "train.adam_beta1", 0.9),
+    ("train-compare", "train_compare_s1.json", "train.adam_beta2", 0.999),
+    ("train-compare", "train_compare_s1.json", "train.adam_eps", 1e-8),
+    ("export-activation", "export_activation.json", "seed", 1),
+    ("bounds", "bounds.json", "seed", 1),
+]
+
+
+class TestConfigSurface:
+    def test_every_settable_value_is_set_by_a_shipped_config(self):
+        # a value no shipped config sets is a constant; a class counts as covered if any of its uses is
+        from rflaf import configs
+
+        uses, covered = [], set()
+        for mode, (name, _, _) in MODES.items():
+            shipped = [load_config(str(p)) for p in CONFIGS if p.stem.replace("_", "-").startswith(mode)]
+            for cls, key, path in _key_paths(getattr(configs, name)):
+                uses.append((cls.__name__, key))
+                if any(_sets(raw, path) for raw in shipped):
+                    covered.add((cls.__name__, key))
+        assert sorted(set(uses) - covered) == []
+        assert len(uses) == 63
+
+    @pytest.mark.parametrize("mode,name,path,value", REMOVED_KEYS, ids=[f"{m}-{p}" for m, _, p, _ in REMOVED_KEYS])
+    def test_removed_key_exits_2_as_unknown(self, mode, name, path, value, tmp_path, capsys):
+        cfg = load_config(str(CONFIG_DIR / name))
+        *sections, key = path.split(".")
+        section = cfg
+        for s in sections:
+            section = section[s]
+        section[key] = value
+        cfg_path = _write_config(tmp_path, cfg)
+        assert main([mode, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 _KERNEL_SMALL = {"seed": 3, "trials": 2, "samples": 5000, "dims": [2], "centers": [0.0], "widths": [1.0]}
@@ -542,6 +625,22 @@ class TestCli:
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["bounds", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("mode", ["taylor-verify", "bounds", "export-activation"])
+    def test_seed_flag_ignored_by_modes_that_draw_nothing(self, mode, tmp_path):
+        configs = {
+            "taylor-verify": {"p_values": [1.0], "series": {"widths": [1.0], "centers": [0.0]}},
+            "bounds": TestRunBounds.BASE,
+            "export-activation": {"checkpoint": str(_checkpoint(tmp_path)), "target": _TARGET_S1},
+        }
+        cfg_path = _write_config(tmp_path, configs[mode])
+        outs = []
+        for extra in ([], ["--seed", "17"]):
+            outs.append(tmp_path / f"out{len(outs)}")
+            assert main([mode, "--config", cfg_path, "--out", str(outs[-1]), *extra]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes() for n in names)
 
     def test_seed_flag(self, tmp_path):
         cfg_path = _write_config(

@@ -415,6 +415,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"checkpoint field '{field}'"):
             load_model(path)
 
+    @pytest.mark.parametrize("field", ["a", "v"])
+    @pytest.mark.parametrize("dtype", [complex, str, bool])
+    def test_load_rejects_weights_that_are_not_real_floats(self, tmp_path, field, dtype):
+        # a complex vector would load with its imaginary part dropped, a string one would be parsed
+        path = tmp_path / "model.npz"
+        save_model(_random_model(np.random.default_rng(53), dim=2, m=9, n_basis=6), path)
+        with np.load(path) as ckpt:
+            fields = dict(ckpt)
+        np.savez(path, **{**fields, field: fields[field].astype(dtype)})
+        with pytest.raises(ValueError, match=f"checkpoint field '{field}' must hold real floats"):
+            load_model(path)
+
     def test_load_rejects_missing_fields(self, tmp_path):
         path = tmp_path / "short.npz"
         np.savez(path, format_version=np.int64(1), dim=np.int64(2))

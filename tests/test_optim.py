@@ -314,7 +314,7 @@ class TestAdamStep:
         assert np.all(np.sign(new_params) == -np.sign(g))
 
     def test_three_steps_match_scripted_reference(self):
-        cfg = TrainConfig(learning_rate=0.1, adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8)
+        cfg = TrainConfig(learning_rate=0.1)
         grads = [np.array([1.0, -0.5]), np.array([0.2, 0.4]), np.array([-1.5, 2.0])]
         state = init_adam(2)
         params = np.array([0.3, -0.7])
@@ -435,8 +435,11 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
-            TrainConfig(adam_beta1=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(adam_eps=0.0)
-        with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2", "learning_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_hyperparameters(self, name, value):
+        # a nan or inf here would make the first Adam step's parameters non-finite mid-training
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
