@@ -42,6 +42,12 @@ SPLIT_CELLS = 1 << 20
 # Draws per block of mc_mean, the unit split_rows hands to a worker.
 MC_BLOCK = 1 << 17
 
+# Narrowest bump width of an ActivationGrid or kernel.RbfParams.  At 2^-511,
+# h * h is the smallest normal float and bumps' factor -1 / (2 h^2) = -2^1021
+# is finite; narrower, the factor overflows (a NaN bump at u == c) and then
+# h * h underflows to 0.
+MIN_WIDTH = 2.0**-511
+
 __all__ = [
     "ActivationGrid",
     "build_grid",
@@ -76,8 +82,8 @@ class ActivationGrid:
             raise ValueError(f"invalid support [{lo}, {hi}]")
         if self.n_basis < 1:
             raise ValueError(f"n_basis must be at least 1, got {self.n_basis}")
-        if self.width <= 0 or not math.isfinite(self.width):
-            raise ValueError(f"width must be positive and finite, got {self.width}")
+        if not MIN_WIDTH <= self.width < math.inf:
+            raise ValueError(f"width must be finite and at least MIN_WIDTH = 2**-511, got {self.width}")
         object.__setattr__(self, "centers", lo + np.arange(1, self.n_basis + 1) * self.spacing)
 
     @property

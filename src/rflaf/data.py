@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,42 +314,31 @@ def calibrate(spec: TargetSpec, n_points: int = 10_000) -> float:
 
 @dataclass(frozen=True, eq=False)  # == is identity, as for TargetSpec
 class Dataset:
-    """Synthetic regression data with its train/test split."""
+    """Synthetic regression data: its train rows and its test rows."""
 
-    X: np.ndarray
-    y: np.ndarray
-    train_idx: np.ndarray
-    test_idx: np.ndarray
+    x_train: np.ndarray
+    y_train: np.ndarray
+    x_test: np.ndarray
+    y_test: np.ndarray
 
     def __post_init__(self):
-        if self.X.ndim != 2:
-            raise ValueError(f"X must be a 2-D array, got shape {self.X.shape}")
-        n = self.X.shape[0]
-        if self.y.shape != (n,):
-            raise ValueError("y length must match X rows")
-        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
-            raise ValueError("X and y must be finite")
-        joined = np.concatenate([self.train_idx, self.test_idx])
-        if not np.issubdtype(joined.dtype, np.integer) or np.any((joined < 0) | (joined >= n)):
-            raise ValueError(f"train and test indices must be integers in [0, {n})")
-        if np.unique(joined).shape[0] != n or joined.shape[0] != n:
-            raise ValueError("train and test indices must partition the rows")
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.X.shape[1]
+        for split, X, y in (("train", self.x_train, self.y_train), ("test", self.x_test, self.y_test)):
+            if X.ndim != 2:
+                raise ValueError(f"x_{split} must be a 2-D array, got shape {X.shape}")
+            if y.shape != (X.shape[0],):
+                raise ValueError(f"y_{split} must hold one value per row of x_{split}, got shape {y.shape}")
+            if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+                raise ValueError(f"x_{split} and y_{split} must be finite")
+        if self.x_test.shape[1] != self.x_train.shape[1]:
+            raise ValueError(f"x_test has {self.x_test.shape[1]} columns, x_train {self.x_train.shape[1]}")
 
 
 def holdout_size(n: int, test_fraction: float) -> int:
     """Rows gen_dataset puts in the test split: round(n * test_fraction), in [1, n-1]."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"need an integer of at least 2 samples, got {n!r}")
     return min(max(int(round(n * test_fraction)), 1), n - 1)
 
 
@@ -358,13 +348,12 @@ def gen_dataset(
     test_fraction: float,
     seed: int,
 ) -> Dataset:
-    """Draw Gaussian inputs in spec.dim dimensions, label them with the exact target values, split by permutation."""
+    """Gaussian inputs in spec.dim dimensions with their exact target values, split by permutation in drawn order."""
     n_test = holdout_size(n, test_fraction)
     rng_x = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     rng_split = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     X = rng_x.standard_normal((n, spec.dim))
     y = TargetSampler(spec).means(X)
     perm = rng_split.permutation(n)
-    test_idx = np.sort(perm[:n_test])
-    train_idx = np.sort(perm[n_test:])
-    return Dataset(X=X, y=y, train_idx=train_idx, test_idx=test_idx)
+    train, test = np.sort(perm[n_test:]), np.sort(perm[:n_test])
+    return Dataset(x_train=X[train], y_train=y[train], x_test=X[test], y_test=y[test])

@@ -114,6 +114,8 @@ def rate_study(
         raise ValueError("b1 and b2 must be vectors of equal length")
     if trials < 1 or test_points < 1:
         raise ValueError("trials and test_points must be positive")
+    if len(set(m_values)) < 2:  # a slope needs two widths
+        raise ValueError(f"m_values must hold two distinct widths, got {list(m_values)}")
     if ref_samples < 2:
         raise ValueError(f"ref_samples must be at least 2 for the cross-check's standard error, got {ref_samples}")
     root = np.random.SeedSequence([seed, 0xA7E])

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import bumps, mc_mean
+from .basis import MIN_WIDTH, bumps, mc_mean
 
 __all__ = [
     "RbfParams",
@@ -48,8 +48,8 @@ class RbfParams:
     def __post_init__(self):
         if not (math.isfinite(self.center) and math.isfinite(self.width)):
             raise ValueError("RBF center and width must be finite")
-        if self.width <= 0:
-            raise ValueError(f"RBF width must be positive, got {self.width}")
+        if self.width < MIN_WIDTH:
+            raise ValueError(f"RBF width must be at least MIN_WIDTH = 2**-511, got {self.width}")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ predict_batch called on their own run in one process.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,10 +82,10 @@ class TrainConfig:
             raise ValueError(f"lambda1 and lambda2 must be nonnegative and finite, got {self.lambda1}, {self.lambda2}")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, least in (("epochs", 0), ("batch_size", 1)):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -266,43 +267,40 @@ def _adam_loop(params, dataset: Dataset, cfg: TrainConfig, seed: int, loss_and_g
     epoch's batches, test_mse is a full pass at the end of each epoch.  seed
     orders the batches, so equal seeds produce identical parameter trajectories.
     """
-    y_train = dataset.y[dataset.train_idx]
-    y_test = dataset.y[dataset.test_idx]
     state = init_adam(params.shape[0])
     rng = np.random.default_rng(seed)
     history: list[EpochStats] = []
     for epoch in range(cfg.epochs):
         sums = np.zeros(4)  # total, mse, balance, l1 weighted by batch size
         seen = 0
-        order = rng.permutation(y_train.shape[0])
+        order = rng.permutation(dataset.y_train.shape[0])
         for lo in range(0, order.shape[0], cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            lb, grads = loss_and_grad(params, idx, y_train[idx])
+            lb, grads = loss_and_grad(params, idx, dataset.y_train[idx])
             state, params = adam_step(state, params, grads, cfg)
             sums += idx.shape[0] * np.array([lb.total, lb.mse, lb.balance, lb.l1])
             seen += idx.shape[0]
-        test_resid = predict_test(params) - y_test
-        test_mse = float(row_dot(test_resid, test_resid)) / max(1, y_test.shape[0])
+        test_resid = predict_test(params) - dataset.y_test
+        test_mse = float(row_dot(test_resid, test_resid)) / max(1, dataset.y_test.shape[0])
         history.append(EpochStats(epoch, *(sums / seen), test_mse=test_mse))
     return params, history
 
 
 def train(model: RflafModel, dataset: Dataset, cfg: TrainConfig, seed: int) -> tuple[RflafModel, list[EpochStats]]:
     """Adam on (a, v) of the regularized objective, shuffled by seed, inside basis.kernel_workers; see _adam_loop."""
-    x_train = dataset.X[dataset.train_idx]
-    x_test = dataset.X[dataset.test_idx]
     n_basis = model.grid.n_basis
 
     def at(params: np.ndarray) -> RflafModel:
         return RflafModel(bank=model.bank, grid=model.grid, a=params[:n_basis], v=params[n_basis:])
 
     def loss_and_grad(params, idx, yb):
-        lb, g_a, g_v = _loss_and_grad(at(params), x_train[idx], yb, cfg)
+        lb, g_a, g_v = _loss_and_grad(at(params), dataset.x_train[idx], yb, cfg)
         return lb, np.concatenate([g_a, g_v])
 
     with kernel_workers(model.grid, model.bank.n_features):
         params, history = _adam_loop(
-            np.concatenate([model.a, model.v]), dataset, cfg, seed, loss_and_grad, lambda p: predict_batch(at(p), x_test)
+            np.concatenate([model.a, model.v]), dataset, cfg, seed, loss_and_grad,
+            lambda p: predict_batch(at(p), dataset.x_test),
         )
     return at(params), history
 
@@ -311,8 +309,8 @@ def train_baseline(
     model: BaselineRfModel, dataset: Dataset, cfg: TrainConfig, seed: int
 ) -> tuple[BaselineRfModel, list[EpochStats]]:
     """Adam on v for a fixed-activation baseline, shuffled by seed; plain MSE objective."""
-    phi_train = baseline_features(model, dataset.X[dataset.train_idx])  # (n_train, M)
-    phi_test = baseline_features(model, dataset.X[dataset.test_idx])
+    phi_train = baseline_features(model, dataset.x_train)  # (n_train, M)
+    phi_test = baseline_features(model, dataset.x_test)
     m = model.bank.n_features
 
     def loss_and_grad(v, idx, yb):

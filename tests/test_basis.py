@@ -74,6 +74,20 @@ class TestBuildGrid:
             with pytest.raises(ValueError):
                 ActivationGrid(*bad)
 
+    @pytest.mark.parametrize("width", [1e-160, 1e-170])
+    def test_rejects_width_below_floor(self, width):
+        # bumps' factor -1/(2h^2) is -inf at 1e-160 (a NaN bump at u == c), and h*h is 0 at 1e-170
+        with pytest.raises(ValueError, match="width"):
+            build_grid(-1.0, 1.0, 4, width)
+
+    def test_bumps_finite_at_width_floor(self):
+        h = basis.MIN_WIDTH
+        assert h * h > 0 and math.isfinite(-1.0 / (2.0 * h * h))
+        got = bumps(np.array([0.0, h, -h, 1e-100, 1.0]), 0.0, h)
+        assert got.tolist() == pytest.approx([1.0, math.exp(-0.5), math.exp(-0.5), 0.0, 0.0], rel=1e-15, abs=0)
+        grid = build_grid(-1.0, 1.0, 4, h)
+        assert activation_curve(grid, np.ones(4), grid.centers).tolist() == [1.0] * 4
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             build_grid(1.0, 0.0, 4, 0.1)

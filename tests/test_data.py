@@ -312,33 +312,55 @@ class TestCalibrate:
             calibrate(_spec(mc=1000), n_points=n_points)
 
 
+class TestHoldoutSize:
+    @pytest.mark.parametrize("n", [2.5, 10.0, True, "10"])
+    def test_rejects_non_integer_rows(self, n):
+        # holdout_size(2.5, 0.5) returned 1
+        with pytest.raises(ValueError, match="integer"):
+            data.holdout_size(n, 0.5)
+
+    def test_sizes(self):
+        assert [data.holdout_size(n, 0.2) for n in (2, 10, np.int64(10), 1000)] == [1, 2, 2, 200]
+
+
 class TestGenDataset:
     def test_split_sizes_and_disjointness(self):
         ds = gen_dataset(_spec(mc=1000), 10, 0.2, seed=5)
-        assert len(ds.train_idx) == 8
-        assert len(ds.test_idx) == 2
-        assert set(ds.train_idx) | set(ds.test_idx) == set(range(10))
-        assert not set(ds.train_idx) & set(ds.test_idx)
+        assert ds.x_train.shape == (8, 2) and ds.y_train.shape == (8,)
+        assert ds.x_test.shape == (2, 2) and ds.y_test.shape == (2,)
+        rows = {tuple(x) for x in np.concatenate([ds.x_train, ds.x_test])}
+        assert len(rows) == 10
+
+    def test_split_is_the_sorted_permutation_of_the_drawn_rows(self):
+        # gen_dataset's two streams: rows from [seed, 0], the split from [seed, 1]
+        spec, n, seed = _spec(mc=1000), 30, 12
+        X = np.random.default_rng(np.random.SeedSequence([seed, 0])).standard_normal((n, 2))
+        y = TargetSampler(spec).means(X)
+        perm = np.random.default_rng(np.random.SeedSequence([seed, 1])).permutation(n)
+        train, test = np.sort(perm[6:]), np.sort(perm[:6])
+        ds = gen_dataset(spec, n, 0.2, seed=seed)
+        for got, want in [(ds.x_train, X[train]), (ds.y_train, y[train]), (ds.x_test, X[test]), (ds.y_test, y[test])]:
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
     def test_deterministic(self):
         a = gen_dataset(_spec(mc=1000), 20, 0.25, seed=6)
         b = gen_dataset(_spec(mc=1000), 20, 0.25, seed=6)
-        assert np.array_equal(a.X, b.X)
-        assert np.array_equal(a.y, b.y)
-        assert np.array_equal(a.train_idx, b.train_idx)
+        for name in ("x_train", "y_train", "x_test", "y_test"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_labels_match_target(self):
         spec = _spec(mc=2000)
         ds = gen_dataset(spec, 12, 0.25, seed=7)
-        assert np.array_equal(ds.y, TargetSampler(spec).means(ds.X))
-        mean, stderr = mc_expected_max(spec.seed, spec.mc_samples, ds.X, spec.sigma, B1, B2, 1.0)
-        assert np.all(np.abs(ds.y - mean) <= data.CHECK_STDERRS * stderr)
+        X, y = np.concatenate([ds.x_train, ds.x_test]), np.concatenate([ds.y_train, ds.y_test])
+        assert np.array_equal(y, TargetSampler(spec).means(X))
+        mean, stderr = mc_expected_max(spec.seed, spec.mc_samples, X, spec.sigma, B1, B2, 1.0)
+        assert np.all(np.abs(y - mean) <= data.CHECK_STDERRS * stderr)
 
     def test_calibrated_mean_abs_near_one(self):
         spec = _spec(kind="s2", mc=20_000, seed=13)
         calibrated = spec.with_calib(calibrate(spec))
         ds = gen_dataset(calibrated, 15_000, 0.2, seed=8)
-        assert float(np.mean(np.abs(ds.y))) == pytest.approx(1.0, rel=0.05)
+        assert float(np.mean(np.abs(np.concatenate([ds.y_train, ds.y_test])))) == pytest.approx(1.0, rel=0.05)
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
@@ -347,49 +369,33 @@ class TestGenDataset:
             gen_dataset(_spec(mc=1000), 10, 1.0, seed=9)
 
 
+def _dataset(**arrays):
+    """A zero Dataset of 3 train rows and 1 test row in 2 dimensions, with any of its four arrays replaced."""
+    shapes = {"x_train": (3, 2), "y_train": (3,), "x_test": (1, 2), "y_test": (1,)}
+    return Dataset(**{name: arrays.get(name, np.zeros(shape)) for name, shape in shapes.items()})
+
+
 class TestDatasetInvariants:
-    def test_rejects_overlapping_split(self):
-        with pytest.raises(ValueError):
-            Dataset(
-                X=np.zeros((4, 2)),
-                y=np.zeros(4),
-                train_idx=np.array([0, 1, 2]),
-                test_idx=np.array([2, 3]),
-            )
-
     @pytest.mark.parametrize(
-        "train_idx, test_idx",
-        [([1, 2, 3], [4]), ([-1, 0, 1], [2]), ([0.0, 1.0, 2.0], [3.0])],
-        ids=["past-end", "negative", "float"],
+        "field, value",
+        [("x_train", np.full((3, 2), np.nan)), ("y_test", np.array([np.inf])),
+         ("x_test", np.array([[0.0, -np.inf]])), ("y_train", np.array([0.0, np.nan, 0.0]))],
+        ids=["nan-X", "inf-y", "inf-x-test", "nan-y-train"],
     )
-    def test_rejects_indices_outside_rows(self, train_idx, test_idx):
-        with pytest.raises(ValueError, match=r"integers in \[0, 4\)"):
-            Dataset(
-                X=np.zeros((4, 2)),
-                y=np.zeros(4),
-                train_idx=np.array(train_idx),
-                test_idx=np.array(test_idx),
-            )
-
-    @pytest.mark.parametrize(
-        "X, y",
-        [(np.full((4, 2), np.nan), np.zeros(4)), (np.zeros((4, 2)), np.array([0.0, np.inf, 0.0, 0.0]))],
-        ids=["nan-X", "inf-y"],
-    )
-    def test_rejects_non_finite_data(self, X, y):
+    def test_rejects_non_finite_data(self, field, value):
         with pytest.raises(ValueError, match="finite"):
-            Dataset(
-                X=X,
-                y=y,
-                train_idx=np.array([0, 1, 2]),
-                test_idx=np.array([3]),
-            )
+            _dataset(**{field: value})
 
     def test_rejects_one_dimensional_X(self):
-        with pytest.raises(ValueError, match="2-D"):
-            Dataset(
-                X=np.zeros(4),
-                y=np.zeros(4),
-                train_idx=np.array([0, 1, 2]),
-                test_idx=np.array([3]),
-            )
+        for arrays in ({"x_train": np.zeros(3)}, {"x_test": np.zeros(1)}):
+            with pytest.raises(ValueError, match="2-D"):
+                _dataset(**arrays)
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [{"x_test": np.zeros((1, 3))}, {"y_train": np.zeros(2)}, {"y_test": np.zeros(2)}, {"y_train": np.zeros((3, 1))}],
+        ids=["test-width", "train-rows", "test-rows", "column-y"],
+    )
+    def test_rejects_mismatched_splits(self, arrays):
+        with pytest.raises(ValueError, match="columns|one value per row"):
+            _dataset(**arrays)

@@ -125,6 +125,12 @@ class TestRateStudy:
         assert result.slope == pytest.approx(-0.4912681254130254, rel=1e-13, abs=0)
         assert (result.check.samples, result.check.failures) == (200_000, 0)
 
+    @pytest.mark.parametrize("m_values", [[1], [4, 4]], ids=["one", "repeated"])
+    def test_rejects_fewer_than_two_widths(self, m_values):
+        # [1] raised LinAlgError from polyfit, and [4, 4] fitted a slope of -0.49 to one point
+        with pytest.raises(ValueError, match="two distinct widths"):
+            rate_study(RbfParams(1.0, 1.0), np.array([1.0, 0.0]), np.array([0.0, 1.0]), m_values, 1, 0, 10, 100)
+
     def test_reference_is_exact(self):
         # the reference does not depend on the size of its Monte-Carlo cross-check
         args = (RbfParams(1.0, 1.0), np.array([1.0, 0.0]), np.array([0.0, 1.0]), [16, 64], 2, 5, 100)
@@ -481,6 +487,9 @@ BAD_CONFIGS = [
     ("bounds", dict(_BOUNDS_SCHEDULE, epsilon=1.0, lipschitz_sigma=1.0, radius=1.0, support_len=0.001), "support_len"),
     ("rate-study", {"seed": 1, "ref_samples": 1}, "ref_samples"),
     ("train-compare", _train_compare_config(baselines=["relu", "relu"]), "baselines"),
+    ("train-compare", _train_compare_config(**{"model.width": 1e-160}), "width"),
+    ("kernel-verify", {"seed": 1, "widths": [1e-170]}, "width"),
+    ("rate-study", {"seed": 1, "rbf": {"width": 1e-160}}, "width"),
 ]
 
 

@@ -57,6 +57,17 @@ class TestRbfParams:
         with pytest.raises(ValueError):
             RbfParams(center=0.0, width=-1.0)
 
+    @pytest.mark.parametrize("width", [1e-160, 1e-170])
+    def test_rejects_width_below_floor(self, width):
+        # kernel_mc at x = x' = 0 with width 1e-160 returned a NaN mean
+        with pytest.raises(ValueError, match="width"):
+            RbfParams(center=0.0, width=width)
+
+    def test_kernel_at_width_floor(self):
+        params = RbfParams(center=0.0, width=basis.MIN_WIDTH)
+        assert kernel_mc(np.zeros(2), np.zeros(2), params, 100, 0).mean == 1.0
+        assert 0.0 <= kernel_closed(np.zeros(2), np.zeros(2), params) <= 1.0
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             RbfParams(center=math.nan, width=1.0)
@@ -120,7 +131,7 @@ class TestKernelClosed:
         x=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
         x2=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
         c=st.floats(allow_nan=False, allow_infinity=False),
-        h=st.floats(min_value=5e-324, allow_infinity=False),
+        h=st.floats(min_value=basis.MIN_WIDTH, allow_infinity=False),  # every width RbfParams accepts
     )
     def test_finite_inputs_give_a_symmetric_value_in_range(self, x, x2, c, h):
         params = RbfParams(center=c, width=h)

@@ -453,7 +453,7 @@ class TestValidation:
                 RflafModel(bank=bank, grid=build_grid(-1.0, 1.0, 4, 0.2), a=np.ones(4), v=np.ones(3)),
                 BaselineRfModel(bank=bank, activation_kind="relu", v=np.ones(3)),
                 TargetSpec(sigma_kind="s1", b1=[1.0, 0.0], b2=[0.0, 1.0]),
-                Dataset(X=np.zeros((2, 2)), y=np.zeros(2), train_idx=np.array([0]), test_idx=np.array([1])),
+                Dataset(x_train=np.zeros((1, 2)), y_train=np.zeros(1), x_test=np.zeros((1, 2)), y_test=np.zeros(1)),
             ]
 
         for first, second in zip(build(), build()):

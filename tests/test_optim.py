@@ -351,12 +351,8 @@ def _tiny_dataset(rng, n=64, d=2):
     X = rng.standard_normal((n, d))
     y = np.sin(X[:, 0]) * 0.5 + 0.1 * X[:, 1]
     idx = rng.permutation(n)
-    return Dataset(
-        X=X,
-        y=y,
-        train_idx=np.sort(idx[: int(0.8 * n)]),
-        test_idx=np.sort(idx[int(0.8 * n) :]),
-    )
+    train, test = np.sort(idx[: int(0.8 * n)]), np.sort(idx[int(0.8 * n) :])
+    return Dataset(x_train=X[train], y_train=y[train], x_test=X[test], y_test=y[test])
 
 
 class TestTrain:
@@ -436,6 +432,19 @@ class TestTrainConfigValidation:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("epochs", 2.5), ("epochs", True), ("epochs", 2.0), ("batch_size", 16.5), ("batch_size", math.inf),
+         ("batch_size", True), ("batch_size", "8")],
+    )
+    def test_rejects_non_integer_counts(self, name, value):
+        # a float reached range() in train as a TypeError, and epochs=True ran one epoch
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        assert TrainConfig(epochs=np.int64(2), batch_size=np.int32(8)).epochs == 2
 
     @pytest.mark.parametrize("name", ["lambda1", "lambda2", "learning_rate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -246,7 +246,7 @@ class TestSplitRows:
             def fit():
                 rng = np.random.default_rng(5)
                 X, y = rng.standard_normal((90, 2)), rng.standard_normal(90)
-                ds = data.Dataset(X, y, np.arange(70), np.arange(70, 90))
+                ds = data.Dataset(X[:70], y[:70], X[70:], y[70:])
                 model = optim.new_rflaf_model(sample_features(2, 10, 6), grid, 7)
                 trained, history = optim.train(model, ds, optim.TrainConfig(epochs=2, batch_size=32), 8)
                 return trained.a, trained.v, np.array([h.test_mse for h in history])
@@ -278,8 +278,8 @@ def _fit_case(rows=700):
     model = optim.new_rflaf_model(sample_features(2, 300, seed=42), build_grid(-2.0, 2.0, 200, 0.04), 43)
     X = 2.0 * rng.standard_normal((rows, 2))
     y = np.abs(X[:, 0]) - X[:, 1] + 0.1 * rng.standard_normal(rows)
-    split = rng.permutation(rows)
-    return model, Dataset(X, y, split[: rows * 4 // 5], split[rows * 4 // 5 :])
+    train, test = np.split(rng.permutation(rows), [rows * 4 // 5])
+    return model, Dataset(X[train], y[train], X[test], y[test])
 
 
 def _fit_bytes(model, dataset, epochs=2):
@@ -323,7 +323,7 @@ class TestKernelWorkers:
 
     def test_calls_outside_the_scope_or_its_geometry_run_here(self):
         model, dataset = _fit_case()
-        X, y = dataset.X[:300], dataset.y[:300]
+        X, y = dataset.x_train[:300], dataset.y_train[:300]
         z = X @ model.bank.weights.T
         with _parts(3), mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
             grad(model, X, y, TrainConfig())
