@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import math
 import mmap
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -49,6 +50,7 @@ MC_BLOCK = 1 << 17
 MIN_WIDTH = 2.0**-511
 
 __all__ = [
+    "check_count",
     "ActivationGrid",
     "build_grid",
     "bumps",
@@ -63,6 +65,12 @@ __all__ = [
     "quadrature_norm_bounds",
     "approximation_schedule",
 ]
+
+
+def check_count(name: str, count, least: int) -> None:
+    """ValueError naming name unless count is an integer (a numpy one too, never a bool) of at least least."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +88,7 @@ class ActivationGrid:
         lo, hi = self.support_lo, self.support_hi
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"invalid support [{lo}, {hi}]")
-        if self.n_basis < 1:
-            raise ValueError(f"n_basis must be at least 1, got {self.n_basis}")
+        check_count("n_basis", self.n_basis, 1)
         if not MIN_WIDTH <= self.width < math.inf:
             raise ValueError(f"width must be finite and at least MIN_WIDTH = 2**-511, got {self.width}")
         object.__setattr__(self, "centers", lo + np.arange(1, self.n_basis + 1) * self.spacing)
@@ -112,8 +119,7 @@ class ActivationGrid:
 
 def build_grid(support_lo: float, support_hi: float, n_basis: int, width: float) -> ActivationGrid:
     """ActivationGrid of at least 2 centers from plain numbers."""
-    if n_basis < 2:
-        raise ValueError(f"need at least 2 basis functions, got {n_basis}")
+    check_count("n_basis", n_basis, 2)
     return ActivationGrid(float(support_lo), float(support_hi), int(n_basis), float(width))
 
 

@@ -13,9 +13,31 @@ occurred.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 
 from .experiments import MODES, ConfigError, load_config, run
+
+
+def keep_heap() -> None:
+    """Make glibc's malloc keep freed memory, in this process and in every process it forks later.
+
+    By default glibc gives a call's freed temporaries back to the system and
+    page-faults them in again on the next call: about 930 faults in this
+    process and 530 in the kernel worker per 256-row training step at the
+    shipped geometry, against under 10 with the thresholds set here.  Where
+    libc has no mallopt (macOS, musl) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # no mallopt, or no symbols of this process to open (Windows)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD at glibc's largest, 32 MiB: the chunk temporaries (2 MiB at basis.CHUNK_CELLS) and the
+    # baselines' feature matrices (19 MB at n = 6000) come from the heap, which a 4 MiB threshold left them
+    # beside, at 1 MB more peak RSS.  M_TRIM_THRESHOLD: trim only past 256 MiB free, 4 times a shipped run's peak.
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 256 << 20)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,6 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    keep_heap()  # process-wide, so only the CLI sets it: importing rflaf leaves the host's allocator alone
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,8 +253,8 @@ class TargetSpec:
             raise ValueError("b1 and b2 must be finite")
         if np.array_equal(b1, b2):
             raise ValueError("b1 and b2 must differ")
-        if self.mc_samples < 1000:
-            raise ValueError(f"mc_samples must be at least 1000, got {self.mc_samples}")
+        basis.check_count("mc_samples", self.mc_samples, 1000)
+        basis.check_count("seed", self.seed, 0)
         if not math.isfinite(self.calib):
             raise ValueError("calib must be finite")
         object.__setattr__(self, "b1", b1)
@@ -301,8 +300,7 @@ def calibrate(spec: TargetSpec, n_points: int = 10_000) -> float:
     """
     if spec.calib != 1.0:
         raise ValueError(f"calibrate expects a spec with calib = 1, got {spec.calib}")
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
+    basis.check_count("n_points", n_points, 1)
     sampler = TargetSampler(spec)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x5CA1E]))
     pts = rng.standard_normal((n_points, spec.dim))
@@ -323,8 +321,8 @@ class Dataset:
 
     def __post_init__(self):
         for split, X, y in (("train", self.x_train, self.y_train), ("test", self.x_test, self.y_test)):
-            if X.ndim != 2:
-                raise ValueError(f"x_{split} must be a 2-D array, got shape {X.shape}")
+            if X.ndim != 2 or X.shape[0] < 1:
+                raise ValueError(f"x_{split} must be a 2-D array of at least one row, got shape {X.shape}")
             if y.shape != (X.shape[0],):
                 raise ValueError(f"y_{split} must hold one value per row of x_{split}, got shape {y.shape}")
             if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
@@ -337,8 +335,7 @@ def holdout_size(n: int, test_fraction: float) -> int:
     """Rows gen_dataset puts in the test split: round(n * test_fraction), in [1, n-1]."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
-        raise ValueError(f"need an integer of at least 2 samples, got {n!r}")
+    basis.check_count("n", n, 2)
     return min(max(int(round(n * test_fraction)), 1), n - 1)
 
 

@@ -46,8 +46,10 @@ class FeatureBank:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim < 1 or self.n_features < 1 or not 0 <= self.seed < 2**63:  # save_model stores an int64 seed
-            raise ValueError(f"need dim, n_features >= 1 and 0 <= seed < 2**63: {self.dim, self.n_features, self.seed}")
+        for name, least in (("dim", 1), ("n_features", 1), ("seed", 0)):
+            basis.check_count(name, getattr(self, name), least)
+        if self.seed >= 2**63:  # save_model stores an int64 seed
+            raise ValueError(f"seed must be below 2**63, got {self.seed}")
         draw = np.random.default_rng(self.seed).standard_normal((self.n_features, self.dim))
         object.__setattr__(self, "weights", draw)
 

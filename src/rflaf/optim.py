@@ -28,7 +28,6 @@ predict_batch called on their own run in one process.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +42,7 @@ from .model import (
     # the one forward pass; train looks it up here at call time
     forward_batch as predict_batch,
 )
-from .basis import ActivationGrid, kernel_workers, row_dot
+from .basis import ActivationGrid, check_count, kernel_workers, row_dot
 
 __all__ = [
     "TrainConfig",
@@ -82,10 +81,8 @@ class TrainConfig:
             raise ValueError(f"lambda1 and lambda2 must be nonnegative and finite, got {self.lambda1}, {self.lambda2}")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        for name, least in (("epochs", 0), ("batch_size", 1)):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {count!r}")
+        check_count("epochs", self.epochs, 0)
+        check_count("batch_size", self.batch_size, 1)
 
 
 @dataclass(frozen=True)

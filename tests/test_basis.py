@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rflaf import basis, data, kernel
+from rflaf import basis, data, kernel, optim
 from rflaf.basis import (
     ActivationGrid,
     activation_curve,
@@ -25,6 +25,7 @@ from rflaf.basis import (
 )
 from rflaf.data import sigma_eval_array
 from rflaf.kernel import RbfParams
+from rflaf.model import FeatureBank
 
 
 def _dense(grid, zs):
@@ -95,6 +96,41 @@ class TestBuildGrid:
             build_grid(0.0, 1.0, 1, 0.1)
         with pytest.raises(ValueError):
             build_grid(0.0, 1.0, 4, 0.0)
+
+
+def _target(**counts):
+    return data.TargetSpec(sigma_kind="s1", b1=np.array([1.0, 0.0]), b2=np.array([0.0, 1.0]), **counts)
+
+
+# (field, the domain object built with that count, a valid count)
+COUNTS = [
+    ("n_basis", lambda count: ActivationGrid(-2.0, 2.0, count, 0.1), 3),
+    ("n_basis", lambda count: build_grid(-2.0, 2.0, count, 0.1), 3),
+    ("dim", lambda count: FeatureBank(count, 3, 0), 3),
+    ("n_features", lambda count: FeatureBank(2, count, 0), 3),
+    ("seed", lambda count: FeatureBank(2, 3, count), 3),
+    ("mc_samples", lambda count: _target(mc_samples=count), 1000),
+    ("seed", lambda count: _target(seed=count), 3),
+    ("n_points", lambda count: data.calibrate(_target(mc_samples=1000), count), 3),
+    ("epochs", lambda count: optim.TrainConfig(epochs=count), 3),
+    ("batch_size", lambda count: optim.TrainConfig(batch_size=count), 3),
+    ("n", lambda count: data.holdout_size(count, 0.5), 3),
+]
+COUNT_IDS = ["n_basis", "build_grid", "dim", "n_features", "bank-seed", "mc_samples", "target-seed", "n_points", "epochs", "batch_size", "n"]
+
+
+class TestCountChecks:
+    # ActivationGrid(-2, 2, 2.5, 0.1) built 3 centers and build_grid 2; FeatureBank and calibrate raised a late TypeError
+    @pytest.mark.parametrize("field, build, valid", COUNTS, ids=COUNT_IDS)
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(1000.0), True, "3", None, -1])
+    def test_rejects_what_is_not_a_count(self, field, build, valid, count):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            build(count)
+
+    @pytest.mark.parametrize("field, build, valid", COUNTS, ids=COUNT_IDS)
+    def test_accepts_numpy_integers(self, field, build, valid):
+        for count in (np.int64(valid), np.uint16(valid), valid):
+            build(count)
 
 
 class TestRbfFeatures:

@@ -391,6 +391,12 @@ class TestDatasetInvariants:
             with pytest.raises(ValueError, match="2-D"):
                 _dataset(**arrays)
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_rejects_an_empty_split(self, split):
+        # 0 train rows gave NaN train metrics, and 0 test rows a test_mse of 0.0
+        with pytest.raises(ValueError, match=f"x_{split} .* at least one row"):
+            _dataset(**{f"x_{split}": np.zeros((0, 2)), f"y_{split}": np.zeros(0)})
+
     @pytest.mark.parametrize(
         "arrays",
         [{"x_test": np.zeros((1, 3))}, {"y_train": np.zeros(2)}, {"y_test": np.zeros(2)}, {"y_train": np.zeros((3, 1))}],

@@ -18,6 +18,11 @@ def test_one_fork_one_shared_mapping_one_exp():
         assert sites == ["basis.py"], (call, sites)
 
 
+def test_allocator_policy_only_in_the_cli():
+    # cli.keep_heap, which cli.main calls: importing rflaf as a library leaves the host's allocator alone
+    assert [name for name, text in _sources().items() if "mallopt" in text] == ["cli.py"]
+
+
 def test_one_chunk_rule():
     # every chunk size in rows comes from basis.chunk_rows
     text = _sources()["basis.py"]

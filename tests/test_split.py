@@ -2,6 +2,7 @@
 mc_mean's blocks of draws) and the banded kernel inside kernel_workers, both on basis._Workers."""
 
 import contextlib
+import ctypes
 import gc
 import os
 import signal
@@ -19,13 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rflaf import basis, data, optim
+from rflaf import basis, cli, data, optim
 from rflaf.basis import banded_activation, build_grid, kernel_workers, split_rows
 from rflaf.data import Dataset, expected_max_quadrature
 from rflaf.model import RflafModel, sample_features
 from rflaf.optim import TrainConfig, grad, predict_batch, train
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # 1 row, odd counts, and counts past the quadrature's 256-row chunk
 ROWS = st.one_of(st.just(1), st.integers(1, 60).map(lambda k: 2 * k + 1), st.integers(257, 600))
@@ -233,7 +235,7 @@ class TestSplitRows:
             import atexit
             from unittest import mock
             import numpy as np
-            from rflaf import basis, data, optim
+            from rflaf import basis, cli, data, optim
             from rflaf.model import sample_features
 
             atexit.register(print, "atexit marker")
@@ -435,3 +437,58 @@ class TestKernelWorkers:
             _no_children_left()
             got = banded_activation(grid, a, z, v)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def _has_mallopt():
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):
+        return False
+    return True
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the kernel worker needs os.fork")
+    @pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt, so cli.keep_heap sets nothing")
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="no /proc to read the worker's faults from")
+    def test_training_steps_fault_no_pages_back_in(self):
+        # by default glibc trimmed each call's freed temporaries and faulted them back in on the next one:
+        # about 930 faults in the parent and 530 in the worker per 256-row step at the shipped geometry
+        script = textwrap.dedent(
+            """
+            import resource
+            from unittest import mock
+            import numpy as np
+            from rflaf import basis, cli, optim
+            from rflaf.model import sample_features
+
+            def worker_faults(pid):
+                with open(f"/proc/{pid}/stat") as stat:
+                    return int(stat.read().rsplit(")", 1)[1].split()[7])  # field 10, minflt
+
+            cli.keep_heap()
+            grid = basis.build_grid(-2.0, 2.0, 200, 0.04)
+            model = optim.new_rflaf_model(sample_features(2, 300, 51), grid, 52)
+            rng = np.random.default_rng(53)
+            X, y, cfg = 2.0 * rng.standard_normal((256, 2)), rng.standard_normal(256), optim.TrainConfig()
+            with mock.patch.object(basis, "_parts", lambda rows, cells_per_row: 2), basis.kernel_workers(grid, 300):
+                pid = basis._workers.pool.procs[0][0]
+                for _ in range(3):
+                    optim.grad(model, X, y, cfg)
+                parent, worker = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, worker_faults(pid)
+                for _ in range(10):
+                    optim.grad(model, X, y, cfg)
+                print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - parent, worker_faults(pid) - worker)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        parent, worker = map(int, run.stdout.split())
+        assert parent <= 32 * 10 and worker <= 32 * 10, (parent, worker)
+
+    @pytest.mark.parametrize("lookup", [{"return_value": object()}, {"side_effect": TypeError}], ids=["no-mallopt", "no-symbols"])
+    def test_cli_runs_where_libc_has_no_mallopt(self, lookup, tmp_path):
+        with mock.patch("ctypes.CDLL", **lookup) as cdll:
+            assert cli.main(["bounds", "--config", str(CONFIG_DIR / "bounds.json"), "--out", str(tmp_path)]) == 0
+        cdll.assert_called_once_with(None)
