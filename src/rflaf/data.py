@@ -55,19 +55,46 @@ _T_MAX = 9.0
 # are enough only with the fixed piece ends at t = +-3: without them the
 # same draws reached 4.4e-11 on a full-line bump sigma.
 _NODES = 32
-# Float (rows, nodes) arrays alive at once in one quadrature piece, rounded
-# up: 11 at the erfc call (t, sigma, t delta, a, Phi, erfc's values, and its
-# arguments as a list of Python floats at 4 cells each), 6 inside
-# sigma_eval_array.  So a chunk of basis.chunk_rows(_QUAD_TEMPS * _NODES)
-# rows, 512 at 32 nodes, keeps each piece's temporaries within CHUNK_CELLS.
+# Float (pieces, nodes) arrays alive at once in one batch of pieces, rounded
+# up: 11 at the Phi call (t, sigma, t delta, a, g, Phi's output, and up to 5
+# inside _normal_cdf), fewer at the sigma call, and the row chunk's per-row
+# arrays (ends, half, parts, the piece indices), 2-3 at 512 rows.
+# tracemalloc's peak was 13.0-15.3 over s1, s3 and a bump sigma.  So a batch
+# of basis.chunk_rows(_QUAD_TEMPS * _NODES) pieces, 512 at 32 nodes, keeps its
+# temporaries within CHUNK_CELLS; a row chunk has as many rows.
 _QUAD_TEMPS = 16
 # A node as the row split counts them (each of a row's 10 + len(knots)
-# pieces at _NODES nodes, empty pieces included) took 31-56 ns over 10,000
-# Gaussian rows of s1, s2 and s3 on a 2-core Xeon VM, much of it in its
-# math.erfc call, against 8 ns per bump of the banded kernel with H: 4-7
-# bumps, rounded up to give its work in basis.SPLIT_CELLS' unit.
-_NODE_BUMPS = 8
+# pieces at _NODES nodes, empty pieces included) took 8.5-24 ns over 10,000
+# Gaussian rows of s1, s2 and s3 on a 2-core Xeon VM, against 8 ns per bump
+# of the banded kernel with H: 1.1-3.0 bumps, rounded up to give its work in
+# basis.SPLIT_CELLS' unit.  (The rate study's bump sigma took 38-42 ns.)
+_NODE_BUMPS = 4
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# _normal_cdf's series: for |a| <= 1, Phi(a) = 1/2 + a (1/sqrt(2 pi) + sum_k c_k a^2k), the Taylor series,
+# with c_k = (-1)^k / (sqrt(2 pi) 2^k k! (2k + 1)) for k = 1..15 here, highest first; the first term left out is
+# below 1e-19 of Phi.  1/sqrt(2 pi) is its leading 27 bits, whose product with a float32 is exact, plus the rest,
+# rounded from a 40-digit value.
+_SERIES = tuple((-1) ** k / (_SQRT_2PI * 2**k * math.factorial(k) * (2 * k + 1)) for k in range(15, 0, -1))
+_RSQRT_2PI_HI = 107090253 / 2**28
+_RSQRT_2PI_LO = -1.5929920987743676e-10
+# Cody's erfc(y) = exp(-y^2) R(y), as in his CALERF (W. J. Cody, Math. Comp. 23 (1969) 631-637): numerator and
+# denominator of R on y in [0.46875, 4], highest power first, the denominator's leading 1 left out; beyond 4,
+# R = (1/sqrt(pi) - z N(z)/D(z)) / y with z = 1/y^2.
+_ERFC_MID = (
+    (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+     2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03, 2.05107837782607147e03,
+     1.23033935479799725e03),
+    (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02, 1.62138957456669019e03,
+     3.29079923573345963e03, 4.36261909014324716e03, 3.43936767414372164e03, 1.23033935480374942e03),
+)
+_ERFC_FAR = (
+    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+     1.60837851487422766e-2, 6.58749161529837803e-4),
+    (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1, 6.05183413124413191e-2,
+     2.33520497626869185e-3),
+)
+_RSQRT_PI = 5.6418958354775628695e-1  # 1/sqrt(pi)
 
 # cross_check's bound on |exact - Monte Carlo| in standard errors.  At 4, one
 # of its 64 points would fail on about 1 seed in 250.
@@ -165,30 +192,138 @@ def _quadrature_rows(X, r, sigma, support, knots, b1, b2, xs, ws) -> np.ndarray:
     ends = [t_lo, t_hi, *(np.full_like(r, t) for t in (-3.0, 0.0, 3.0))]
     ends += [*(k * bend for k in (-16, -4, -1, 1, 4, 16)), *(c / r for c in knots)]
     ends = np.sort(np.clip(np.column_stack(ends), t_lo[:, None], t_hi[:, None]), axis=1)
+    half = 0.5 * np.diff(ends, axis=1)
+    rows, pieces = np.nonzero(half > 0)  # the pieces that are not empty, row by row
+    # Pieces end at |a| = 1, 4 and 16, so the a of a piece lie on one side of each: pieces in order of where they
+    # lie make runs that each need one or two of _normal_cdf's forms.
+    side = np.searchsorted((1.0, 4.0, 16.0), np.abs((ends[rows, pieces] + half[rows, pieces]) * slope[rows]))
+    order = np.argsort(side, kind="stable")
+    rows, pieces, side = rows[order], pieces[order], side[order]
     params = np.column_stack([r, delta, slope, theta, beta2])
-    acc = np.zeros(X.shape[0])
-    for j in range(ends.shape[1] - 1):
-        half = 0.5 * (ends[:, j + 1] - ends[:, j])
-        p = np.flatnonzero(half > 0)  # rows whose piece j is not empty
-        h = half[p, None]
-        r_p, delta_p, slope_p, theta_p, beta2_p = params[p].T[:, :, None]
-        t = (ends[p, j, None] + h) + h * xs
+    parts = np.zeros_like(half)
+    step = basis.chunk_rows(_QUAD_TEMPS * _NODES)
+    for lo in range(0, rows.shape[0], step):
+        i, k = rows[lo : lo + step], pieces[lo : lo + step]
+        h = half[i, k, None]
+        r_p, delta_p, slope_p, theta_p, beta2_p = params[i].T[:, :, None]
+        t = (ends[i, k, None] + h) + h * xs
         sig = sigma(r_p * t)
         td = t * delta_p
         a = t * slope_p
-        cdf = np.where(td > 0, 1.0, 0.0)  # Phi(a) as theta -> 0
-        live = (sig != 0) & (theta_p > 0)
-        args = (a[live] * -math.sqrt(0.5)).tolist()
-        cdf[live] = 0.5 * np.fromiter(map(math.erfc, args), float, len(args))
-        g = basis.bumps(a, 0.0, 1.0)
+        g = basis.bumps(a.copy(), 0.0, 1.0)
+        cdf = np.empty_like(a)
+        runs = np.searchsorted(side[lo : lo + step], np.arange(5))
+        for start, stop in zip(runs[:-1], runs[1:]):
+            if stop > start:
+                cdf[start:stop] = _normal_cdf(a[start:stop], g[start:stop])
+        del a
+        if not np.all(theta_p > 0):
+            cdf = np.where(theta_p > 0, cdf, np.where(td > 0, 1.0, 0.0))  # the step: Phi(a) as theta -> 0
         g *= theta_p / _SQRT_2PI
         td *= cdf
         g += td
         g += t * beta2_p
         g *= sig
         g *= basis.bumps(t, 0.0, 1.0)
-        acc[p] += half[p] * basis.row_dot(g, ws)
+        parts[i, k] = half[i, k] * basis.row_dot(g, ws)
+    acc = np.zeros(X.shape[0])
+    for part in parts.T:  # each row's pieces in order
+        acc += part
     return acc / _SQRT_2PI
+
+
+def _horner(coefs, x: np.ndarray, monic: bool = False) -> np.ndarray:
+    """sum_i coefs[i] x^(n - 1 - i), highest power first, by Horner's rule; monic puts a leading 1 before coefs."""
+    out, rest = (x.copy(), coefs) if monic else (x * coefs[0], coefs[1:])
+    for c in rest[:-1]:
+        out += c
+        out *= x
+    out += rest[-1]
+    return out
+
+
+def _normal_cdf(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Phi(a), the standard normal cdf, at each element of a, given g = exp(-a^2/2) as basis.bumps(a, 0, 1) gives it.
+
+    For |a| <= 1, Phi(a) = 1/2 + a S(a^2), the Taylor series (_SERIES),
+    with the leading term a/sqrt(2 pi) and its sum with 1/2 carried exactly
+    (a float32 split of a, and Fast2Sum).  Elsewhere, with y = |a|/sqrt(2),
+    Phi(a) is erfc(y)/2 for a < 0 and 1 - erfc(y)/2 for a > 0, where
+    erfc(y) = g R(y) and R is Cody's rational for y <= 4 (_ERFC_MID) or his
+    asymptotic one beyond (_ERFC_FAR).  So Phi makes no exp of its own.  Each
+    form runs over the whole array if any element needs it, and np.where
+    picks each element's: every value is a function of its own a and g.
+    Phi(-inf) is 0, Phi(inf) is 1, and NaN gives NaN.
+
+    Largest relative error against 40-digit values (mpmath.ncdf) at 10^6
+    points over [-38.5, 8.3] where Phi is a normal float, and at 3 10^5
+    draws from each of [-38.5, -32], [-5.66, -4] and [-0.7, 0.7]: 5.8e-14
+    below a = -5.66, from the rounding of a^2 inside g; 2.1e-15 on
+    [-5.66, -0.7]; and 1 ulp, 2^-52, above -0.7.  On the same grid the C
+    library's erfc, as 0.5 erfc(-a/sqrt(2)), reaches 1.9e-13, 6.0e-15 and
+    2.3e-16.
+    """
+    near = np.abs(a) <= 1.0
+    if near.all():
+        return _cdf_series(a)
+    y = np.abs(a)
+    y *= math.sqrt(0.5)
+    far = y > 4.0
+    if far.all():
+        erfc = _erfc_far(y)
+    elif far.any():
+        erfc = np.where(far, _erfc_far(y), _erfc_mid(y))
+    else:
+        erfc = _erfc_mid(y)
+    erfc *= g
+    erfc *= 0.5
+    cdf = np.where(a < 0, erfc, 1.0 - erfc)
+    return np.where(near, _cdf_series(a), cdf) if near.any() else cdf
+
+
+def _cdf_series(a: np.ndarray) -> np.ndarray:
+    """Phi(a) for |a| <= 1 by its Taylor series, and a finite value beyond; see _normal_cdf."""
+    a = np.clip(a, -1.0, 1.0)
+    u = a * a
+    tail = _horner(_SERIES, u)
+    tail *= u
+    del u
+    tail += _RSQRT_2PI_LO
+    tail *= a  # a (S(a^2) - _RSQRT_2PI_HI)
+    lead = a.astype(np.float32).astype(float)  # a's leading 24 bits
+    a -= lead  # the rest, exactly
+    a *= _RSQRT_2PI_HI
+    tail += a
+    lead *= _RSQRT_2PI_HI  # exact: 24 bits times 27
+    cdf = lead + 0.5
+    np.subtract(cdf, 0.5, out=a)
+    lead -= a  # the rounding error of cdf = 1/2 + lead, exactly (Fast2Sum, as |lead| < 1/2)
+    tail += lead
+    cdf += tail
+    return cdf
+
+
+def _erfc_mid(y: np.ndarray) -> np.ndarray:
+    """exp(y^2) erfc(y) for 0.46875 <= y <= 4 by Cody's rational, and a finite value beyond; see _normal_cdf."""
+    y = np.minimum(y, 4.0)
+    num, den = _ERFC_MID
+    out = _horner(num, y)
+    out /= _horner(den, y, monic=True)
+    return out
+
+
+def _erfc_far(y: np.ndarray) -> np.ndarray:
+    """exp(y^2) erfc(y) for y >= 4 by Cody's asymptotic rational, and a finite value below; see _normal_cdf."""
+    w = np.maximum(y, 4.0)
+    np.divide(1.0, w, out=w)  # 1/y, and its square z, cannot overflow
+    z = w * w
+    num, den = _ERFC_FAR
+    out = _horner(num, z)
+    out /= _horner(den, z, monic=True)
+    out *= z
+    np.subtract(_RSQRT_PI, out, out=out)
+    out *= w
+    return out
 
 
 def mc_expected_max(seed, n: int, X: np.ndarray, sigma, b1, b2, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -282,6 +417,9 @@ class TargetSampler:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.spec.dim:
             raise ValueError(f"X has shape {X.shape}, expected (n, {self.spec.dim})")
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if bad.size:
+            raise ValueError(f"X must be finite, but row {bad[0]} is {X[bad[0]].tolist()}")
         s, knots = self.spec, SIGMA_KNOTS[self.spec.sigma_kind]
         return expected_max_quadrature(X, s.sigma, (knots[0], knots[-1]), knots, s.b1, s.b2, s.calib)
 

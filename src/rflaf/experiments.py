@@ -271,14 +271,19 @@ def _run_train_compare(cfg: configs.TrainCompareConfig, out_dir: str) -> list:
 
     grid = cfg.model.grid
     seeds = cfg.child_seeds
+    lines = [f"calibration constant: {_fmt(calib)}", _check_line("target quadrature", check)]
     bank = model.sample_features(dim, cfg.model.n_features, seeds[1])
-    trained, history = optim.train(optim.new_rflaf_model(bank, grid, seeds[2]), dataset, cfg.train, seeds[0])
+    name = "rflaf"  # the model in training, as a Diverged check names it
+    try:
+        trained, history = optim.train(optim.new_rflaf_model(bank, grid, seeds[2]), dataset, cfg.train, seeds[0])
+        histories = {name: history}
+        for j, name in enumerate(cfg.baselines):
+            b_bank = model.sample_features(dim, cfg.model.n_features + cfg.model.n_basis, seeds[3 + 2 * j])
+            b_model = optim.new_baseline_model(b_bank, name, seeds[4 + 2 * j])
+            histories[name] = optim.train_baseline(b_model, dataset, cfg.train, seeds[0])[1]
+    except optim.Diverged as exc:  # the run stops there and writes no other artifact
+        return [*lines, (f"training {name}: {exc}", False)]
     model.save_model(trained, os.path.join(out_dir, "model_rflaf.npz"))
-    histories = {"rflaf": history}
-    for j, kind in enumerate(cfg.baselines):
-        b_bank = model.sample_features(dim, cfg.model.n_features + cfg.model.n_basis, seeds[3 + 2 * j])
-        b_model = optim.new_baseline_model(b_bank, kind, seeds[4 + 2 * j])
-        histories[kind] = optim.train_baseline(b_model, dataset, cfg.train, seeds[0])[1]
     for name, rows in histories.items():
         history_rows = [(row.epoch, row.train_total, row.train_mse, row.test_mse) for row in rows]
         _write_table(out_dir, f"history_{name}.txt", ["epoch", "train_total", "train_mse", "test_mse"], history_rows)
@@ -290,8 +295,7 @@ def _run_train_compare(cfg: configs.TrainCompareConfig, out_dir: str) -> list:
     ratio = final_mse["rflaf"] / best_baseline if best_baseline > 0 else float("inf")
     min_corr = cfg.min_activation_correlation
     return [
-        f"calibration constant: {_fmt(calib)}",
-        _check_line("target quadrature", check),
+        *lines,
         *(f"final test mse {name}: {_fmt(mse)}" for name, mse in final_mse.items()),
         (f"mse ratio rflaf/best-baseline: {_fmt(ratio)} (max {_fmt(cfg.mse_ratio_max)})", ratio <= cfg.mse_ratio_max),
         f"activation alignment scale: {_fmt(scale)}",

@@ -45,6 +45,7 @@ from .model import (
 from .basis import ActivationGrid, check_count, kernel_workers, row_dot
 
 __all__ = [
+    "Diverged",
     "TrainConfig",
     "AdamState",
     "LossBreakdown",
@@ -64,6 +65,18 @@ __all__ = [
 
 # Adam's moment decays and denominator guard, Kingma and Ba's defaults (Adam, ICLR 2015), used by every run.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+class Diverged(ArithmeticError):
+    """Training stopped at its first non-finite loss or parameter.
+
+    epoch counts from 0, as in EpochStats, and step is the Adam step
+    (AdamState.step, from 1) whose loss or update was not finite.
+    """
+
+    def __init__(self, epoch: int, step: int, what: str):
+        super().__init__(f"non-finite {what} at epoch {epoch}, step {step}")
+        self.epoch, self.step = epoch, step
 
 
 @dataclass(frozen=True)
@@ -263,6 +276,7 @@ def _adam_loop(params, dataset: Dataset, cfg: TrainConfig, seed: int, loss_and_g
     the test split.  Train metrics are size-weighted running means over the
     epoch's batches, test_mse is a full pass at the end of each epoch.  seed
     orders the batches, so equal seeds produce identical parameter trajectories.
+    Raises Diverged at the first non-finite batch loss or updated parameter.
     """
     state = init_adam(params.shape[0])
     rng = np.random.default_rng(seed)
@@ -274,7 +288,11 @@ def _adam_loop(params, dataset: Dataset, cfg: TrainConfig, seed: int, loss_and_g
         for lo in range(0, order.shape[0], cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             lb, grads = loss_and_grad(params, idx, dataset.y_train[idx])
+            if not math.isfinite(lb.total):
+                raise Diverged(epoch, state.step + 1, "loss")
             state, params = adam_step(state, params, grads, cfg)
+            if not np.all(np.isfinite(params)):
+                raise Diverged(epoch, state.step, "parameter")
             sums += idx.shape[0] * np.array([lb.total, lb.mse, lb.balance, lb.l1])
             seen += idx.shape[0]
         test_resid = predict_test(params) - dataset.y_test

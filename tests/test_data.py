@@ -1,6 +1,7 @@
 """Synthetic targets, their quadrature and Monte-Carlo cross-check, dataset generation, calibration."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -138,6 +139,15 @@ class TestTargetEval:
             mean, stderr = mc_expected_max(spec.seed, spec.mc_samples, X[i : i + 1], spec.sigma, B1, B2, 1.0)
             assert abs(batch[i] - mean[0]) <= data.CHECK_STDERRS * stderr[0]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rows(self, bad):
+        X = np.ones((5, 2))
+        X[3, 1] = X[4, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"row 3 is \[1.0, {bad}\]"):
+                TargetSampler(_spec()).means(X)
+
     def test_rows_independent_past_one_chunk(self):
         # each label is a function of its own row alone, whatever else is in the batch
         spec = _spec(mc=5000)
@@ -269,6 +279,67 @@ class TestQuadrature:
         points = sorted({0.0, *(k / r for k in knots if abs(k / r) < 12)})
         want = quad(outer, -12.0, 12.0, points=points, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def _cdf(a):
+    a = np.asarray(a, dtype=float)
+    return data._normal_cdf(a, basis.bumps(a.copy(), 0.0, 1.0))
+
+
+class TestNormalCdf:
+    """The quadrature's Phi against 40-digit values, range by range."""
+
+    # (lo, hi, bound on the relative error); 0.5 * math.erfc(-a / sqrt(2)), which Phi replaced, reaches
+    # 1.84e-13, 5.4e-15 and 2.2e-16 on these ranges.  Where Phi is subnormal (a < -37.5), the bound applies to
+    # the smallest normal float instead.
+    RANGES = [(-38.5, -5.66, 6e-14), (-5.66, -0.7, 2.5e-15), (-0.7, 8.3, 2.0**-52)]
+
+    @staticmethod
+    def _assert_within(a, bound):
+        import mpmath
+
+        tiny = np.finfo(float).tiny
+        with mpmath.workdps(40):
+            bad = [
+                (x, y)
+                for x, y in zip(np.asarray(a, dtype=float).tolist(), _cdf(a).tolist())
+                if not abs(y - mpmath.ncdf(x)) <= bound * max(mpmath.ncdf(x), tiny)
+            ]
+        assert bad == []
+
+    @pytest.mark.parametrize("lo, hi, bound", RANGES)
+    def test_dense_grid(self, lo, hi, bound):
+        self._assert_within(np.linspace(lo, hi, 2001), bound)
+
+    @pytest.mark.parametrize("lo, hi, bound", RANGES)
+    @settings(max_examples=40, deadline=None)
+    @given(draws=st.data())
+    def test_draws(self, lo, hi, bound, draws):
+        self._assert_within(draws.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=64)), bound)
+
+    def test_subnormal_and_below(self):
+        self._assert_within(np.linspace(-40.0, -37.0, 2001), 6e-14)
+
+    def test_edges(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _cdf([-np.inf, np.inf, 0.0, -0.0, np.nan])
+        assert got[:4].tolist() == [0.0, 1.0, 0.5, 0.5] and np.isnan(got[4])
+
+    def test_each_value_is_its_own(self):
+        # each form runs only where some element needs it: that changes no element's bits
+        a = np.concatenate([np.linspace(-40.0, 9.0, 1201), [np.inf, -np.inf, np.nan, 0.0, 1.0, -1.0, 4.0, -5.65]])
+        whole = _cdf(a)
+        alone = np.concatenate([_cdf(a[i : i + 1]) for i in range(a.shape[0])])
+        assert np.array_equal(whole.view(np.int64), alone.view(np.int64))
+
+    def test_split_of_the_series_constant(self):
+        import mpmath
+
+        hi, lo = data._RSQRT_2PI_HI, data._RSQRT_2PI_LO
+        assert (hi * 2**28).is_integer() and hi * 2**28 < 2**27  # 27 bits: times a float32 it is exact
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(hi) + lo - 1 / mpmath.sqrt(2 * mpmath.pi)) <= 2.0**-86
 
 
 class TestCalibrate:

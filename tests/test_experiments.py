@@ -339,6 +339,18 @@ class TestRunTrainCompare:
         assert [line for line in summary if line.endswith(": FAIL")] == [summary[1], "overall: FAIL"]
         assert summary[1].startswith("target quadrature vs monte carlo (2000000 samples)")
 
+    def test_diverging_training_stops_with_a_named_check(self, tmp_path, capsys):
+        # a learning rate the parser accepts, at which Adam's first steps overflow
+        cfg = self._config()
+        cfg["data"]["n"] = 600
+        cfg["train"].update(epochs=1, learning_rate=1e300)
+        out = tmp_path / "out"
+        assert main(["train-compare", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        summary = (out / "train_compare_summary.txt").read_text().splitlines()
+        assert summary[2:] == ["training rflaf: non-finite loss at epoch 0, step 2: FAIL", "overall: FAIL"]
+        assert sorted(path.name for path in out.iterdir()) == ["train_compare_summary.txt"]
+
     def test_rejects_mismatched_baseline_width(self, tmp_path):
         cfg = dict(self._config(), baseline_width=77)
         with pytest.raises(ConfigError, match="baseline_width"):

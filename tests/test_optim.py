@@ -12,7 +12,10 @@ from rflaf.basis import build_grid, bumps
 from rflaf.data import Dataset
 from rflaf.model import RflafModel, forward, sample_features
 from rflaf.optim import (
+    Diverged,
+    LossBreakdown,
     TrainConfig,
+    _adam_loop,
     adam_step,
     grad,
     grad_check,
@@ -422,6 +425,24 @@ class TestTrainBaseline:
         t2, h2 = train_baseline(model, ds, cfg, seed=17)
         assert np.array_equal(t1.v, t2.v)
         assert h1 == h2
+
+
+class TestDivergence:
+    def test_stops_at_the_first_non_finite_loss(self):
+        ds = _tiny_dataset(np.random.default_rng(42))
+        model = new_baseline_model(sample_features(2, 8, seed=15), "relu", seed=16)
+        with pytest.raises(Diverged, match="non-finite loss at epoch 0, step 2") as info:
+            train_baseline(model, ds, TrainConfig(epochs=2, batch_size=16, learning_rate=1e300), seed=17)
+        assert (info.value.epoch, info.value.step) == (0, 2)
+
+    def test_stops_at_the_first_non_finite_parameter(self):
+        ds = _tiny_dataset(np.random.default_rng(43))
+
+        def nan_gradient(params, idx, yb):
+            return LossBreakdown(mse=1.0, balance=0.0, l1=0.0, total=1.0), np.full_like(params, np.nan)
+
+        with pytest.raises(Diverged, match="non-finite parameter at epoch 0, step 1"):
+            _adam_loop(np.zeros(3), ds, TrainConfig(), 0, nan_gradient, lambda params: np.zeros_like(ds.y_test))
 
 
 class TestTrainConfigValidation:

@@ -18,6 +18,12 @@ def test_one_fork_one_shared_mapping_one_exp():
         assert sites == ["basis.py"], (call, sites)
 
 
+def test_one_normal_cdf():
+    # Phi is data._normal_cdf, in numpy passes: no Python float per element through math.erfc
+    for call in ("math.erfc", "np.fromiter("):
+        assert [name for name, text in _sources().items() if call in text] == [], call
+
+
 def test_allocator_policy_only_in_the_cli():
     # cli.keep_heap, which cli.main calls: importing rflaf as a library leaves the host's allocator alone
     assert [name for name, text in _sources().items() if "mallopt" in text] == ["cli.py"]
