@@ -32,12 +32,13 @@ BAND_CUTOFF = 40.0
 CHUNK_CELLS = 1 << 18
 
 # Fewest cells of work per process, in bumps or their time, of each split
-# over _Workers: a split_rows call (the target quadrature and mc_mean), which
-# forks its workers, and a banded_activation call inside kernel_workers, whose
-# workers run already.  On a 2-core Xeon VM, forking a worker from a 70 MB
-# process, letting it exit and reaping it took 2.3-2.5 ms, plus the
-# copy-on-write faults that follow, and 2^20 bumps took about 8 ms; either
-# loop first ran faster split in two at about 20 ms of work.
+# over _Workers: a split_rows call (the target quadrature, the verification
+# modes' estimates and mc_mean), which forks its workers, and a
+# banded_activation call inside kernel_workers, whose workers run already.
+# On a 2-core Xeon VM, forking a worker from a 70 MB process, letting it exit
+# and reaping it took 2.3-2.5 ms, plus the copy-on-write faults that follow,
+# and 2^20 bumps took about 8 ms; either loop first ran faster split in two
+# at about 20 ms of work.
 SPLIT_CELLS = 1 << 20
 
 # Draws per block of mc_mean, the unit split_rows hands to a worker.
@@ -390,29 +391,39 @@ def chunk_rows(cells_per_row: int) -> int:
     return max(1, CHUNK_CELLS // cells_per_row)
 
 
+_splitting = False  # a split_rows call has forked and not yet returned: a split inside its blocks runs here
+
+
 def split_rows(n: int, fn, outs: tuple, cells_per_row: int) -> None:
     """Fill rows 0..n-1 of the zeroed float arrays outs (rows on axis 0) by fn(lo, hi, dst), a block per process.
 
-    It serves one-shot calls of 0.1-0.2 s, which amortize a fork: the
-    target quadrature's rows and mc_mean's blocks of draws.  (The banded
-    kernel's calls are too short; they split inside kernel_workers.)  fn
-    writes rows lo..hi-1 of each out into the zeroed arrays dst, which
-    hold those rows alone.  There is one block per CPU this process may run
-    on, each of at least SPLIT_CELLS cells at cells_per_row per row.  The
-    parent computes the first block into outs, and _Workers forked for this
-    call the others into the pool's shared rows, which it copies into outs.
-    The split gives the bits of one process only if each row is a function
-    of its own row alone.
+    It serves one-shot calls of 0.1 s or more, which amortize a fork: the
+    target quadrature's rows, kernel-verify's estimates, rate-study's
+    trials and a lone mc_mean's blocks of draws.  (The banded kernel's calls
+    are too short; they split inside kernel_workers.)  fn writes rows
+    lo..hi-1 of each out into the zeroed arrays dst, which hold those rows
+    alone.  There is one block per CPU this process may run on, each of at
+    least SPLIT_CELLS cells at cells_per_row per row.  The parent computes
+    the first block into outs, and _Workers forked for this call the others
+    into the pool's shared rows, which it copies into outs.  A split_rows
+    call made inside a block of a call that forked, in the parent or in a
+    worker, runs in the process that makes it, as one block: so a mode
+    forks once over its estimates, not once per estimate.  The split gives
+    the bits of one process only if each row is a function of its own row
+    alone.
     """
-    parts = max(1, min(_parts(n, cells_per_row), n))
+    global _splitting
+    parts = 1 if _splitting else max(1, min(_parts(n, cells_per_row), n))
     if parts == 1:
         fn(0, n, outs)
         return
     pool = _Workers(*(o.shape for o in outs))
+    _splitting = True
     try:
         pool.fork(lambda lo, hi, _, dst: fn(lo, hi, dst), parts - 1)
         pool.run(pool.blocks(n, parts), 0, outs, fn, last=True)
     finally:
+        _splitting = False
         pool.close()
 
 
@@ -437,8 +448,7 @@ def mc_mean(seed, n: int, X: np.ndarray, sigma, v) -> tuple[np.ndarray, np.ndarr
     its own rounds to 0 or loses bits.  (v and sigma scaled apart would not
     do: squared, one below 2^-922 rounds to 0 even times 2^768.)
     """
-    if n < 1:
-        raise ValueError(f"need at least 1 draw, got {n}")
+    check_count("n", n, 1)
     blocks, step = -(-n // MC_BLOCK), chunk_rows(X.shape[0] + X.shape[1])
     sums = np.zeros((blocks, 2, X.shape[0]))  # each block's (total, squares)
 

@@ -105,19 +105,20 @@ def rate_study(
     data.expected_max_quadrature and cross-checked against ref_samples
     Monte-Carlo draws.  For each width M the model uses v_m = v(w_m) on a
     fresh bank, and the error is the mean absolute gap over Gaussian test
-    points, averaged over trials.  Returns the per-width errors, the fitted
-    log-log slope and the cross-check.
+    points, averaged over trials in trial order; basis.split_rows splits the
+    trials, each bank keeping its seed.  Returns the per-width errors, the
+    fitted log-log slope and the cross-check.
     """
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
     if b1.ndim != 1 or b1.shape != b2.shape:
         raise ValueError("b1 and b2 must be vectors of equal length")
-    if trials < 1 or test_points < 1:
-        raise ValueError("trials and test_points must be positive")
+    for name, count, least in [("trials", trials, 1), ("test_points", test_points, 1), ("ref_samples", ref_samples, 2)]:
+        basis.check_count(name, count, least)  # ref_samples: the cross-check needs a standard error
+    for m in m_values:
+        basis.check_count("m_values entry", m, 1)
     if len(set(m_values)) < 2:  # a slope needs two widths
         raise ValueError(f"m_values must hold two distinct widths, got {list(m_values)}")
-    if ref_samples < 2:
-        raise ValueError(f"ref_samples must be at least 2 for the cross-check's standard error, got {ref_samples}")
     root = np.random.SeedSequence([seed, 0xA7E])
     ss_test, ss_ref, ss_banks = root.spawn(3)
     x_test = np.random.default_rng(ss_test).standard_normal((test_points, b1.shape[0]))
@@ -131,14 +132,17 @@ def rate_study(
 
     phi_ref = phi(x_test)
     check = data.cross_check(phi, ss_ref, ref_samples, bump, b1, b2, 1.0)
-    bank_seeds = iter(ss_banks.spawn(len(m_values) * trials))
-    errs = np.array([
-        np.mean([
-            np.mean(np.abs(data.mc_expected_max(next(bank_seeds), m, x_test, bump, b1, b2, 1.0)[0] - phi_ref))
-            for _ in range(trials)
-        ])
-        for m in m_values
-    ])
+    bank_seeds = ss_banks.spawn(len(m_values) * trials)  # width i, trial t: bank i * trials + t
+    trial_errs = np.zeros((trials, len(m_values)))
+
+    def run_trials(lo, hi, dst):
+        for t in range(lo, hi):
+            for i, m in enumerate(m_values):
+                est = data.mc_expected_max(bank_seeds[i * trials + t], m, x_test, bump, b1, b2, 1.0)[0]
+                dst[0][t - lo, i] = np.mean(np.abs(est - phi_ref))
+
+    basis.split_rows(trials, run_trials, (trial_errs,), sum(m_values) * (test_points + b1.shape[0]))
+    errs = np.array([np.mean(col.tolist()) for col in trial_errs.T])  # over the trials in trial order
     if np.all(errs > 0):
         slope = float(np.polyfit(np.log(np.asarray(m_values, dtype=float)), np.log(errs), 1)[0])
     else:
@@ -179,19 +183,28 @@ def _run_kernel_verify(cfg: configs.KernelVerifyConfig, out_dir: str) -> list:
     root = np.random.SeedSequence([cfg.seed, 0x5EED])
     pair_rng = np.random.default_rng(root.spawn(1)[0])
     mc_seeds = iter(int(s) for s in root.generate_state(len(cfg.dims) * len(cfg.rbfs) * cfg.trials))
+    jobs = [
+        (d, params, t, pair_rng.standard_normal(d), pair_rng.standard_normal(d), next(mc_seeds))
+        for d in cfg.dims
+        for params in cfg.rbfs
+        for t in range(cfg.trials)
+    ]
+    estimates = np.zeros((len(jobs), 2))  # each job's (mean, stderr)
+
+    def run_jobs(lo, hi, dst):
+        for j in range(lo, hi):
+            _, params, _, x, x2, seed = jobs[j]
+            est = kernel.kernel_mc(x, x2, params, cfg.samples, seed)
+            dst[0][j - lo] = est.mean, est.stderr
+
+    basis.split_rows(len(jobs), run_jobs, (estimates,), 3 * cfg.samples)  # mc_mean's cells: 1 row, dim <= 2
     rows, summary, need = [], [], max(1, cfg.trials - 1)
-    for d in cfg.dims:
-        for params in cfg.rbfs:
-            passes = 0
-            for t in range(cfg.trials):
-                x = pair_rng.standard_normal(d)
-                x2 = pair_rng.standard_normal(d)
-                closed = kernel.kernel_closed(x, x2, params)
-                est = kernel.kernel_mc(x, x2, params, cfg.samples, next(mc_seeds))
-                diff = abs(closed - est.mean)
-                ok = diff <= 4.0 * est.stderr
-                passes += ok
-                rows.append((d, params.center, params.width, t, closed, est.mean, est.stderr, diff, 4.0 * est.stderr, ok))
+    for (d, params, t, x, x2, _), (mean, stderr) in zip(jobs, estimates.tolist()):
+        closed = kernel.kernel_closed(x, x2, params)
+        diff = abs(closed - mean)
+        rows.append((d, params.center, params.width, t, closed, mean, stderr, diff, 4.0 * stderr, diff <= 4.0 * stderr))
+        if t == cfg.trials - 1:
+            passes = sum(row[-1] for row in rows[-cfg.trials :])
             text = f"setting d={d} c={_fmt(params.center)} h={_fmt(params.width)}: {passes}/{cfg.trials} trials pass"
             summary.append((f"{text} (need >= {need})", passes >= need))
     columns = ["d", "c", "h", "trial", "closed", "mc_mean", "mc_stderr", "abs_diff", "four_stderr", "pass"]

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import MIN_WIDTH, bumps, mc_mean
+from .basis import MIN_WIDTH, bumps, check_count, mc_mean
 
 __all__ = [
     "RbfParams",
@@ -142,8 +142,7 @@ def kernel_mc(
     standard deviation of the integrand divided by sqrt(samples).
     """
     x, x2 = _validate_pair(x, x2)
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
+    check_count("samples", samples, 2)
     r = np.linalg.qr(np.stack([x, x2], axis=1), mode="r")
 
     def bump(z):

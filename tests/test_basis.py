@@ -483,8 +483,16 @@ class TestMcMean:
         np.testing.assert_allclose(np.ldexp(tiny_stderr, 1000), stderr, rtol=1e-9)
 
     def test_rejects_no_draws(self):
-        with pytest.raises(ValueError, match="at least 1 draw"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
             basis.mc_mean(3, 0, np.ones((2, 3)), np.abs, lambda w: w[:, 0])
+
+    @pytest.mark.parametrize("n", [2.5, True, 1e6], ids=["fraction", "bool", "integral-float"])
+    def test_rejects_non_integer_draws_before_any_fork(self, n):
+        # 2.5 raised TypeError from range deep inside the block loop, in a worker once split
+        no_fork = mock.patch.object(os, "fork", side_effect=AssertionError("forked"))
+        with mock.patch.object(basis, "_parts", lambda rows, cells: 3), no_fork:
+            with pytest.raises(ValueError, match=f"n must be an integer >= 1, got {n!r}"):
+                basis.mc_mean(3, n, np.ones((2, 3)), np.abs, lambda w: w[:, 0])
 
     @pytest.mark.parametrize("parts", [1, 2])
     def test_no_rows_give_empty_arrays(self, parts):

@@ -9,6 +9,7 @@ import sys
 import types
 import typing
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -130,6 +131,21 @@ class TestRateStudy:
         # [1] raised LinAlgError from polyfit, and [4, 4] fitted a slope of -0.49 to one point
         with pytest.raises(ValueError, match="two distinct widths"):
             rate_study(RbfParams(1.0, 1.0), np.array([1.0, 0.0]), np.array([0.0, 1.0]), m_values, 1, 0, 10, 100)
+
+    @pytest.mark.parametrize(
+        "field, value, least",
+        [("trials", 1.5, 1), ("trials", 0, 1), ("test_points", 10.0, 1), ("test_points", True, 1),
+         ("ref_samples", 2.5, 2), ("ref_samples", 1, 2), ("m_values", [4, 0], 1), ("m_values", [4, 8.5], 1)],
+    )
+    def test_counts_checked_before_any_fork(self, field, value, least):
+        # floats raised TypeError from range or numpy deep inside, and [4, 0] mc_mean's "need at least 1 draw";
+        # inside a worker either would have read "a row worker failed"
+        kwargs = {**dict(m_values=[4, 8], trials=1, seed=0, test_points=10, ref_samples=100), field: value}
+        name = "m_values entry" if field == "m_values" else field
+        no_fork = mock.patch.object(os, "fork", side_effect=AssertionError("forked"))
+        with mock.patch.object(basis, "_parts", lambda rows, cells: 3), no_fork:
+            with pytest.raises(ValueError, match=rf"{name} must be an integer >= {least}, got "):
+                rate_study(RbfParams(1.0, 1.0), np.array([1.0, 0.0]), np.array([0.0, 1.0]), **kwargs)
 
     def test_reference_is_exact(self):
         # the reference does not depend on the size of its Monte-Carlo cross-check

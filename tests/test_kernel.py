@@ -324,6 +324,12 @@ class TestKernelMc:
         with pytest.raises(ValueError):
             kernel_mc(np.zeros(2), np.zeros(2), UNIT, 1, seed=0)
 
+    @pytest.mark.parametrize("samples", [1000.5, True, 1, np.int64(1)], ids=["fraction", "bool", "one", "numpy-one"])
+    def test_samples_checked_as_a_count(self, samples):
+        # 1000.5 raised TypeError from range inside mc_mean, and True read "got True" in the old message
+        with pytest.raises(ValueError, match="samples must be an integer >= 2"):
+            kernel_mc(np.ones(2), np.zeros(2), UNIT, samples, 1)
+
     @pytest.mark.parametrize(
         "pair",
         [

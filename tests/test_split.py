@@ -1,9 +1,11 @@
-"""Row blocks across forked workers give the bits of one process: split_rows (the quadrature's rows and
-mc_mean's blocks of draws) and the banded kernel inside kernel_workers, both on basis._Workers."""
+"""Row blocks across forked workers give the bits of one process: split_rows (the quadrature's rows, mc_mean's
+blocks of draws and the verification modes' estimates, with a split inside a split run in place) and the banded
+kernel inside kernel_workers, both on basis._Workers."""
 
 import contextlib
 import ctypes
 import gc
+import json
 import os
 import signal
 import subprocess
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rflaf import basis, cli, data, optim
+from rflaf import basis, cli, data, experiments, optim
 from rflaf.basis import banded_activation, build_grid, kernel_workers, split_rows
 from rflaf.data import Dataset, expected_max_quadrature
 from rflaf.model import RflafModel, sample_features
@@ -163,6 +165,76 @@ class TestSplitRows:
             assert len(forks) == want and out.tolist() == [2.0 * i for i in range(n)]
         _no_children_left()
 
+    def test_a_split_inside_a_split_forks_nothing(self, monkeypatch):
+        # rows 0..1 are the parent's block and rows 2..5 two workers' blocks: each nested mc_mean runs in the
+        # process whose block makes it, and gives the bits it gives split on its own
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(basis, "MC_BLOCK", 16)  # 100 draws are 7 blocks
+        X = np.random.default_rng(48).standard_normal((5, 3))
+
+        def estimate(seed):
+            return np.concatenate(basis.mc_mean(seed, 100, X, np.abs, lambda w: w[:, 0]))
+
+        def fn(lo, hi, dst):
+            before = len(forks)
+            for row in range(lo, hi):
+                dst[0][row - lo] = estimate(row)
+            dst[1][:] = len(forks) - before  # forks this process made in its block
+
+        with _parts(3):
+            alone = np.array([estimate(row) for row in range(6)])
+            assert len(forks) == 6 * 2
+            forks.clear()
+            out, inner_forks = np.zeros((6, 10)), np.zeros(6)
+            split_rows(6, fn, (out, inner_forks), 1)
+        assert len(forks) == 2 and not inner_forks.any()
+        assert out.tobytes() == alone.tobytes()
+        _no_children_left()
+
+    @pytest.mark.parametrize(
+        "outcome, error",
+        [("returns", None), ("parent raises", "outer block"), ("worker fails", "a row worker failed")],
+    )
+    def test_the_next_top_level_split_forks_again(self, monkeypatch, outcome, error):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        parent = os.getpid()
+
+        def inner(lo, hi, dst):
+            dst[0][:] = np.arange(lo, hi)
+
+        def outer(lo, hi, dst):
+            split_rows(4, inner, (np.zeros(4),), 1)
+            if (os.getpid() == parent) == (outcome == "parent raises") and outcome != "returns":
+                raise ValueError("outer block")
+            dst[0][:] = 1.0
+
+        with _parts(3):
+            with pytest.raises((ValueError, RuntimeError), match=error) if error else contextlib.nullcontext():
+                split_rows(6, outer, (np.zeros(6),), 1)
+            assert len(forks) == 2
+            forks.clear()
+            out = np.zeros(4)
+            split_rows(4, inner, (out,), 1)
+        assert len(forks) == 2 and out.tolist() == [0.0, 1.0, 2.0, 3.0]
+        _no_children_left()
+
+    def test_verification_modes_fork_per_stage_not_per_estimate(self, monkeypatch, tmp_path):
+        # 6 kernel estimates and 6 rate-study banks, each of blocks enough to split on its own
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(basis, "MC_BLOCK", 16)
+        kernel_verify = {"seed": 5, "trials": 3, "samples": 100, "dims": [2], "centers": [0.0, 1.0], "widths": [1.0]}
+        rate_study = {"seed": 6, "m_values": [32, 64], "trials": 3, "test_points": 10, "ref_samples": 100}
+        with _parts(3):
+            experiments.run("kernel-verify", kernel_verify, str(tmp_path / "kernel"))
+            assert len(forks) == 2  # one split, over the estimates
+            forks.clear()
+            experiments.run("rate-study", dict(rate_study, slope_range=[-10.0, 10.0]), str(tmp_path / "rate"))
+        assert len(forks) == 4 * 2  # the reference quadrature, the cross-check's quadrature and draws, the trials
+        _no_children_left()
+
     def test_killed_worker_raises_naming_its_rows(self):
         def fn(lo, hi, dst):
             if lo == 6:
@@ -235,7 +307,7 @@ class TestSplitRows:
             import atexit
             from unittest import mock
             import numpy as np
-            from rflaf import basis, cli, data, optim
+            from rflaf import basis, cli, data, experiments, optim
             from rflaf.model import sample_features
 
             atexit.register(print, "atexit marker")
@@ -272,6 +344,54 @@ class TestSplitRows:
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.count("unflushed line") == 1 and run.stdout.count("atexit marker") == 1
+
+
+def _artifacts(out) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(Path(out).iterdir())}
+
+
+class TestVerificationModes:
+    # both modes split over their estimates, and kernel_mc's 200,000 draws are two blocks of mc_mean
+    CONFIGS = {
+        "kernel-verify": {
+            "seed": 11,
+            "trials": 3,
+            "samples": 200_000,
+            "dims": [1, 3],
+            "centers": [0.0, 1.0],
+            "widths": [0.5],
+        },
+        "rate-study": {
+            "seed": 12,
+            "m_values": [16, 64, 256],
+            "trials": 3,
+            "test_points": 200,
+            "ref_samples": 20_000,
+            "slope_range": [-10.0, 10.0],
+        },
+    }
+
+    @pytest.mark.parametrize("mode", sorted(CONFIGS))
+    def test_artifacts_byte_identical_across_part_counts(self, mode, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.CONFIGS[mode]))
+        got = []
+        for parts in (1, 2, 3):
+            out = tmp_path / f"parts_{parts}"
+            with _parts(parts):
+                code = cli.main([mode, "--config", str(config), "--out", str(out)])
+            got.append((code, _artifacts(out)))
+        _no_children_left()
+        script = "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); from rflaf import cli; "
+        script += "sys.exit(cli.main(sys.argv[1:]))"
+        out = tmp_path / "one_cpu"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        argv = [sys.executable, "-c", script, mode, "--config", str(config), "--out", str(out)]
+        run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode in (0, 1), run.stderr
+        got.append((run.returncode, _artifacts(out)))
+        assert got[0][0] == 0 and len(got[0][1]) == 2
+        assert all(one == got[0] for one in got)
 
 
 def _fit_case(rows=700):
