@@ -168,9 +168,9 @@ def banded_activation(
     act = np.zeros(z.shape)
     sums = None if v is None else np.zeros((grid.n_basis, z.shape[0]))
     outs = (act,) if sums is None else (act, sums.T)
-    pool = _workers
-    if pool is not None and pool.serves(grid, z):
-        pool.run(a, z, v, outs)
+    pool = _pool
+    if isinstance(pool, _KernelScope) and pool.serves(grid, z):
+        pool.split(a, z, v, outs)
     else:
         _banded_rows(grid, a, z, v, *outs)
     return act, sums
@@ -209,21 +209,38 @@ def _shared(shape: tuple) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * max(1, size)), float, size).reshape(shape)
 
 
+_pool: _Workers | None = None  # the pool this process has open, or works for as a worker: set by _Workers alone
+
+
 class _Workers:
     """Processes forked once, each computing serve(lo, hi, flag, dst) on every row range it reads from its pipe.
 
-    The process protocol of split_rows and kernel_workers.  The pool owns
-    zeroed float arrays of the given shapes (rows on axis 0) in shared
-    memory, mapped before any fork: a worker's dst is its rows lo..hi-1 of
-    them, which run copies into the caller's arrays.  A worker inherits
-    serve, answers one byte per range, and leaves by os._exit when its pipe
-    closes, with the traceback on stderr if serve raised: it runs no atexit
-    hook and flushes no inherited buffer.
+    The process protocol of split_rows and kernel_workers.  Inside its with
+    block a pool is _pool, in this process and in the workers it forks, and
+    the block's exit, by an exception too, reaps them.  One rule nests the
+    two: while _pool is set, split_rows runs in the calling process and
+    kernel_workers opens no scope.  The pool owns zeroed float arrays of the
+    given shapes (rows on axis 0) in shared memory, mapped before any fork:
+    a worker's dst is its rows lo..hi-1 of them, which run copies into the
+    caller's arrays.  A worker inherits serve, answers one byte per range,
+    and leaves by os._exit when its pipe closes, with the traceback on
+    stderr if serve raised: it runs no atexit hook and flushes no inherited
+    buffer.
     """
 
     def __init__(self, *shapes: tuple):
         self.procs = []  # (pid, request pipe as an unbuffered file, answer pipe) per worker
         self.shared = tuple(_shared(shape) for shape in shapes)
+
+    def __enter__(self):
+        global _pool
+        _pool = self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        global _pool
+        _pool = None
+        self.close()
 
     def fork(self, serve, count: int) -> None:
         """Fork up to count workers running serve; where os.fork raises OSError, stop at those forked so far."""
@@ -304,15 +321,15 @@ class _Workers:
         return codes
 
 
-class _KernelScope:
-    """One kernel_workers scope: a call's z rows, a and v in shared memory, and the pool whose workers compute
-    from them into its shared act and H^T rows, chunk_rows(M + N) of each: model.forward_chunks' largest chunk."""
+class _KernelScope(_Workers):
+    """One kernel_workers scope: a pool whose workers compute a call's rows from its z rows, a and v in shared
+    memory into the pool's shared act and H^T rows, chunk_rows(M + N) of each: model.forward_chunks' largest chunk."""
 
     def __init__(self, grid: ActivationGrid, n_features: int):
         self.grid, self.m = grid, n_features
         self.rows = chunk_rows(n_features + grid.n_basis)
         self.z, self.a, self.v = _shared((self.rows, self.m)), _shared((grid.n_basis,)), _shared((self.m,))
-        self.pool = _Workers((self.rows, self.m), (self.rows, grid.n_basis))
+        super().__init__((self.rows, self.m), (self.rows, grid.n_basis))
         self.thread = threading.get_ident()  # the shared memory serves one call at a time
 
     def serve(self, lo: int, hi: int, with_v: int, dst: tuple) -> None:
@@ -325,17 +342,14 @@ class _KernelScope:
         fits = z.ndim == 2 and grid == self.grid and z.shape[1] == self.m and z.shape[0] <= self.rows
         return fits and threading.get_ident() == self.thread
 
-    def run(self, a, z, v, outs: tuple) -> None:
+    def split(self, a, z, v, outs: tuple) -> None:
         """_banded_rows on z into outs in blocks of rows: the first here, one on each worker _parts allows."""
-        blocks = self.pool.blocks(z.shape[0], _parts(z.shape[0], self.m * self.grid.band_width))
+        blocks = self.blocks(z.shape[0], _parts(z.shape[0], self.m * self.grid.band_width))
         self.a[:] = a
         if v is not None:
             self.v[:] = v
         self.z[blocks[0][1] : z.shape[0]] = z[blocks[0][1] :]  # the workers' rows
-        self.pool.run(blocks, v is not None, outs, lambda lo, hi, dst: _banded_rows(self.grid, a, z[lo:hi], v, *dst))
-
-
-_workers: _KernelScope | None = None  # the open kernel_workers scope
+        self.run(blocks, v is not None, outs, lambda lo, hi, dst: _banded_rows(self.grid, a, z[lo:hi], v, *dst))
 
 
 @contextlib.contextmanager
@@ -343,25 +357,20 @@ def kernel_workers(grid: ActivationGrid, n_features: int):
     """Scope in which banded_activation splits the rows of a 2-D z over workers forked once, on entry.
 
     It forks one worker per CPU past the first that _parts allows for the
-    largest chunk of model.forward_chunks (none without os.fork, or inside
-    another scope).  A call from this thread on grid, with n_features
-    columns and at most that chunk's rows, runs on _parts(rows, ...) - 1
-    workers and here; other calls, and every call after a worker has failed,
-    run here alone.  Workers run no BLAS.  On exit, by an exception too, the
-    scope reaps every worker.
+    largest chunk of model.forward_chunks (none without os.fork), and none
+    while _pool is set: inside a pool's block or worker it opens no scope.
+    A call from this thread on grid, with n_features columns and at most
+    that chunk's rows, runs on _parts(rows, ...) - 1 workers and here; other
+    calls, and every call after a worker has failed, run here alone.
+    Workers run no BLAS.  On exit, by an exception too, the scope reaps
+    every worker.
     """
-    global _workers
-    if _workers is not None:
+    if _pool is not None:
         yield
         return
-    scope = _KernelScope(grid, n_features)
-    try:
-        scope.pool.fork(scope.serve, _parts(scope.rows, n_features * grid.band_width) - 1)
-        _workers = scope
+    with _KernelScope(grid, n_features) as scope:
+        scope.fork(scope.serve, _parts(scope.rows, n_features * grid.band_width) - 1)
         yield
-    finally:
-        _workers = None
-        scope.pool.close()
 
 
 def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -391,9 +400,6 @@ def chunk_rows(cells_per_row: int) -> int:
     return max(1, CHUNK_CELLS // cells_per_row)
 
 
-_splitting = False  # a split_rows call has forked and not yet returned: a split inside its blocks runs here
-
-
 def split_rows(n: int, fn, outs: tuple, cells_per_row: int) -> None:
     """Fill rows 0..n-1 of the zeroed float arrays outs (rows on axis 0) by fn(lo, hi, dst), a block per process.
 
@@ -405,26 +411,19 @@ def split_rows(n: int, fn, outs: tuple, cells_per_row: int) -> None:
     alone.  There is one block per CPU this process may run on, each of at
     least SPLIT_CELLS cells at cells_per_row per row.  The parent computes
     the first block into outs, and _Workers forked for this call the others
-    into the pool's shared rows, which it copies into outs.  A split_rows
-    call made inside a block of a call that forked, in the parent or in a
-    worker, runs in the process that makes it, as one block: so a mode
-    forks once over its estimates, not once per estimate.  The split gives
-    the bits of one process only if each row is a function of its own row
-    alone.
+    into the pool's shared rows, which it copies into outs.  While _pool is
+    set (in a block of a split_rows call, a kernel_workers scope or a
+    worker), it runs in the calling process as one block, so a mode forks
+    once over its estimates, not once per estimate.  The split gives the
+    bits of one process only if each row is a function of its own row alone.
     """
-    global _splitting
-    parts = 1 if _splitting else max(1, min(_parts(n, cells_per_row), n))
+    parts = 1 if _pool is not None else max(1, min(_parts(n, cells_per_row), n))
     if parts == 1:
         fn(0, n, outs)
         return
-    pool = _Workers(*(o.shape for o in outs))
-    _splitting = True
-    try:
+    with _Workers(*(o.shape for o in outs)) as pool:
         pool.fork(lambda lo, hi, _, dst: fn(lo, hi, dst), parts - 1)
         pool.run(pool.blocks(n, parts), 0, outs, fn, last=True)
-    finally:
-        _splitting = False
-        pool.close()
 
 
 def mc_mean(seed, n: int, X: np.ndarray, sigma, v) -> tuple[np.ndarray, np.ndarray]:

@@ -117,13 +117,14 @@ def sigma_eval_array(kind: str, z: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)  # typed: True and 3.0 miss the entries of 1 and 3 and reach check_count
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
     Newton's method on P_n from the guesses -cos(pi (k - 1/4) / (n + 1/2)),
     with P_n and P_n' from the three-term recurrence; computed on first use.
     """
+    basis.check_count("n", n, 1)
 
     def legendre(x):
         p0, p1 = np.ones_like(x), x

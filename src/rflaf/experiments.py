@@ -61,10 +61,10 @@ def theory_bounds(
         |v|_2 <= 7 R sqrt(M log(2/delta))
         |f|_inf <= 7 sigma_sup |K| R sqrt(log(2/delta)) / (h sqrt(2 pi))
     """
+    basis.check_count("n_basis", n_basis, 1)
+    basis.check_count("n_features", n_features, 1)
     for name, val in [
         ("width h", h),
-        ("n_basis", n_basis),
-        ("n_features", n_features),
         ("sigma_sup", sigma_sup),
         ("support_len", support_len),
         ("radius", radius),

@@ -161,8 +161,7 @@ def taylor_derivs(p: float, n_max: int) -> np.ndarray:
     """
     if p < 0 or not math.isfinite(p):
         raise ValueError(f"p must be a finite nonnegative real, got {p}")
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
+    check_count("n_max", n_max, 2)
     ep = math.exp(-p)
     y = np.empty(n_max + 1)
     y[0] = ep
@@ -197,8 +196,7 @@ def poly_P(k: int) -> list[int]:
     Entry i is (-1)^(k-i) * (2k-1)!!/(2i-1)!! * C(k, i); Python integers are
     arbitrary precision, so every k is exact.
     """
-    if k < 0:
-        raise ValueError(f"polynomial index must be nonnegative, got {k}")
+    check_count("k", k, 0)
     return list(_poly(k, 0))
 
 
@@ -207,8 +205,7 @@ def poly_Q(k: int) -> list[int]:
 
     Entry i is (-1)^(k-i) * (2k+1)!!/(2i+1)!! * C(k, i).
     """
-    if k < 0:
-        raise ValueError(f"polynomial index must be nonnegative, got {k}")
+    check_count("k", k, 0)
     return list(_poly(k, 1))
 
 
@@ -234,8 +231,7 @@ def r_n(p: float, n: int) -> float:
     Nonnegative for all p >= 0 by construction; computed exactly and rounded
     once.
     """
-    if n < 0:
-        raise ValueError(f"derivative order must be nonnegative, got {n}")
+    check_count("n", n, 0)
     num, den = _r_n_ratio(p, n)
     return num / den
 
@@ -268,8 +264,7 @@ def kernel_taylor(r: float, params: RbfParams, n_terms: int = 60) -> float:
     any number of terms is safe.  r has the same domain as in kernel_rot.
     """
     r = _unit_inner(r)
-    if n_terms < 1:
-        raise ValueError(f"need at least one term, got {n_terms}")
+    check_count("n_terms", n_terms, 1)
     c, h = params.center, params.width
     one_h2 = 1.0 + h * h
     p = c * c / one_h2

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rflaf import basis, data, kernel, optim
+from rflaf import basis, data, experiments, kernel, optim
 from rflaf.basis import (
     ActivationGrid,
     activation_curve,
@@ -115,12 +115,22 @@ COUNTS = [
     ("epochs", lambda count: optim.TrainConfig(epochs=count), 3),
     ("batch_size", lambda count: optim.TrainConfig(batch_size=count), 3),
     ("n", lambda count: data.holdout_size(count, 0.5), 3),
+    ("n_terms", lambda count: kernel.kernel_taylor(0.5, RbfParams(0.0, 1.0), count), 3),
+    ("n_max", lambda count: kernel.taylor_derivs(0.5, count), 3),
+    ("n", lambda count: kernel.r_n(0.5, count), 3),
+    ("k", lambda count: kernel.poly_P(count), 3),
+    ("k", lambda count: kernel.poly_Q(count), 3),
+    ("n", lambda count: data.gauss_legendre(count), 3),
+    ("n_basis", lambda count: experiments.theory_bounds(1.0, count, 4, 0.1, 1.0, 4.0, 2.0), 3),
+    ("n_features", lambda count: experiments.theory_bounds(1.0, 10, count, 0.1, 1.0, 4.0, 2.0), 3),
 ]
 COUNT_IDS = ["n_basis", "build_grid", "dim", "n_features", "bank-seed", "mc_samples", "target-seed", "n_points", "epochs", "batch_size", "n"]
+COUNT_IDS += ["n_terms", "n_max", "r_n", "poly_P", "poly_Q", "gauss_legendre", "bounds-n_basis", "bounds-n_features"]
 
 
 class TestCountChecks:
     # ActivationGrid(-2, 2, 2.5, 0.1) built 3 centers and build_grid 2; FeatureBank and calibrate raised a late TypeError
+    # kernel_taylor(0.5, RbfParams(0, 1), True) summed one term, and theory_bounds took 10.5 and True
     @pytest.mark.parametrize("field, build, valid", COUNTS, ids=COUNT_IDS)
     @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(1000.0), True, "3", None, -1])
     def test_rejects_what_is_not_a_count(self, field, build, valid, count):

@@ -37,3 +37,14 @@ def test_one_chunk_rule():
         for number, line in enumerate(source.splitlines(), 1):
             if "CHUNK_CELLS //" in line:
                 assert name == "basis.py" and rule.lineno <= number <= rule.end_lineno, (name, number, line)
+
+
+def test_one_pool_variable_set_by_the_pool_alone():
+    # basis._pool, which _Workers.__enter__ and __exit__ alone write: split_rows and kernel_workers read one state
+    def globals_in(tree):
+        return [(name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Global) for name in node.names]
+
+    sites = {name: globals_in(ast.parse(text)) for name, text in _sources().items()}
+    pool = next(node for node in ast.parse(_sources()["basis.py"]).body if getattr(node, "name", None) == "_Workers")
+    assert {name: found for name, found in sites.items() if found} == {"basis.py": globals_in(pool)}
+    assert {name for name, _ in globals_in(pool)} == {"_pool"}

@@ -281,7 +281,7 @@ class TestSplitRows:
         try:
             with _parts(2):
                 with kernel_workers(grid, 20):
-                    scope = weakref.ref(basis._workers)
+                    scope = weakref.ref(basis._pool)
                     banded_activation(grid, np.ones(60), z, np.ones(20))
                 assert scope() is None
                 split_rows(10, lambda lo, hi, dst: None, (np.zeros(10), np.zeros((10, 3))), 1)
@@ -427,6 +427,45 @@ class TestKernelWorkers:
             _fit_bytes(model, dataset)
         assert len(forks) == 2  # two workers for the whole run, not two per call
 
+    def test_a_split_inside_the_scope_runs_here(self, monkeypatch):
+        # a forked block inherited the scope and drove its worker over the shared rows along with this process
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        model, _ = _fit_case()
+        X = 2.0 * np.random.default_rng(49).standard_normal((2000, 2))
+        serial, out = predict_batch(model, X), np.zeros(2000)
+
+        def fn(lo, hi, dst):
+            dst[0][:] = predict_batch(model, X[lo:hi])
+
+        with _parts(2), kernel_workers(model.grid, 300):
+            forks.clear()  # the scope's worker
+            split_rows(2000, fn, (out,), 1)
+        assert out.tobytes() == serial.tobytes()
+        assert not forks
+        _no_children_left()
+
+    def test_train_inside_a_split_forks_no_kernel_worker(self, monkeypatch):
+        # each process of the split forked a kernel worker of its own: 2 processes per CPU
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        model, dataset = _fit_case(rows=300)
+        serial = np.frombuffer(_fit_bytes(model, dataset, epochs=1)[0])
+        forks.clear()  # the serial run's kernel worker
+
+        def fn(lo, hi, dst):
+            before = len(forks)
+            for row in range(lo, hi):
+                dst[0][row - lo] = np.frombuffer(_fit_bytes(model, dataset, epochs=1)[0])
+            dst[1][:] = len(forks) - before  # forks this process made in its block
+
+        out, inner_forks = np.zeros((2, 200)), np.zeros(2)
+        with _parts(2):
+            split_rows(2, fn, (out, inner_forks), 1)
+        assert len(forks) == 1 and not inner_forks.any()
+        assert out.tobytes() == np.tile(serial, (2, 1)).tobytes()
+        _no_children_left()
+
     @pytest.mark.parametrize("chunk_cells", [basis.CHUNK_CELLS, 20_000], ids=["shipped", "smaller"])
     def test_every_call_in_train_reaches_the_scope(self, monkeypatch, chunk_cells):
         # the scope holds chunk_rows(M + N) rows, the largest chunk forward_chunks makes: no call runs here alone
@@ -435,7 +474,7 @@ class TestKernelWorkers:
         served, banded = [], basis.banded_activation
 
         def recorded(grid, a, z, v=None):
-            served.append(basis._workers is not None and basis._workers.serves(grid, z))
+            served.append(basis._pool is not None and basis._pool.serves(grid, z))
             return banded(grid, a, z, v)
 
         monkeypatch.setattr(basis, "banded_activation", recorded)
@@ -463,11 +502,11 @@ class TestKernelWorkers:
         z = np.zeros((10, 20))
         with _parts(2), kernel_workers(grid, 20):
             elsewhere = []
-            thread = threading.Thread(target=lambda: elsewhere.append(basis._workers.serves(grid, z)))
+            thread = threading.Thread(target=lambda: elsewhere.append(basis._pool.serves(grid, z)))
             thread.start()
             thread.join(60)
             assert not thread.is_alive() and elsewhere == [False]
-            assert basis._workers.serves(grid, z)
+            assert basis._pool.serves(grid, z)
 
     def test_without_fork_train_runs_here(self, monkeypatch):
         model, dataset = _fit_case()
@@ -483,7 +522,7 @@ class TestKernelWorkers:
         def kill_after_first_step(*args):
             steps[0] += 1
             if steps[0] == 1:
-                pid = basis._workers.pool.procs[-1][0]
+                pid = basis._pool.procs[-1][0]
                 os.kill(pid, signal.SIGKILL)
                 os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
             return adam_step(*args)
@@ -551,7 +590,7 @@ class TestKernelWorkers:
         a, v, z = rng.standard_normal(60), rng.standard_normal(20), rng.uniform(-3.0, 3.0, (50, 20))
         want = banded_activation(grid, a, z, v)
         with _parts(2), kernel_workers(grid, 20):
-            os.kill(basis._workers.pool.procs[0][0], signal.SIGKILL)
+            os.kill(basis._pool.procs[0][0], signal.SIGKILL)
             with pytest.raises(RuntimeError, match=r"rows 25\.\.49 "):
                 banded_activation(grid, a, z, v)
             _no_children_left()
@@ -592,7 +631,7 @@ class TestAllocatorPolicy:
             rng = np.random.default_rng(53)
             X, y, cfg = 2.0 * rng.standard_normal((256, 2)), rng.standard_normal(256), optim.TrainConfig()
             with mock.patch.object(basis, "_parts", lambda rows, cells_per_row: 2), basis.kernel_workers(grid, 300):
-                pid = basis._workers.pool.procs[0][0]
+                pid = basis._pool.procs[0][0]
                 for _ in range(3):
                     optim.grad(model, X, y, cfg)
                 parent, worker = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, worker_faults(pid)
