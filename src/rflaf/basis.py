@@ -537,9 +537,10 @@ def approximation_schedule(
         raise ValueError(f"epsilon must be below 16 sigma_sup radius = {16.0 * sigma_sup * radius}, got {epsilon}")
     lr = lipschitz_sigma * radius
     h_max = epsilon / (4.0 * math.sqrt(2.0) * lr * math.sqrt(math.log(16.0 * sigma_sup * radius / epsilon)))
-    log_term = math.log(
-        8.0 * sigma_sup * support_len * radius / (math.sqrt(2.0 * math.pi) * epsilon * h_max**2)
-    )
+    h_term = math.sqrt(2.0 * math.pi) * epsilon * h_max**2
+    if h_term == 0:
+        raise ValueError(f"epsilon {epsilon} is too small for the schedule in doubles: epsilon h_max^2 underflows to 0")
+    log_term = math.log(8.0 * sigma_sup * support_len * radius / h_term)
     if log_term <= 0:
         raise ValueError(
             f"support_len {support_len} is too short for epsilon {epsilon}: the sufficient grid spacing "
@@ -549,4 +550,6 @@ def approximation_schedule(
         epsilon * h_max * math.sqrt(math.pi * math.e) / (16.0 * math.sqrt(2.0) * sigma_sup * radius * log_term),
         epsilon / (4.0 * lr),
     )
+    if spacing_max == 0:
+        raise ValueError(f"epsilon {epsilon} is too small for the schedule in doubles: spacing_max underflows to 0")
     return h_max, spacing_max

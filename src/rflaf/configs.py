@@ -9,6 +9,7 @@ need not pay.
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 import types
 import typing
@@ -123,6 +124,13 @@ class TaylorVerifyConfig:
     n_max: Annotated[int, 2] = 16
     rel_tol: NonNegative = 1e-8
     series: SeriesSection = field(default_factory=SeriesSection)
+
+    def __post_init__(self):
+        # every derivative up to order 171 is a double at every p (kernel.taylor_derivs); y^(172) at p = 0 is not
+        _check(self.n_max <= 171, f"n_max must be at most 171, the last order whose derivatives fit, got {self.n_max}")
+        # a subnormal seed y^(0) = e^-p would leave each y^(n) fewer bits than rel_tol needs, or none
+        big = [p for p in self.p_values if math.exp(-p) < sys.float_info.min]
+        _check(not big, f"p_values entries must keep e^-p a normal double (p <= 708.3964185322641), got {big}")
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ __all__ = [
     "kernel_rot",
     "kernel_mc",
     "taylor_derivs",
+    "taylor_deriv",
     "poly_P",
     "poly_Q",
     "r_n",
@@ -152,24 +153,38 @@ def kernel_mc(
     return McEstimate(mean=float(mean[0]), stderr=float(stderr[0]), samples=samples)
 
 
+def _times_exp_neg(p: float, num: int, den: int) -> float:
+    """e^-p num / den, rounded once from the double e^-p and the exact ratio; OverflowError past the doubles."""
+    en, ed = math.exp(-p).as_integer_ratio()
+    return en * num / (ed * den)
+
+
 def taylor_derivs(p: float, n_max: int) -> np.ndarray:
-    """Derivatives y^(0..n_max) of the kernel profile at the origin.
+    """Derivatives y^(0..n_max) of the kernel profile at the origin, y^(n) = e^-p R_n(p).
 
     Generated by the three-term recurrence
         y^(n+1) = (p - n) y^(n) - n (p - n) y^(n-1) + n (n-1)^2 y^(n-2)
-    seeded with y^(0) = e^-p, y^(1) = p e^-p, y^(2) = (p-1)^2 e^-p.
+    seeded with y^(0) = e^-p, y^(1) = p e^-p, y^(2) = (p-1)^2 e^-p, run in
+    exact integers on s_n = pd^n R_n(p) at the exact binary p = pn / pd: in
+    floats its terms pass 2^53 and lose their exact cancellation, from n = 21
+    at p = 0.  Each y^(n) is rounded once, as in taylor_deriv.  For n_max <= 171 every y^(n) is a
+    double at every p; the largest, at n = 171 near p = 0.014, is e^708.9.
     """
     if p < 0 or not math.isfinite(p):
         raise ValueError(f"p must be a finite nonnegative real, got {p}")
     check_count("n_max", n_max, 2)
-    ep = math.exp(-p)
-    y = np.empty(n_max + 1)
-    y[0] = ep
-    y[1] = p * ep
-    y[2] = (p - 1.0) ** 2 * ep
+    pn, pd = float(p).as_integer_ratio()
+    s = [1, pn, (pn - pd) ** 2]
     for n in range(2, n_max):
-        y[n + 1] = (p - n) * y[n] - n * (p - n) * y[n - 1] + n * (n - 1) ** 2 * y[n - 2]
-    return y
+        t = pn - n * pd  # pd (p - n)
+        s.append(t * s[n] - n * t * pd * s[n - 1] + n * (n - 1) ** 2 * pd**3 * s[n - 2])
+    return np.array([_times_exp_neg(p, s_n, pd**n) for n, s_n in enumerate(s)])
+
+
+def taylor_deriv(p: float, n: int) -> float:
+    """Closed form of taylor_derivs(p, n)[n]: e^-p R_n(p), with r_n's exact ratio rounded once."""
+    check_count("n", n, 0)
+    return _times_exp_neg(p, *_r_n_ratio(p, n))
 
 
 def _double_factorial_ratio(hi: int, lo: int) -> int:

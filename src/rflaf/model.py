@@ -4,8 +4,10 @@ The main model scores a point x as (1/M) a^T B(x) v, where B(x) is the
 N x M matrix of basis responses B_k(w_m . x) over a frozen Gaussian
 feature bank {w_m}.  B(x) is never formed: forward_chunks evaluates each
 pre-activation w_m . x against only the centers within its band, through
-basis.banded_activation.  Fixed-activation baselines share the bank
-mechanics but apply a single scalar activation per feature.
+basis.banded_activation.  The fixed-activation baselines share the bank
+and apply one scalar activation per feature: baseline_features is their
+feature matrix, which optim.train_baseline forms once per run and reduces
+per row.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ __all__ = [
     "forward",
     "forward_batch",
     "baseline_features",
-    "baseline_forward",
-    "baseline_forward_batch",
     "save_model",
     "load_model",
 ]
@@ -175,16 +175,6 @@ def baseline_features(model: BaselineRfModel, X: np.ndarray) -> np.ndarray:
     """
     X = _rows(X, model.bank.dim)
     return BASELINE_ACTIVATIONS[model.activation_kind](_project(X, model.bank))
-
-
-def baseline_forward_batch(model: BaselineRfModel, X: np.ndarray) -> np.ndarray:
-    """Baseline outputs (1/M) sum_m act(w_m.x) v_m for the rows of X, each a function of its row alone."""
-    return row_dot(baseline_features(model, X), model.v) / model.bank.n_features
-
-
-def baseline_forward(model: BaselineRfModel, x: np.ndarray) -> float:
-    """Baseline output: baseline_forward_batch on the one row x."""
-    return float(baseline_forward_batch(model, np.asarray(x, dtype=float)[None])[0])
 
 
 def save_model(model: RflafModel, path) -> None:

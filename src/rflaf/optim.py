@@ -50,14 +50,12 @@ __all__ = [
     "AdamState",
     "LossBreakdown",
     "EpochStats",
-    "init_adam",
     "adam_step",
     "new_rflaf_model",
     "new_baseline_model",
     "predict_batch",
     "loss",
     "grad",
-    "grad_check",
     "train",
     "train_baseline",
 ]
@@ -127,14 +125,6 @@ class EpochStats:
     train_balance: float
     train_l1: float
     test_mse: float
-
-
-def init_adam(n_params: int) -> AdamState:
-    return AdamState(
-        first_moment=np.zeros(n_params),
-        second_moment=np.zeros(n_params),
-        step=0,
-    )
 
 
 def adam_step(
@@ -223,51 +213,6 @@ def grad(
     return _loss_and_grad(model, X, y, cfg)[1:]
 
 
-def grad_check(
-    model: RflafModel,
-    X: np.ndarray,
-    y: np.ndarray,
-    cfg: TrainConfig,
-    step: float = 1e-5,
-) -> float:
-    """Worst relative disagreement between analytic and central-difference gradients.
-
-    Relative error per coordinate is |g - fd| / max(|g| + |fd|, 1e-8).  When
-    the L1 weight is active, every a_i must sit at least 10*step away from
-    the kink at zero; violations raise instead of silently passing.
-    """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if cfg.lambda2 > 0 and np.min(np.abs(model.a)) <= 10.0 * step:
-        raise ValueError(
-            "some |a_i| <= 10*step: central differences straddle the L1 kink"
-        )
-    g_a, g_v = grad(model, X, y, cfg)
-    worst = 0.0
-
-    def _probe(analytic: float, rebuild) -> float:
-        up = loss(rebuild(+step), X, y, cfg).total
-        dn = loss(rebuild(-step), X, y, cfg).total
-        fd = (up - dn) / (2.0 * step)
-        return abs(analytic - fd) / max(abs(analytic) + abs(fd), 1e-8)
-
-    for i in range(model.grid.n_basis):
-        def bump_a(eps, i=i):
-            a = model.a.copy()
-            a[i] += eps
-            return RflafModel(bank=model.bank, grid=model.grid, a=a, v=model.v)
-
-        worst = max(worst, _probe(g_a[i], bump_a))
-    for j in range(model.bank.n_features):
-        def bump_v(eps, j=j):
-            v = model.v.copy()
-            v[j] += eps
-            return RflafModel(bank=model.bank, grid=model.grid, a=model.a, v=v)
-
-        worst = max(worst, _probe(g_v[j], bump_v))
-    return worst
-
-
 def _adam_loop(params, dataset: Dataset, cfg: TrainConfig, seed: int, loss_and_grad, predict_test):
     """The Adam loop shared by every model, over the dataset's train split.
 
@@ -278,7 +223,7 @@ def _adam_loop(params, dataset: Dataset, cfg: TrainConfig, seed: int, loss_and_g
     orders the batches, so equal seeds produce identical parameter trajectories.
     Raises Diverged at the first non-finite batch loss or updated parameter.
     """
-    state = init_adam(params.shape[0])
+    state = AdamState(np.zeros(params.shape[0]), np.zeros(params.shape[0]), 0)
     rng = np.random.default_rng(seed)
     history: list[EpochStats] = []
     for epoch in range(cfg.epochs):

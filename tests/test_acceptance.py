@@ -19,7 +19,9 @@ import pytest
 from rflaf import basis, data, experiments
 from rflaf.kernel import RbfParams, kernel_closed, kernel_mc, kernel_rot, kernel_taylor, poly_P, poly_Q, r_n, taylor_derivs
 from rflaf.model import RflafModel, forward, sample_features
-from rflaf.optim import TrainConfig, grad_check
+from rflaf.optim import TrainConfig
+
+from gradcheck import grad_check
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

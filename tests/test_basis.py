@@ -557,3 +557,16 @@ class TestApproximationSchedule:
         # log(8 sigma_sup |K| R / (sqrt(2 pi) epsilon h_max^2)) <= 0 gave a negative spacing
         with pytest.raises(ValueError, match="support_len"):
             approximation_schedule(1.0, 1.0, 1.0, 1.0, support_len)
+
+    @pytest.mark.parametrize(
+        "epsilon,sigma_sup", [(1e-200, 1.0), (1e-300, 1.0), (5e-324, 1.0), (1e-12, 1e300)]
+    )
+    def test_rejects_epsilon_whose_schedule_underflows(self, epsilon, sigma_sup):
+        # epsilon h_max^2 underflowed to 0 and the log term divided by it (ZeroDivisionError at 1e-200);
+        # with a huge sigma_sup it is spacing_max that underflows
+        with pytest.raises(ValueError, match=f"epsilon {epsilon} is too small"):
+            approximation_schedule(epsilon, math.pi, 2.0, sigma_sup, 4.0)
+
+    def test_smallest_schedule_still_formed(self):
+        h_max, spacing_max = approximation_schedule(1e-100, math.pi, 2.0, 1.0, 4.0)
+        assert 0 < spacing_max < h_max < 1e-100

@@ -540,6 +540,37 @@ class TestBadConfigs:
         assert type(parse_config(mode, load_config(str(path)))).__name__ == MODES[mode][0]
 
 
+# A shipped config with one key at the edge of the doubles, (mode, config file, key, value, exit code): each
+# exits 0 or 1 writing finite numbers, or 2 with one error line naming the key, and none ends in a traceback
+EDGE_CONFIGS = [
+    ("bounds", "bounds.json", "epsilon", 1e-200, 2),
+    ("bounds", "bounds.json", "epsilon", 1e-300, 2),
+    ("taylor-verify", "taylor_verify.json", "n_max", 100, 0),
+    ("taylor-verify", "taylor_verify.json", "n_max", 171, 0),
+    ("taylor-verify", "taylor_verify.json", "n_max", 200, 2),
+    ("taylor-verify", "taylor_verify.json", "p_values", [1e300], 2),
+    ("taylor-verify", "taylor_verify.json", "p_values", [0.0, 708.0], 0),
+]
+
+
+class TestEdgeConfigs:
+    @pytest.mark.parametrize("mode,name,key,value,code", EDGE_CONFIGS, ids=[f"{e[2]}={e[3]}" for e in EDGE_CONFIGS])
+    def test_exit_code_and_error_line(self, mode, name, key, value, code, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path, dict(load_config(str(CONFIG_DIR / name)), **{key: value}))
+        out = tmp_path / "out"
+        assert main([mode, "--config", cfg_path, "--out", str(out)]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 2:
+            assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+            return
+        assert err == []
+        if mode == "taylor-verify":
+            rows = [line.split("\t") for line in (out / "taylor_recurrence.txt").read_text().splitlines()[1:]]
+            assert rows and all(math.isfinite(float(v)) for row in rows for v in row[:-1])
+            # the recurrence runs in exact integers: it meets the closed form, exact zeros included
+            assert all(row[2] == row[3] and row[-1] == "yes" for row in rows)
+
+
 def _key_paths(cls, prefix=()):
     """(class, field, key path) of each settable value of the config dataclass cls, through its sections."""
     hints = typing.get_type_hints(cls, include_extras=True)

@@ -20,6 +20,7 @@ from rflaf.kernel import (
     poly_P,
     poly_Q,
     r_n,
+    taylor_deriv,
     taylor_derivs,
 )
 
@@ -392,6 +393,23 @@ class TestTaylorDerivs:
             taylor_derivs(-1.0, 5)
         with pytest.raises(ValueError):
             taylor_derivs(1.0, 1)
+
+    def test_odd_orders_vanish_at_p_zero_past_float_cancellation(self):
+        # in floats the recurrence's terms near (19!!)^2 lost their exact cancellation: -1024 at n = 21
+        y = taylor_derivs(0.0, 100)
+        assert y[1::2].tolist() == [0.0] * 50
+        assert y[20] == float(math.prod(range(1, 20, 2)) ** 2)
+
+    @pytest.mark.parametrize("p", [0.0, 0.014, 0.1, 0.75, 5.0, 171.0, 700.0])
+    def test_each_order_is_its_closed_form_rounded_once(self, p):
+        y = taylor_derivs(p, 171)
+        assert np.all(np.isfinite(y))
+        assert y.tolist() == [taylor_deriv(p, n) for n in range(172)]
+
+    def test_order_172_is_past_the_doubles_at_p_zero(self):
+        # ((171)!!)^2 > 1.8e308: the taylor-verify config stops n_max at 171
+        with pytest.raises(OverflowError):
+            taylor_derivs(0.0, 172)
 
 
 # Exact coefficient vectors (constant term first) of the low-order

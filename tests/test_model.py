@@ -15,8 +15,7 @@ from rflaf.model import (
     BaselineRfModel,
     FeatureBank,
     RflafModel,
-    baseline_forward,
-    baseline_forward_batch,
+    baseline_features,
     forward,
     forward_batch,
     load_model,
@@ -290,56 +289,65 @@ class TestForwardBatch:
         banks = [(model.bank, model.v)] + [
             (sample_features(dim, width, seed=dim), rng.standard_normal(width)) for width in (8193, 12000)
         ]
-        cases = [(forward_batch, forward, model), (forward_batch, forward, wide)] + [
-            (baseline_forward_batch, baseline_forward, BaselineRfModel(bank, k, v))
-            for bank, v in banks
-            for k in BASELINE_ACTIVATIONS
+        cases = [(forward_batch, model), (forward_batch, wide)] + [
+            (_baseline_outputs, BaselineRfModel(bank, k, v)) for bank, v in banks for k in BASELINE_ACTIVATIONS
         ]
-        for batch_fn, row_fn, m in cases:
+        for batch_fn, m in cases:
             batch = batch_fn(m, X).tobytes()
             kind = (getattr(m, "activation_kind", "rflaf"), m.bank.n_features)
-            assert np.array([row_fn(m, x) for x in X]).tobytes() == batch, kind
-            for cuts in ([0, 1, 100], [0, 23, 50, 99, 100], [0, 37, 41, 100]):
+            for cuts in (range(101), [0, 1, 100], [0, 23, 50, 99, 100], [0, 37, 41, 100]):
                 parts = [batch_fn(m, X[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-                assert np.concatenate(parts).tobytes() == batch, kind
+                assert np.concatenate(parts).tobytes() == batch, (kind, cuts)
+
+
+def _baseline_outputs(model, X):
+    """Baseline outputs (1/M) sum_m act(w_m.x) v_m as optim.train_baseline reduces baseline_features."""
+    return basis.row_dot(baseline_features(model, X), model.v) / model.bank.n_features
 
 
 class TestBaselines:
     def test_relu_dead_inputs(self):
         bank = FeatureBank(dim=2, n_features=8, seed=0)
         x = np.array([0.3, -0.7])
-        dead = bank.weights @ x < 0
+        z = bank.weights @ x
+        dead = z < 0
         assert dead.any() and not dead.all()
         model = BaselineRfModel(bank=bank, activation_kind="relu", v=dead.astype(float))
-        assert baseline_forward(model, x) == 0.0
+        (features,) = baseline_features(model, x[None])
+        assert np.all(features[dead] == 0.0) and np.all(features[~dead] == z[~dead])
+        assert _baseline_outputs(model, x[None])[0] == 0.0
 
     def test_tanh_zero_weights(self):
         bank = sample_features(2, 8, seed=6)
         model = BaselineRfModel(bank=bank, activation_kind="tanh", v=np.zeros(8))
-        assert baseline_forward(model, np.ones(2)) == 0.0
+        (features,) = baseline_features(model, np.ones((1, 2)))
+        want = [math.tanh(w0 + w1) for w0, w1 in bank.weights.tolist()]
+        assert features.tolist() == pytest.approx(want, rel=1e-14)
+        assert _baseline_outputs(model, np.ones((1, 2)))[0] == 0.0
 
     def test_rbf2_peak(self):
         bank = FeatureBank(dim=1, n_features=1, seed=0)
         model = BaselineRfModel(bank=bank, activation_kind="rbf2", v=np.array([1.0]))
         # w x is 1.5, the bump's center, to within an ulp, where the bump rounds to 1
-        assert baseline_forward(model, np.array([1.5 / bank.weights[0, 0]])) == 1.0
+        assert baseline_features(model, np.array([[1.5 / bank.weights[0, 0]]])).tolist() == [[1.0]]
 
     def test_rbf1_matches_formula(self):
         bank = FeatureBank(dim=1, n_features=2, seed=0)
         model = BaselineRfModel(bank=bank, activation_kind="rbf1", v=np.array([1.0, 3.0]))
-        x = np.array([0.4])
         (w0,), (w1,) = bank.weights
-        want = (math.exp(-((w0 * 0.4) ** 2) / 0.5) * 1.0 + math.exp(-((w1 * 0.4) ** 2) / 0.5) * 3.0) / 2.0
-        assert baseline_forward(model, x) == pytest.approx(want, rel=1e-14)
+        want = [math.exp(-((w0 * 0.4) ** 2) / 0.5), math.exp(-((w1 * 0.4) ** 2) / 0.5)]
+        assert baseline_features(model, np.array([[0.4]]))[0].tolist() == pytest.approx(want, rel=1e-14)
+        assert _baseline_outputs(model, np.array([[0.4]]))[0] == pytest.approx((want[0] + 3.0 * want[1]) / 2.0, rel=1e-14)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(40)
         bank = sample_features(3, 12, seed=7)
         model = BaselineRfModel(bank=bank, activation_kind="tanh", v=rng.standard_normal(12))
         X = rng.standard_normal((9, 3))
-        batch = baseline_forward_batch(model, X)
+        batch = baseline_features(model, X)
+        assert batch.shape == (9, 12)
         for i in range(9):
-            assert batch[i] == pytest.approx(baseline_forward(model, X[i]), rel=1e-14)
+            assert batch[i].tobytes() == baseline_features(model, X[i : i + 1])[0].tobytes()
 
     def test_unknown_activation(self):
         bank = sample_features(2, 4, seed=8)

@@ -12,14 +12,13 @@ from rflaf.basis import build_grid, bumps
 from rflaf.data import Dataset
 from rflaf.model import RflafModel, forward, sample_features
 from rflaf.optim import (
+    AdamState,
     Diverged,
     LossBreakdown,
     TrainConfig,
     _adam_loop,
     adam_step,
     grad,
-    grad_check,
-    init_adam,
     loss,
     new_baseline_model,
     new_rflaf_model,
@@ -27,6 +26,8 @@ from rflaf.optim import (
     train,
     train_baseline,
 )
+
+from gradcheck import grad_check
 
 PLAIN = TrainConfig(lambda1=0.0, lambda2=0.0)
 
@@ -301,7 +302,7 @@ class TestGradCheck:
 class TestAdamStep:
     def test_zero_gradient_leaves_params(self):
         cfg = TrainConfig()
-        state = init_adam(4)
+        state = AdamState(np.zeros(4), np.zeros(4), 0)
         params = np.array([1.0, -2.0, 0.5, 3.0])
         new_state, new_params = adam_step(state, params, np.zeros(4), cfg)
         assert np.array_equal(new_params, params)
@@ -309,7 +310,7 @@ class TestAdamStep:
 
     def test_first_step_magnitude_near_learning_rate(self):
         cfg = TrainConfig(learning_rate=1e-3)
-        state = init_adam(3)
+        state = AdamState(np.zeros(3), np.zeros(3), 0)
         params = np.zeros(3)
         g = np.array([0.5, -2.0, 10.0])
         _, new_params = adam_step(state, params, g, cfg)
@@ -319,7 +320,7 @@ class TestAdamStep:
     def test_three_steps_match_scripted_reference(self):
         cfg = TrainConfig(learning_rate=0.1)
         grads = [np.array([1.0, -0.5]), np.array([0.2, 0.4]), np.array([-1.5, 2.0])]
-        state = init_adam(2)
+        state = AdamState(np.zeros(2), np.zeros(2), 0)
         params = np.array([0.3, -0.7])
         for g in grads:
             state, params = adam_step(state, params, g, cfg)
@@ -340,11 +341,11 @@ class TestAdamStep:
     def test_shape_mismatch(self):
         cfg = TrainConfig()
         with pytest.raises(ValueError):
-            adam_step(init_adam(3), np.zeros(3), np.zeros(4), cfg)
+            adam_step(AdamState(np.zeros(3), np.zeros(3), 0), np.zeros(3), np.zeros(4), cfg)
 
     def test_second_moment_nonnegative(self):
         cfg = TrainConfig()
-        state = init_adam(2)
+        state = AdamState(np.zeros(2), np.zeros(2), 0)
         _, _ = adam_step(state, np.zeros(2), np.array([1.0, -1.0]), cfg)
         state2, _ = adam_step(state, np.zeros(2), np.array([-3.0, 0.0]), cfg)
         assert np.all(state2.second_moment >= 0.0)
