@@ -3,7 +3,9 @@
 The activation is a weighted sum of N Gaussian bumps with shared width h,
 centered on a uniform grid over a closed support interval.  Weights are
 either learned or constructed by the quadrature rule a_i proportional to
-the target activation sampled at the centers.
+the target activation sampled at the centers.  The paper's bounds sit here
+too: the quadrature weights' norms, the approximation schedule and the
+constrained-set norm bounds.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ __all__ = [
     "quadrature_weights",
     "quadrature_norm_bounds",
     "approximation_schedule",
+    "BoundsReport",
+    "theory_bounds",
 ]
 
 
@@ -553,3 +557,53 @@ def approximation_schedule(
     if spacing_max == 0:
         raise ValueError(f"epsilon {epsilon} is too small for the schedule in doubles: spacing_max underflows to 0")
     return h_max, spacing_max
+
+
+@dataclass(frozen=True)
+class BoundsReport:
+    """Norm and sup bounds implied by the constrained-set theory."""
+
+    a_norm_bound: float
+    v_norm_bound: float
+    f_sup_bound: float
+
+
+def theory_bounds(
+    h: float,
+    n_basis: int,
+    n_features: int,
+    delta: float,
+    sigma_sup: float,
+    support_len: float,
+    radius: float,
+) -> BoundsReport:
+    """Evaluate the three constrained-set bounds verbatim.
+
+        |a|_2 <= sigma_sup |K| / (h sqrt(2 pi N))
+        |v|_2 <= 7 R sqrt(M log(2/delta))
+        |f|_inf <= 7 sigma_sup |K| R sqrt(log(2/delta)) / (h sqrt(2 pi))
+    """
+    check_count("n_basis", n_basis, 1)
+    check_count("n_features", n_features, 1)
+    for name, val in [
+        ("width h", h),
+        ("sigma_sup", sigma_sup),
+        ("support_len", support_len),
+        ("radius", radius),
+    ]:
+        if not 0 < val < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {val}")
+    if not 0.0 < delta < 0.5:
+        raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
+    log_term = math.log(2.0 / delta)
+    a_bound = sigma_sup * support_len / (h * math.sqrt(2.0 * math.pi * n_basis))
+    v_bound = 7.0 * radius * math.sqrt(n_features * log_term)
+    f_bound = 7.0 * sigma_sup * support_len * radius * math.sqrt(log_term) / (h * math.sqrt(2.0 * math.pi))
+    for name, bound, keys in [
+        ("a norm", a_bound, "width h, sigma_sup, support_len and n_basis"),
+        ("v norm", v_bound, "radius, n_features and delta"),
+        ("f sup", f_bound, "width h, sigma_sup, support_len, radius and delta"),
+    ]:
+        if not math.isfinite(bound):
+            raise ValueError(f"the {name} bound, from {keys}, is past the doubles")
+    return BoundsReport(a_norm_bound=a_bound, v_norm_bound=v_bound, f_sup_bound=f_bound)

@@ -16,7 +16,8 @@ import argparse
 import ctypes
 import sys
 
-from .experiments import MODES, ConfigError, load_config, run
+from .configs import ConfigError
+from .experiments import MODES, load_config, run
 
 
 def keep_heap() -> None:

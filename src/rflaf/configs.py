@@ -1,9 +1,7 @@
 """Typed configs of the CLI modes: a frozen dataclass per mode and section.
 
 parse builds one from JSON; every invalid config raises ConfigError naming
-the key before the mode samples anything.  experiments imports this module
-on first use, since building these classes takes ~10 ms that `import rflaf`
-need not pay.
+the key before the mode samples anything.
 """
 
 from __future__ import annotations
@@ -16,15 +14,16 @@ import typing
 from dataclasses import dataclass, field
 from typing import Annotated, Literal
 
-import numpy as np
-
 from . import basis, data, kernel, model, optim
-from .experiments import BoundsReport, ConfigError, theory_bounds
 
 # Field types with the lower bound the parser enforces.
 Seed = Annotated[int, 0]
 Count = Annotated[int, 1]
 NonNegative = Annotated[float, 0.0]
+
+
+class ConfigError(ValueError):
+    """Invalid or inconsistent experiment configuration."""
 
 
 def _value(tp, v, key: str, where: str):
@@ -105,6 +104,21 @@ class KernelVerifyConfig:
         _derive(self, rbfs=tuple(kernel.RbfParams(c, h) for c in self.centers for h in self.widths))
 
 
+def _series_finite(params: kernel.RbfParams, n_terms: int) -> bool:
+    """Whether kernel_taylor at r = 1 and kernel_rot at r = -1 and 1, the ends of taylor-verify's grid, are doubles.
+
+    The series' coefficients are nonnegative and the closed form's square root
+    and exponent are smallest at the ends, so no value inside is larger.  Past
+    the doubles the arithmetic raises: OverflowError (c^2, 1 + h^2 or a
+    coefficient) or ZeroDivisionError ((1 + h^2)^2 - 1 is 0 below h ~ 1e-8).
+    """
+    try:
+        values = [kernel.kernel_taylor(1.0, params, n_terms), *(kernel.kernel_rot(r, params) for r in (-1.0, 1.0))]
+    except ArithmeticError:
+        return False
+    return all(map(math.isfinite, values))
+
+
 @dataclass(frozen=True)
 class SeriesSection:
     widths: tuple[float, ...] = (0.5, 1.0)
@@ -115,7 +129,10 @@ class SeriesSection:
     rbfs: tuple[kernel.RbfParams, ...] = field(init=False)  # widths x centers
 
     def __post_init__(self):
-        _derive(self, rbfs=tuple(kernel.RbfParams(c, h) for h in self.widths for c in self.centers))
+        rbfs = tuple(kernel.RbfParams(c, h) for h in self.widths for c in self.centers)
+        bad = [(p.center, p.width) for p in rbfs if not _series_finite(p, self.n_terms)]
+        _check(not bad, f"centers x widths entries (c, h) {bad} leave the series or the closed form no double at r = +-1")
+        _derive(self, rbfs=rbfs)
 
 
 @dataclass(frozen=True)
@@ -207,16 +224,13 @@ class TrainCompareConfig:
     activation_grid_points: Annotated[int, 2] = 401
     min_activation_correlation: float = 0.9
     spec: data.TargetSpec = field(init=False)
-    child_seeds: tuple[int, ...] = field(init=False)  # train shuffle, bank, init, then two per baseline
 
     def __post_init__(self):
         spec = self.target.spec(default_seed=self.seed)
         _check(self.data.dim == spec.dim, f"data dim {self.data.dim} does not match len(target b1) = {spec.dim}")
         _check(self.train.epochs >= 1, f"train epochs must be >= 1, got {self.train.epochs}")
         _check(len(set(self.baselines)) == len(self.baselines), f"baselines must differ, got {list(self.baselines)}")
-        ss = np.random.SeedSequence([self.seed, 0x7121]).spawn(3 + 2 * len(self.baselines))
-        seeds = tuple(int(s.generate_state(1)[0]) for s in ss)
-        _derive(self, spec=spec, child_seeds=seeds)
+        _derive(self, spec=spec)
 
 
 @dataclass(frozen=True)
@@ -244,11 +258,11 @@ class BoundsConfig:
     radius: float
     epsilon: float | None = None  # with lipschitz_sigma: the approximation schedule
     lipschitz_sigma: float | None = None
-    report: BoundsReport = field(init=False)
+    report: basis.BoundsReport = field(init=False)
     schedule: tuple[float, float] | None = field(init=False)  # (h_max, spacing_max)
 
     def __post_init__(self):
-        report = theory_bounds(
+        report = basis.theory_bounds(
             self.width, self.n_basis, self.n_features, self.delta, self.sigma_sup, self.support_len, self.radius
         )
         _check((self.epsilon is None) == (self.lipschitz_sigma is None), "give epsilon and lipschitz_sigma together")

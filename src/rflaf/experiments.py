@@ -11,73 +11,19 @@ from __future__ import annotations
 import json
 import math
 import os
-import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import basis, data, kernel, model, optim
-
-if typing.TYPE_CHECKING:
-    from . import configs
+from . import basis, configs, data, kernel, model, optim
 
 __all__ = [
-    "ConfigError",
-    "BoundsReport",
-    "theory_bounds",
     "RateStudyResult",
     "rate_study",
     "parse_config",
     "run",
     "MODES",
 ]
-
-
-class ConfigError(ValueError):
-    """Invalid or inconsistent experiment configuration."""
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Norm and sup bounds implied by the constrained-set theory."""
-
-    a_norm_bound: float
-    v_norm_bound: float
-    f_sup_bound: float
-
-
-def theory_bounds(
-    h: float,
-    n_basis: int,
-    n_features: int,
-    delta: float,
-    sigma_sup: float,
-    support_len: float,
-    radius: float,
-) -> BoundsReport:
-    """Evaluate the three constrained-set bounds verbatim.
-
-        |a|_2 <= sigma_sup |K| / (h sqrt(2 pi N))
-        |v|_2 <= 7 R sqrt(M log(2/delta))
-        |f|_inf <= 7 sigma_sup |K| R sqrt(log(2/delta)) / (h sqrt(2 pi))
-    """
-    basis.check_count("n_basis", n_basis, 1)
-    basis.check_count("n_features", n_features, 1)
-    for name, val in [
-        ("width h", h),
-        ("sigma_sup", sigma_sup),
-        ("support_len", support_len),
-        ("radius", radius),
-    ]:
-        if not 0 < val < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {val}")
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
-    log_term = math.log(2.0 / delta)
-    a_bound = sigma_sup * support_len / (h * math.sqrt(2.0 * math.pi * n_basis))
-    v_bound = 7.0 * radius * math.sqrt(n_features * log_term)
-    f_bound = 7.0 * sigma_sup * support_len * radius * math.sqrt(log_term) / (h * math.sqrt(2.0 * math.pi))
-    return BoundsReport(a_norm_bound=a_bound, v_norm_bound=v_bound, f_sup_bound=f_bound)
 
 
 @dataclass(frozen=True)
@@ -150,7 +96,7 @@ def rate_study(
     return RateStudyResult(m_values=list(m_values), mean_abs_err=errs, slope=slope, check=check)
 
 
-# --- mode runners: each takes its parsed config (rflaf.configs) and returns its summary lines (see run)
+# --- mode runners: each takes its parsed config and returns its summary lines (see run)
 
 
 def _fmt(x) -> str:
@@ -275,24 +221,25 @@ def _run_train_compare(cfg: configs.TrainCompareConfig, out_dir: str) -> list:
         calib = data.calibrate(cfg.spec)
     except ValueError as exc:
         target = f"sigma {cfg.spec.sigma_kind}, b1 {cfg.spec.b1.tolist()}, b2 {cfg.spec.b2.tolist()}"
-        raise ConfigError(f"target ({target}): {exc}") from exc
+        raise configs.ConfigError(f"target ({target}): {exc}") from exc
     spec = cfg.spec.with_calib(calib)
     check = data.TargetSampler(spec).cross_check()
     dim = cfg.data.dim
     dataset = data.gen_dataset(spec, cfg.data.n, cfg.data.test_fraction, cfg.seed + 1)
 
     grid = cfg.model.grid
-    seeds = cfg.child_seeds
+    ss = np.random.SeedSequence([cfg.seed, 0x7121]).spawn(3 + 2 * len(cfg.baselines))
+    shuffle, bank_seed, init_seed, *baseline_seeds = (int(s.generate_state(1)[0]) for s in ss)  # two per baseline
     lines = [f"calibration constant: {_fmt(calib)}", _check_line("target quadrature", check)]
-    bank = model.sample_features(dim, cfg.model.n_features, seeds[1])
+    bank = model.sample_features(dim, cfg.model.n_features, bank_seed)
     name = "rflaf"  # the model in training, as a Diverged check names it
     try:
-        trained, history = optim.train(optim.new_rflaf_model(bank, grid, seeds[2]), dataset, cfg.train, seeds[0])
+        trained, history = optim.train(optim.new_rflaf_model(bank, grid, init_seed), dataset, cfg.train, shuffle)
         histories = {name: history}
-        for j, name in enumerate(cfg.baselines):
-            b_bank = model.sample_features(dim, cfg.model.n_features + cfg.model.n_basis, seeds[3 + 2 * j])
-            b_model = optim.new_baseline_model(b_bank, name, seeds[4 + 2 * j])
-            histories[name] = optim.train_baseline(b_model, dataset, cfg.train, seeds[0])[1]
+        for name, b_bank_seed, b_init_seed in zip(cfg.baselines, baseline_seeds[::2], baseline_seeds[1::2]):
+            b_bank = model.sample_features(dim, cfg.model.n_features + cfg.model.n_basis, b_bank_seed)
+            b_model = optim.new_baseline_model(b_bank, name, b_init_seed)
+            histories[name] = optim.train_baseline(b_model, dataset, cfg.train, shuffle)[1]
     except optim.Diverged as exc:  # the run stops there and writes no other artifact
         return [*lines, (f"training {name}: {exc}", False)]
     model.save_model(trained, os.path.join(out_dir, "model_rflaf.npz"))
@@ -319,7 +266,7 @@ def _run_export_activation(cfg: configs.ExportActivationConfig, out_dir: str) ->
     try:
         trained = model.load_model(cfg.checkpoint)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load checkpoint {cfg.checkpoint!r}: {exc}") from exc
+        raise configs.ConfigError(f"cannot load checkpoint {cfg.checkpoint!r}: {exc}") from exc
     scale, corr = _activation_tables(out_dir, trained.grid, trained.a, cfg.grid_points, cfg.spec)
     lines = [f"checkpoint: {cfg.checkpoint}", f"grid points: {cfg.grid_points}"]
     if cfg.spec is not None:
@@ -350,14 +297,14 @@ def _run_bounds(cfg: configs.BoundsConfig, out_dir: str) -> list:
     return lines
 
 
-# mode -> (name of its config class in rflaf.configs, runner, summary file)
+# mode -> (config class, runner, summary file)
 MODES = {
-    "kernel-verify": ("KernelVerifyConfig", _run_kernel_verify, "kernel_verify_summary.txt"),
-    "taylor-verify": ("TaylorVerifyConfig", _run_taylor_verify, "taylor_verify_summary.txt"),
-    "rate-study": ("RateStudyConfig", _run_rate_study, "rate_study_summary.txt"),
-    "train-compare": ("TrainCompareConfig", _run_train_compare, "train_compare_summary.txt"),
-    "export-activation": ("ExportActivationConfig", _run_export_activation, "export_activation_summary.txt"),
-    "bounds": ("BoundsConfig", _run_bounds, "bounds.txt"),
+    "kernel-verify": (configs.KernelVerifyConfig, _run_kernel_verify, "kernel_verify_summary.txt"),
+    "taylor-verify": (configs.TaylorVerifyConfig, _run_taylor_verify, "taylor_verify_summary.txt"),
+    "rate-study": (configs.RateStudyConfig, _run_rate_study, "rate_study_summary.txt"),
+    "train-compare": (configs.TrainCompareConfig, _run_train_compare, "train_compare_summary.txt"),
+    "export-activation": (configs.ExportActivationConfig, _run_export_activation, "export_activation_summary.txt"),
+    "bounds": (configs.BoundsConfig, _run_bounds, "bounds.txt"),
 }
 
 
@@ -366,11 +313,11 @@ def load_config(path: str) -> dict:
         with open(path) as f:
             cfg = json.load(f)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+        raise configs.ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+        raise configs.ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path!r} must hold a JSON object")
+        raise configs.ConfigError(f"config {path!r} must hold a JSON object")
     return cfg
 
 
@@ -379,10 +326,8 @@ def parse_config(mode: str, config: dict, seed_override: int | None = None):
     every domain object the mode builds from its config runs here, before any sampling.
     seed_override replaces the seed of a mode whose config has one; the others draw nothing."""
     if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {sorted(MODES)}")
-    from . import configs  # imported on first use; see its docstring
-
-    cls = getattr(configs, MODES[mode][0])
+        raise configs.ConfigError(f"unknown mode {mode!r}; expected one of {sorted(MODES)}")
+    cls = MODES[mode][0]
     if seed_override is not None and "seed" in {f.name for f in fields(cls)}:
         config = dict(config, seed=seed_override)
     return configs.parse(cls, config, f"{mode} config")
@@ -394,7 +339,7 @@ def run(mode: str, config: dict, out_dir: str, seed_override: int | None = None)
     The mode's runner returns its summary lines, each a string or a check
     (text, ok), written as "text: PASS" or "text: FAIL"; a summary holding a
     check ends in "overall: PASS|FAIL".  The exit code is 0 when every check
-    passed and 1 otherwise; config problems raise ConfigError (mapped to
+    passed and 1 otherwise; config problems raise configs.ConfigError (mapped to
     exit code 2 by the CLI).
     """
     cfg = parse_config(mode, config, seed_override)

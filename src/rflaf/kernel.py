@@ -16,6 +16,7 @@ package's one streamed estimator), and the exact Taylor machinery
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -184,7 +185,7 @@ def taylor_derivs(p: float, n_max: int) -> np.ndarray:
 def taylor_deriv(p: float, n: int) -> float:
     """Closed form of taylor_derivs(p, n)[n]: e^-p R_n(p), with r_n's exact ratio rounded once."""
     check_count("n", n, 0)
-    return _times_exp_neg(p, *_r_n_ratio(p, n))
+    return _times_exp_neg(p, *_r_n_ratio(p, operator.index(n)))
 
 
 def _double_factorial_ratio(hi: int, lo: int) -> int:
@@ -198,7 +199,8 @@ def _double_factorial_ratio(hi: int, lo: int) -> int:
 @lru_cache(maxsize=None)
 def _poly(k: int, odd: int) -> tuple[int, ...]:
     """Coefficients of P_k (odd = 0) or Q_k (odd = 1), constant first:
-    entry i is (-1)^(k-i) * (2k-1+2 odd)!!/(2i-1+2 odd)!! * C(k, i)."""
+    entry i is (-1)^(k-i) * (2k-1+2 odd)!!/(2i-1+2 odd)!! * C(k, i).  k must be
+    a Python int: np.int64(k) shares its cache entry and overflows."""
     return tuple(
         (-1) ** (k - i) * _double_factorial_ratio(2 * (k + odd) - 1, 2 * (i + odd) - 1) * math.comb(k, i)
         for i in range(k + 1)
@@ -212,7 +214,7 @@ def poly_P(k: int) -> list[int]:
     arbitrary precision, so every k is exact.
     """
     check_count("k", k, 0)
-    return list(_poly(k, 0))
+    return list(_poly(operator.index(k), 0))
 
 
 def poly_Q(k: int) -> list[int]:
@@ -221,7 +223,7 @@ def poly_Q(k: int) -> list[int]:
     Entry i is (-1)^(k-i) * (2k+1)!!/(2i+1)!! * C(k, i).
     """
     check_count("k", k, 0)
-    return list(_poly(k, 1))
+    return list(_poly(operator.index(k), 1))
 
 
 def _r_n_ratio(p: float, n: int) -> tuple[int, int]:
@@ -247,7 +249,7 @@ def r_n(p: float, n: int) -> float:
     once.
     """
     check_count("n", n, 0)
-    num, den = _r_n_ratio(p, n)
+    num, den = _r_n_ratio(p, operator.index(n))
     return num / den
 
 

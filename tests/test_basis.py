@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rflaf import basis, data, experiments, kernel, optim
+from rflaf import basis, data, kernel, optim
 from rflaf.basis import (
     ActivationGrid,
     activation_curve,
@@ -102,6 +102,16 @@ def _target(**counts):
     return data.TargetSpec(sigma_kind="s1", b1=np.array([1.0, 0.0]), b2=np.array([0.0, 1.0]), **counts)
 
 
+def _bits(value):
+    """What to compare of a value built from a count: a float's or array's bytes, entry by entry in a list or
+    tuple, an int as itself, and a domain object by its type."""
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, (float, np.ndarray)):
+        return np.asarray(value).tobytes()
+    return value if isinstance(value, int) else type(value)
+
+
 # (field, the domain object built with that count, a valid count)
 COUNTS = [
     ("n_basis", lambda count: ActivationGrid(-2.0, 2.0, count, 0.1), 3),
@@ -117,12 +127,12 @@ COUNTS = [
     ("n", lambda count: data.holdout_size(count, 0.5), 3),
     ("n_terms", lambda count: kernel.kernel_taylor(0.5, RbfParams(0.0, 1.0), count), 3),
     ("n_max", lambda count: kernel.taylor_derivs(0.5, count), 3),
-    ("n", lambda count: kernel.r_n(0.5, count), 3),
-    ("k", lambda count: kernel.poly_P(count), 3),
-    ("k", lambda count: kernel.poly_Q(count), 3),
+    ("n", lambda count: kernel.r_n(0.5, count), 31),  # its exact integers pass 2^63 from n = 31
+    ("k", lambda count: kernel.poly_P(count), 41),
+    ("k", lambda count: kernel.poly_Q(count), 41),
     ("n", lambda count: data.gauss_legendre(count), 3),
-    ("n_basis", lambda count: experiments.theory_bounds(1.0, count, 4, 0.1, 1.0, 4.0, 2.0), 3),
-    ("n_features", lambda count: experiments.theory_bounds(1.0, 10, count, 0.1, 1.0, 4.0, 2.0), 3),
+    ("n_basis", lambda count: basis.theory_bounds(1.0, count, 4, 0.1, 1.0, 4.0, 2.0), 3),
+    ("n_features", lambda count: basis.theory_bounds(1.0, 10, count, 0.1, 1.0, 4.0, 2.0), 3),
 ]
 COUNT_IDS = ["n_basis", "build_grid", "dim", "n_features", "bank-seed", "mc_samples", "target-seed", "n_points", "epochs", "batch_size", "n"]
 COUNT_IDS += ["n_terms", "n_max", "r_n", "poly_P", "poly_Q", "gauss_legendre", "bounds-n_basis", "bounds-n_features"]
@@ -139,8 +149,10 @@ class TestCountChecks:
 
     @pytest.mark.parametrize("field, build, valid", COUNTS, ids=COUNT_IDS)
     def test_accepts_numpy_integers(self, field, build, valid):
-        for count in (np.int64(valid), np.uint16(valid), valid):
-            build(count)
+        # r_n(0.5, np.int64(31)) gave -3646320018: kernel._poly caches by count, and np.int64(k) shares k's entry
+        for counts in ((np.int64(valid), np.uint16(valid), valid), (valid, np.int64(valid), np.uint16(valid))):
+            kernel._poly.cache_clear()
+            assert [_bits(build(count)) for count in counts] == [_bits(build(valid))] * 3
 
 
 class TestRbfFeatures:

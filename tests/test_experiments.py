@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from rflaf import basis, data, experiments, kernel, model
+from rflaf.basis import theory_bounds
 from rflaf.cli import main
-from rflaf.experiments import MODES, ConfigError, load_config, parse_config, rate_study, run, theory_bounds
+from rflaf.configs import ConfigError
+from rflaf.experiments import MODES, load_config, parse_config, rate_study, run
 from rflaf.kernel import RbfParams
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -537,33 +539,57 @@ class TestBadConfigs:
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
     def test_shipped_config_parses(self, path):
         mode = next(m for m in MODES if path.stem.replace("_", "-").startswith(m))
-        assert type(parse_config(mode, load_config(str(path)))).__name__ == MODES[mode][0]
+        assert type(parse_config(mode, load_config(str(path)))) is MODES[mode][0]
 
 
-# A shipped config with one key at the edge of the doubles, (mode, config file, key, value, exit code): each
-# exits 0 or 1 writing finite numbers, or 2 with one error line naming the key, and none ends in a traceback
+# A shipped config with one key (section.key in a section) at the edge of the doubles, (mode, config file, key,
+# value, exit code): each exits 0 or 1 writing finite numbers, or 2 with one error line naming the key, and none
+# ends in a traceback
 EDGE_CONFIGS = [
     ("bounds", "bounds.json", "epsilon", 1e-200, 2),
     ("bounds", "bounds.json", "epsilon", 1e-300, 2),
+    ("bounds", "bounds.json", "width", 1e-320, 2),  # wrote inf a and f bounds
+    ("bounds", "bounds.json", "delta", 1e-320, 2),  # wrote inf v and f bounds
+    ("bounds", "bounds.json", "width", 1e-300, 0),
     ("taylor-verify", "taylor_verify.json", "n_max", 100, 0),
     ("taylor-verify", "taylor_verify.json", "n_max", 171, 0),
     ("taylor-verify", "taylor_verify.json", "n_max", 200, 2),
     ("taylor-verify", "taylor_verify.json", "p_values", [1e300], 2),
     ("taylor-verify", "taylor_verify.json", "p_values", [0.0, 708.0], 0),
+    ("taylor-verify", "taylor_verify.json", "series.centers", [1e160], 2),  # c^2 overflowed
+    ("taylor-verify", "taylor_verify.json", "series.widths", [1e160], 2),  # 1 + h^2 overflowed
+    ("taylor-verify", "taylor_verify.json", "series.centers", [40.0], 0),
 ]
+
+
+def _numbers(out: Path) -> list:
+    """Every number, inf and nan included, in the text artifacts in out."""
+    found = []
+    for path in out.glob("*.txt"):
+        for token in path.read_text().split():
+            try:
+                found.append(float(token))
+            except ValueError:
+                pass
+    return found
 
 
 class TestEdgeConfigs:
     @pytest.mark.parametrize("mode,name,key,value,code", EDGE_CONFIGS, ids=[f"{e[2]}={e[3]}" for e in EDGE_CONFIGS])
     def test_exit_code_and_error_line(self, mode, name, key, value, code, tmp_path, capsys):
-        cfg_path = _write_config(tmp_path, dict(load_config(str(CONFIG_DIR / name)), **{key: value}))
+        cfg = load_config(str(CONFIG_DIR / name))
+        section, _, leaf = key.rpartition(".")
+        (cfg[section] if section else cfg)[leaf] = value
+        cfg_path = _write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert main([mode, "--config", cfg_path, "--out", str(out)]) == code
         err = capsys.readouterr().err.splitlines()
         if code == 2:
-            assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+            assert len(err) == 1 and err[0].startswith("error: ") and leaf in err[0], err
             return
         assert err == []
+        numbers = _numbers(out)
+        assert numbers and all(map(math.isfinite, numbers))
         if mode == "taylor-verify":
             rows = [line.split("\t") for line in (out / "taylor_recurrence.txt").read_text().splitlines()[1:]]
             assert rows and all(math.isfinite(float(v)) for row in rows for v in row[:-1])
@@ -610,12 +636,10 @@ REMOVED_KEYS = [
 class TestConfigSurface:
     def test_every_settable_value_is_set_by_a_shipped_config(self):
         # a value no shipped config sets is a constant; a class counts as covered if any of its uses is
-        from rflaf import configs
-
         uses, covered = [], set()
-        for mode, (name, _, _) in MODES.items():
+        for mode, (config_cls, _, _) in MODES.items():
             shipped = [load_config(str(p)) for p in CONFIGS if p.stem.replace("_", "-").startswith(mode)]
-            for cls, key, path in _key_paths(getattr(configs, name)):
+            for cls, key, path in _key_paths(config_cls):
                 uses.append((cls.__name__, key))
                 if any(_sets(raw, path) for raw in shipped):
                     covered.add((cls.__name__, key))

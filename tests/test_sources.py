@@ -48,3 +48,31 @@ def test_one_pool_variable_set_by_the_pool_alone():
     pool = next(node for node in ast.parse(_sources()["basis.py"]).body if getattr(node, "name", None) == "_Workers")
     assert {name: found for name, found in sites.items() if found} == {"basis.py": globals_in(pool)}
     assert {name for name, _ in globals_in(pool)} == {"_pool"}
+
+
+def _package_imports() -> dict:
+    """Module name -> the package modules it imports, at module or function level."""
+    modules = {name.removesuffix(".py") for name in _sources()}
+    graph = {}
+    for name, text in _sources().items():
+        found = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("rflaf")):
+                base = (node.module or "").removeprefix("rflaf").lstrip(".")  # `from .basis import x` imports basis
+                found.update([base] if base else (alias.name for alias in node.names))
+            elif isinstance(node, ast.Import):
+                found.update(alias.name.removeprefix("rflaf.") for alias in node.names)
+        graph[name.removesuffix(".py")] = found & modules
+    return graph
+
+
+def test_package_imports_form_no_cycle():
+    # cli -> experiments -> configs -> the numerical modules: each imports the next at module level, none back
+    graph = _package_imports()
+    assert "experiments" in graph["cli"] and "configs" in graph["experiments"]
+    done = set()
+    while len(done) < len(graph):
+        leaves = {name for name, imports in graph.items() if name not in done and imports <= done}
+        assert leaves, {name: sorted(imports - done) for name, imports in graph.items() if name not in done}
+        done |= leaves
+    assert [name for name, text in _sources().items() if "TYPE_CHECKING" in text] == []
