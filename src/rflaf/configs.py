@@ -50,9 +50,10 @@ def _value(tp, v, key: str, where: str):
         return tuple(_value(args[0], x, key, where) for x in v)
     if tp is float and type(v) in (int, float) and abs(v) <= sys.float_info.max:  # finite, and no int overflows
         return float(v)
-    if type(v) is tp and tp is not float:  # type(True) is bool, so a bool is never an int
+    if type(v) is tp and tp is not float and (tp is not int or -(2**63) <= v < 2**63):  # int64; a bool is no int
         return v
-    raise ConfigError(f"{what} must be {'a finite number' if tp is float else tp.__name__}, got {v!r}")
+    kind = {float: "a finite number", int: "an integer in the int64 range"}.get(tp, tp.__name__)
+    raise ConfigError(f"{what} must be {kind}, got {v!r}")
 
 
 def parse(cls, raw, where: str):

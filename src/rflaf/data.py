@@ -56,12 +56,13 @@ _T_MAX = 9.0
 # same draws reached 4.4e-11 on a full-line bump sigma.
 _NODES = 32
 # Float (pieces, nodes) arrays alive at once in one batch of pieces, rounded
-# up: 11 at the Phi call (t, sigma, t delta, a, g, Phi's output, and up to 5
-# inside _normal_cdf), fewer at the sigma call, and the row chunk's per-row
-# arrays (ends, half, parts, the piece indices), 2-3 at 512 rows.
-# tracemalloc's peak was 13.0-15.3 over s1, s3 and a bump sigma.  So a batch
-# of basis.chunk_rows(_QUAD_TEMPS * _NODES) pieces, 512 at 32 nodes, keeps its
-# temporaries within CHUNK_CELLS; a row chunk has as many rows.
+# up: about 11 at the Phi call (t, sigma, t delta, a, g, Phi's output, and
+# _normal_cdf's copies of each form's elements), fewer at the sigma call, and
+# the row chunk's per-row arrays (ends, half, parts, the piece indices), 2-3
+# at 512 rows.  tracemalloc's peak was 11.2-15.2 over s1, s2, s3 and the rate
+# study's bump sigma.  So a batch of basis.chunk_rows(_QUAD_TEMPS * _NODES)
+# pieces, 512 at 32 nodes, keeps its temporaries within CHUNK_CELLS; a row
+# chunk has as many rows.
 _QUAD_TEMPS = 16
 # A node as the row split counts them (each of a row's 10 + len(knots)
 # pieces at _NODES nodes, empty pieces included) took 8.5-24 ns over 10,000
@@ -79,19 +80,19 @@ _SERIES = tuple((-1) ** k / (_SQRT_2PI * 2**k * math.factorial(k) * (2 * k + 1))
 _RSQRT_2PI_HI = 107090253 / 2**28
 _RSQRT_2PI_LO = -1.5929920987743676e-10
 # Cody's erfc(y) = exp(-y^2) R(y), as in his CALERF (W. J. Cody, Math. Comp. 23 (1969) 631-637): numerator and
-# denominator of R on y in [0.46875, 4], highest power first, the denominator's leading 1 left out; beyond 4,
+# denominator of R on y in [0.46875, 4], highest power first; beyond 4,
 # R = (1/sqrt(pi) - z N(z)/D(z)) / y with z = 1/y^2.
 _ERFC_MID = (
     (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
      2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03, 2.05107837782607147e03,
      1.23033935479799725e03),
-    (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02, 1.62138957456669019e03,
+    (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02, 1.62138957456669019e03,
      3.29079923573345963e03, 4.36261909014324716e03, 3.43936767414372164e03, 1.23033935480374942e03),
 )
 _ERFC_FAR = (
     (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
      1.60837851487422766e-2, 6.58749161529837803e-4),
-    (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1, 6.05183413124413191e-2,
+    (1.0, 2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1, 6.05183413124413191e-2,
      2.33520497626869185e-3),
 )
 _RSQRT_PI = 5.6418958354775628695e-1  # 1/sqrt(pi)
@@ -195,11 +196,6 @@ def _quadrature_rows(X, r, sigma, support, knots, b1, b2, xs, ws) -> np.ndarray:
     ends = np.sort(np.clip(np.column_stack(ends), t_lo[:, None], t_hi[:, None]), axis=1)
     half = 0.5 * np.diff(ends, axis=1)
     rows, pieces = np.nonzero(half > 0)  # the pieces that are not empty, row by row
-    # Pieces end at |a| = 1, 4 and 16, so the a of a piece lie on one side of each: pieces in order of where they
-    # lie make runs that each need one or two of _normal_cdf's forms.
-    side = np.searchsorted((1.0, 4.0, 16.0), np.abs((ends[rows, pieces] + half[rows, pieces]) * slope[rows]))
-    order = np.argsort(side, kind="stable")
-    rows, pieces, side = rows[order], pieces[order], side[order]
     params = np.column_stack([r, delta, slope, theta, beta2])
     parts = np.zeros_like(half)
     step = basis.chunk_rows(_QUAD_TEMPS * _NODES)
@@ -212,11 +208,7 @@ def _quadrature_rows(X, r, sigma, support, knots, b1, b2, xs, ws) -> np.ndarray:
         td = t * delta_p
         a = t * slope_p
         g = basis.bumps(a.copy(), 0.0, 1.0)
-        cdf = np.empty_like(a)
-        runs = np.searchsorted(side[lo : lo + step], np.arange(5))
-        for start, stop in zip(runs[:-1], runs[1:]):
-            if stop > start:
-                cdf[start:stop] = _normal_cdf(a[start:stop], g[start:stop])
+        cdf = _normal_cdf(a, g)
         del a
         if not np.all(theta_p > 0):
             cdf = np.where(theta_p > 0, cdf, np.where(td > 0, 1.0, 0.0))  # the step: Phi(a) as theta -> 0
@@ -233,13 +225,13 @@ def _quadrature_rows(X, r, sigma, support, knots, b1, b2, xs, ws) -> np.ndarray:
     return acc / _SQRT_2PI
 
 
-def _horner(coefs, x: np.ndarray, monic: bool = False) -> np.ndarray:
-    """sum_i coefs[i] x^(n - 1 - i), highest power first, by Horner's rule; monic puts a leading 1 before coefs."""
-    out, rest = (x.copy(), coefs) if monic else (x * coefs[0], coefs[1:])
-    for c in rest[:-1]:
+def _horner(coefs, x: np.ndarray) -> np.ndarray:
+    """sum_i coefs[i] x^(n - 1 - i), highest power first, by Horner's rule."""
+    out = x * coefs[0]
+    for c in coefs[1:-1]:
         out += c
         out *= x
-    out += rest[-1]
+    out += coefs[-1]
     return out
 
 
@@ -251,10 +243,11 @@ def _normal_cdf(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     (a float32 split of a, and Fast2Sum).  Elsewhere, with y = |a|/sqrt(2),
     Phi(a) is erfc(y)/2 for a < 0 and 1 - erfc(y)/2 for a > 0, where
     erfc(y) = g R(y) and R is Cody's rational for y <= 4 (_ERFC_MID) or his
-    asymptotic one beyond (_ERFC_FAR).  So Phi makes no exp of its own.  Each
-    form runs over the whole array if any element needs it, and np.where
-    picks each element's: every value is a function of its own a and g.
-    Phi(-inf) is 0, Phi(inf) is 1, and NaN gives NaN.
+    asymptotic one beyond (_ERFC_FAR).  So Phi makes no exp of its own.  A
+    boolean mask picks each element's form, which runs on those elements
+    alone: every value is a function of its own a and g, and no form sees
+    an element outside its range.  Phi(-inf) is 0, Phi(inf) is 1, and NaN
+    gives NaN.
 
     Largest relative error against 40-digit values (mpmath.ncdf) at 10^6
     points over [-38.5, 8.3] where Phi is a normal float, and at 3 10^5
@@ -265,26 +258,25 @@ def _normal_cdf(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     2.3e-16.
     """
     near = np.abs(a) <= 1.0
-    if near.all():
-        return _cdf_series(a)
+    cdf = np.empty_like(a)
+    cdf[near] = _cdf_series(a[near])
+    rest = ~near
+    a, g = a[rest], g[rest]
     y = np.abs(a)
     y *= math.sqrt(0.5)
     far = y > 4.0
-    if far.all():
-        erfc = _erfc_far(y)
-    elif far.any():
-        erfc = np.where(far, _erfc_far(y), _erfc_mid(y))
-    else:
-        erfc = _erfc_mid(y)
+    erfc = np.empty_like(y)
+    erfc[far] = _erfc_far(y[far])
+    mid = ~far  # NaN included
+    erfc[mid] = _erfc_mid(y[mid])
     erfc *= g
     erfc *= 0.5
-    cdf = np.where(a < 0, erfc, 1.0 - erfc)
-    return np.where(near, _cdf_series(a), cdf) if near.any() else cdf
+    cdf[rest] = np.where(a < 0, erfc, 1.0 - erfc)
+    return cdf
 
 
 def _cdf_series(a: np.ndarray) -> np.ndarray:
-    """Phi(a) for |a| <= 1 by its Taylor series, and a finite value beyond; see _normal_cdf."""
-    a = np.clip(a, -1.0, 1.0)
+    """Phi(a) for |a| <= 1 by its Taylor series; see _normal_cdf.  It overwrites a, which _normal_cdf copies."""
     u = a * a
     tail = _horner(_SERIES, u)
     tail *= u
@@ -305,22 +297,20 @@ def _cdf_series(a: np.ndarray) -> np.ndarray:
 
 
 def _erfc_mid(y: np.ndarray) -> np.ndarray:
-    """exp(y^2) erfc(y) for 0.46875 <= y <= 4 by Cody's rational, and a finite value beyond; see _normal_cdf."""
-    y = np.minimum(y, 4.0)
+    """exp(y^2) erfc(y) for 0.46875 <= y <= 4 by Cody's rational; see _normal_cdf."""
     num, den = _ERFC_MID
     out = _horner(num, y)
-    out /= _horner(den, y, monic=True)
+    out /= _horner(den, y)
     return out
 
 
 def _erfc_far(y: np.ndarray) -> np.ndarray:
-    """exp(y^2) erfc(y) for y >= 4 by Cody's asymptotic rational, and a finite value below; see _normal_cdf."""
-    w = np.maximum(y, 4.0)
-    np.divide(1.0, w, out=w)  # 1/y, and its square z, cannot overflow
+    """exp(y^2) erfc(y) for y >= 4 by Cody's asymptotic rational; see _normal_cdf."""
+    w = 1.0 / y  # 1/y, and its square z, cannot overflow
     z = w * w
     num, den = _ERFC_FAR
     out = _horner(num, z)
-    out /= _horner(den, z, monic=True)
+    out /= _horner(den, z)
     out *= z
     np.subtract(_RSQRT_PI, out, out=out)
     out *= w
@@ -436,6 +426,7 @@ def calibrate(spec: TargetSpec, n_points: int = 10_000) -> float:
     Requires calib = 1 on input.  Averages the exact target values
     (TargetSampler.means) over n_points Gaussian points drawn from a stream
     derived from (but independent of) the spec seed; deterministic per seed.
+    A mean below 1e-8, or not finite, raises ValueError: the target is degenerate.
     """
     if spec.calib != 1.0:
         raise ValueError(f"calibrate expects a spec with calib = 1, got {spec.calib}")
@@ -443,8 +434,9 @@ def calibrate(spec: TargetSpec, n_points: int = 10_000) -> float:
     sampler = TargetSampler(spec)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x5CA1E]))
     pts = rng.standard_normal((n_points, spec.dim))
-    mean_abs = float(np.mean(np.abs(sampler.means(pts))))
-    if mean_abs < 1e-8:
+    with np.errstate(all="ignore"):  # b1 or b2 too large for floats give NaN or inf values: one error below says so
+        mean_abs = float(np.mean(np.abs(sampler.means(pts))))
+    if not 1e-8 <= mean_abs < math.inf:
         raise ValueError(f"degenerate target: mean |f| = {mean_abs} at calib 1")
     return 1.0 / mean_abs
 

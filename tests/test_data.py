@@ -281,6 +281,10 @@ class TestQuadrature:
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
+def _neighbours(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
 def _cdf(a):
     a = np.asarray(a, dtype=float)
     return data._normal_cdf(a, basis.bumps(a.copy(), 0.0, 1.0))
@@ -327,11 +331,16 @@ class TestNormalCdf:
         assert got[:4].tolist() == [0.0, 1.0, 0.5, 0.5] and np.isnan(got[4])
 
     def test_each_value_is_its_own(self):
-        # each form runs only where some element needs it: that changes no element's bits
-        a = np.concatenate([np.linspace(-40.0, 9.0, 1201), [np.inf, -np.inf, np.nan, 0.0, 1.0, -1.0, 4.0, -5.65]])
+        # each form runs on exactly the elements that need it, at its range's ends too (|a| = 1, and 4 sqrt(2),
+        # where y = 4.000000000000001), so no element's bits depend on the others
+        ends = [x for end in (1.0, -1.0, 5.656854249492381, -5.656854249492381) for x in _neighbours(end)]
+        a = np.concatenate([np.linspace(-40.0, 9.0, 1201), [np.inf, -np.inf, np.nan, 0.0, -0.0, 4.0, -5.65], ends])
+        given = a.copy()
         whole = _cdf(a)
         alone = np.concatenate([_cdf(a[i : i + 1]) for i in range(a.shape[0])])
         assert np.array_equal(whole.view(np.int64), alone.view(np.int64))
+        assert np.array_equal(a.view(np.int64), given.view(np.int64))  # Phi leaves its input alone
+        assert _cdf(np.empty(0)).shape == (0,)
 
     def test_split_of_the_series_constant(self):
         import mpmath
@@ -375,6 +384,12 @@ class TestCalibrate:
         monkeypatch.setattr(TargetSampler, "means", lambda self, X: np.zeros(X.shape[0]))
         with pytest.raises(ValueError, match="degenerate"):
             calibrate(_spec(mc=1000))
+
+    def test_huge_finite_target(self):
+        # 1e150 keeps every value finite; at 1e300, |b1 - b2|^2 overflows and every value is NaN
+        assert calibrate(TargetSpec(sigma_kind="s1", b1=[1e150, 0.0], b2=B2, seed=77)) == 1.4549325784704806e-149
+        with pytest.raises(ValueError, match="degenerate target: mean \\|f\\| = nan"):
+            calibrate(TargetSpec(sigma_kind="s1", b1=[1e300, 0.0], b2=B2, seed=77))
 
     @pytest.mark.parametrize("n_points", [0, -3])
     def test_rejects_no_points(self, n_points):

@@ -559,6 +559,11 @@ EDGE_CONFIGS = [
     ("taylor-verify", "taylor_verify.json", "series.centers", [1e160], 2),  # c^2 overflowed
     ("taylor-verify", "taylor_verify.json", "series.widths", [1e160], 2),  # 1 + h^2 overflowed
     ("taylor-verify", "taylor_verify.json", "series.centers", [40.0], 0),
+    ("bounds", "bounds.json", "n_basis", 10**400, 2),  # OverflowError in the bounds
+    ("bounds", "bounds.json", "n_basis", 2**63 - 1, 0),
+    ("kernel-verify", "kernel_verify.json", "samples", 2**64, 2),  # numpy: "Maximum allowed dimension exceeded"
+    ("train-compare", "train_compare_s1.json", "data.n", 2**64, 2),
+    ("train-compare", "train_compare_s1.json", "target.b1", [1e300, 0.0], 2),  # "calib must be finite", exit 1
 ]
 
 

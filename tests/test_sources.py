@@ -24,6 +24,12 @@ def test_one_normal_cdf():
         assert [name for name, text in _sources().items() if call in text] == [], call
 
 
+def test_normal_cdf_picks_its_forms_alone():
+    # Phi's form is chosen per element in data._normal_cdf alone: the quadrature sorts no pieces by it
+    for call in ("argsort(", "searchsorted("):
+        assert call not in _sources()["data.py"], call
+
+
 def test_allocator_policy_only_in_the_cli():
     # cli.keep_heap, which cli.main calls: importing rflaf as a library leaves the host's allocator alone
     assert [name for name, text in _sources().items() if "mallopt" in text] == ["cli.py"]
