@@ -16,10 +16,12 @@ from typing import Annotated, Literal
 
 from . import basis, data, kernel, model, optim
 
-# Field types with the lower bound the parser enforces.
+# Field types with the bounds the parser enforces: a lower bound, and an upper one for counts that size an array.
 Seed = Annotated[int, 0]
 Count = Annotated[int, 1]
 NonNegative = Annotated[float, 0.0]
+MAX_ROWS = 2**32  # rows of one array: data.n, test_points, series.grid_points; 32 GiB per float64 column
+Rows = Annotated[int, 1, MAX_ROWS]
 
 
 class ConfigError(ValueError):
@@ -38,6 +40,8 @@ def _value(tp, v, key: str, where: str):
         v = _value(args[0], v, key, where)
         if v < args[1]:
             raise ConfigError(f"{what} must be >= {args[1]}, got {v!r}")
+        if len(args) > 2 and v > args[2]:
+            raise ConfigError(f"{what} must be <= {args[2]}, got {v!r}")
         return v
     if origin is Literal:
         if v not in args:
@@ -125,7 +129,7 @@ class SeriesSection:
     widths: tuple[float, ...] = (0.5, 1.0)
     centers: tuple[float, ...] = (0.0, 1.0, 2.0)
     n_terms: Count = 80
-    grid_points: Count = 101
+    grid_points: Rows = 101
     tol: NonNegative = 1e-8
     rbfs: tuple[kernel.RbfParams, ...] = field(init=False)  # widths x centers
 
@@ -162,7 +166,7 @@ class RateStudyConfig:
     seed: Seed
     m_values: tuple[Count, ...] = (32, 64, 128, 256, 512, 1024, 2048)
     trials: Count = 10
-    test_points: Count = 2000
+    test_points: Rows = 2000
     ref_samples: Annotated[int, 2] = 1_000_000  # draws of the reference's cross-check, which needs a standard error
     rbf: RbfSection = field(default_factory=RbfSection)
     b1: tuple[float, ...] = (1.0, 0.0)
@@ -191,7 +195,7 @@ class TargetSection:
 
 @dataclass(frozen=True)
 class DataSection:
-    n: Annotated[int, 2]
+    n: Annotated[int, 2, MAX_ROWS]
     dim: int
     test_fraction: float = 0.2
 

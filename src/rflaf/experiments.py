@@ -143,7 +143,7 @@ def _run_kernel_verify(cfg: configs.KernelVerifyConfig, out_dir: str) -> list:
             est = kernel.kernel_mc(x, x2, params, cfg.samples, seed)
             dst[0][j - lo] = est.mean, est.stderr
 
-    basis.split_rows(len(jobs), run_jobs, (estimates,), 3 * cfg.samples)  # mc_mean's cells: 1 row, dim <= 2
+    basis.split_rows(len(jobs), run_jobs, (estimates,), 2 * cfg.samples)  # mc_mean's cells: 1 row, dim 1
     rows, summary, need = [], [], max(1, cfg.trials - 1)
     for (d, params, t, x, x2, _), (mean, stderr) in zip(jobs, estimates.tolist()):
         closed = kernel.kernel_closed(x, x2, params)

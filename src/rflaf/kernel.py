@@ -138,19 +138,28 @@ def kernel_mc(
     """Monte-Carlo estimate of the kernel over w ~ N(0, I_d), drawn in the span of x and x2.
 
     With [x x2] = Q R, Q of min(d, 2) orthonormal columns, (w.x, w.x2) is
-    (g.R[:, 0], g.R[:, 1]) for g = Q^T w ~ N(0, I_min(d,2)), exactly in law,
-    x = 0 and parallel pairs included: basis.mc_mean of B(g.R[:, 0])
-    B(g.R[:, 1]) over samples draws g, fixed by seed.  stderr is the sample
-    standard deviation of the integrand divided by sqrt(samples).
+    (g0 r00, g0 r01 + g1 r11) for (g0, g1) = Q^T w ~ N(0, I), exactly in law,
+    x = 0 and parallel pairs included (r11 = 0 at d = 1).  Given g0 the mean
+    over g1 is a 1-D Gaussian convolution: E B(a + g1 r11) = (h / H)
+    exp(-(a - c)^2 / (2 H^2)) with H = hypot(h, r11).  So basis.mc_mean
+    averages B(g0 r00) (h / H) B_H(g0 r01) over samples draws of g0 alone,
+    fixed by seed; at d = 1, H = h exactly and the scale is 1.  stderr is the
+    sample standard deviation of that integrand, whose variance is no larger
+    than that of B(w.x) B(w.x2), divided by sqrt(samples).
     """
     x, x2 = _validate_pair(x, x2)
     check_count("samples", samples, 2)
     r = np.linalg.qr(np.stack([x, x2], axis=1), mode="r")
+    c, h = params.center, params.width
+    wide = math.hypot(h, r[1, 1] if len(r) > 1 else 0.0)
+    scale = h / wide
 
-    def bump(z):
-        return bumps(z, params.center, params.width)
+    def sigma(u):
+        e = bumps(u, c, wide)
+        e *= scale
+        return e
 
-    mean, stderr = mc_mean(seed, samples, r[:, 1:].T, bump, lambda g: bump(g @ r[:, 0]))
+    mean, stderr = mc_mean(seed, samples, r[:1, 1:], sigma, lambda g: bumps(g[:, 0] * r[0, 0], c, h))
     return McEstimate(mean=float(mean[0]), stderr=float(stderr[0]), samples=samples)
 
 

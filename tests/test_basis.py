@@ -386,14 +386,15 @@ def _expected_max_case(bump):
 
 
 def _kernel_case(bump):
-    """kernel.kernel_mc on one pair in 3 dims, drawn in their 2-dim span: chunks of 64 // (1 + 2) = 21 draws,
-    v's bump before sigma's."""
+    """kernel.kernel_mc on one pair in 3 dims, g0 drawn alone: chunks of 64 // (1 + 1) = 32 draws, v's bump
+    B(g0 r00) before sigma's (h / H) B_H(g0 r01), the mean of B(g0 r01 + g1 r11) over g1."""
     x, x2 = np.random.default_rng(12).standard_normal((2, 3))
     est = kernel.kernel_mc(x, x2, RbfParams(0.5, 0.8), 50, 99)
     r = np.linalg.qr(np.stack([x, x2], axis=1), mode="r")
-    g = np.random.default_rng(99).standard_normal((50, 2))
-    terms = (_gauss(g @ r[:, 0]) * _gauss(g @ r[:, 1]))[:, None]
-    return np.array([est.mean]), np.array([est.stderr]), terms, [(21,), (21, 1)] * 2 + [(8,), (8, 1)]
+    g0 = np.random.default_rng(99).standard_normal(50)
+    wide = math.hypot(0.8, r[1, 1])
+    terms = (_gauss(g0 * r[0, 0]) * 0.8 / wide * np.exp(-((g0 * r[0, 1] - 0.5) ** 2) / (2 * wide**2)))[:, None]
+    return np.array([est.mean]), np.array([est.stderr]), terms, [(32,), (32, 1), (18,), (18, 1)]
 
 
 class TestMcMean:

@@ -180,14 +180,24 @@ def _bytes_at_blas_threads(tmp_path, mode, payload, names):
 
 class TestRunKernelVerify:
     def test_stderr_of_estimates_below_1e_154(self, tmp_path):
-        # far out at c = 5, h = 0.2, three of the four 100-draw means lie below
+        # far out at c = 7, h = 0.2, three of the four 100-draw means lie below
         # 1e-154, where the squares of the values round to 0
-        cfg = {"seed": 3, "trials": 4, "samples": 100, "dims": [2], "centers": [5.0], "widths": [0.2]}
+        cfg = {"seed": 2, "trials": 4, "samples": 100, "dims": [2], "centers": [7.0], "widths": [0.2]}
         assert run("kernel-verify", cfg, str(tmp_path)) == 1
         rows = [line.split("\t") for line in (tmp_path / "kernel_verify.txt").read_text().splitlines()[1:]]
         means, stderrs = (np.array([float(r[col]) for r in rows]) for col in (5, 6))
         assert np.sum(means < 1e-154) == 3
         assert np.all(stderrs > 0)
+
+    def test_closed_form_off_by_five_percent_fails(self, tmp_path, monkeypatch):
+        # the oracle's reach: 4 trials of 200,000 draws tell every shipped setting from a closed form 5% high
+        cfg = dict(load_config(str(CONFIG_DIR / "kernel_verify.json")), trials=4, samples=200_000)
+        assert run("kernel-verify", cfg, str(tmp_path / "exact")) == 0
+        closed = kernel.kernel_closed
+        monkeypatch.setattr(kernel, "kernel_closed", lambda x, x2, params: 1.05 * closed(x, x2, params))
+        assert run("kernel-verify", cfg, str(tmp_path / "high")) == 1
+        lines = (tmp_path / "high" / "kernel_verify_summary.txt").read_text().splitlines()
+        assert len(lines) == 9 and all(line.endswith(": FAIL") for line in lines)
 
     def test_small_run_passes_and_is_deterministic(self, tmp_path):
         cfg = {"seed": 3, "trials": 3, "samples": 20_000, "dims": [2], "centers": [0.0], "widths": [1.0]}
@@ -563,6 +573,10 @@ EDGE_CONFIGS = [
     ("bounds", "bounds.json", "n_basis", 2**63 - 1, 0),
     ("kernel-verify", "kernel_verify.json", "samples", 2**64, 2),  # numpy: "Maximum allowed dimension exceeded"
     ("train-compare", "train_compare_s1.json", "data.n", 2**64, 2),
+    ("train-compare", "train_compare_s1.json", "data.n", 2**62, 2),  # numpy: "array is too big", exit 1
+    ("train-compare", "train_compare_s1.json", "data.n", 2**32 + 1, 2),
+    ("rate-study", "rate_study.json", "test_points", 2**62, 2),  # numpy: "array is too big", exit 1
+    ("taylor-verify", "taylor_verify.json", "series.grid_points", 2**62, 2),  # numpy: "array is too big", exit 1
     ("train-compare", "train_compare_s1.json", "target.b1", [1e300, 0.0], 2),  # "calib must be finite", exit 1
 ]
 
@@ -671,7 +685,8 @@ _TARGET_S1 = {"sigma": "s1", "b1": [1.0, 0.0], "b2": [0.0, 1.0]}
 # (mode, config or a maker of it from a checkpoint path, exit code): a pass and a fail of each mode that checks
 VERDICT_CASES = [
     ("kernel-verify", _KERNEL_SMALL, 0),
-    ("kernel-verify", dict(_KERNEL_SMALL, centers=[8.0], widths=[0.1]), 1),  # no draw meets the bump: 0 +- 0
+    # far out at c = 10, h = 0.05 every draw's product of bumps underflows: 0 +- 0 against a closed form > 0
+    ("kernel-verify", dict(_KERNEL_SMALL, centers=[10.0], widths=[0.05]), 1),
     ("taylor-verify", {"p_values": [1.0], "series": {"n_terms": 80, "widths": [1.0], "centers": [0.0]}}, 0),
     ("taylor-verify", {"p_values": [1.0], "series": {"n_terms": 60, "widths": [0.5], "centers": [0.0]}}, 1),
     ("rate-study", dict(_RATE_SMALL, slope_range=[-10.0, 10.0]), 0),

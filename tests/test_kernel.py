@@ -335,12 +335,13 @@ class TestKernelMc:
         "pair",
         [
             lambda x: (np.zeros(3), x),
+            lambda x: (x, np.zeros(3)),
             lambda x: (x, 2.0 * x),
             lambda x: (x, -x),
             lambda x: (x[:1], x[1:2]),
             lambda x: tuple(np.random.default_rng(17).standard_normal((2, 100)) / 5.0),
         ],
-        ids=["x_zero", "x2_twice_x", "x2_minus_x", "d_1", "d_100"],
+        ids=["x_zero", "x2_zero", "x2_twice_x", "x2_minus_x", "d_1", "d_100"],
     )
     def test_span_draws_match_closed_form_at_the_edges(self, pair):
         # the 2-dim span of the pair loses nothing: a zero, a parallel or a 1-dim pair included
@@ -350,7 +351,8 @@ class TestKernelMc:
         assert abs(kernel_closed(x, x2, SHIFTED) - est.mean) <= 4.0 * est.stderr
 
     def test_draws_live_in_the_span_at_d_100(self, monkeypatch):
-        # chunks of CHUNK_CELLS // (1 row + 2 dims) draws, not // (1 + 100): the draws are (n, 2)
+        # chunks of CHUNK_CELLS // (1 row + 1 dim) draws, not // (1 + 100): the draws are g0 alone, (n, 1)
+        monkeypatch.setattr(basis, "CHUNK_CELLS", 1 << 16)
         shapes = []
 
         def bump(u, c, h):
@@ -360,8 +362,62 @@ class TestKernelMc:
         monkeypatch.setattr(kernel, "bumps", bump)
         x, x2 = np.random.default_rng(17).standard_normal((2, 100))
         kernel_mc(x, x2, UNIT, 100_000, seed=11)
-        step = basis.CHUNK_CELLS // 3
-        assert shapes == [(step,), (step, 1), (100_000 - step,), (100_000 - step, 1)]
+        step = basis.CHUNK_CELLS // 2
+        assert shapes == [(step,), (step, 1)] * 3 + [(100_000 - 3 * step,), (100_000 - 3 * step, 1)]
+
+    @pytest.mark.parametrize(
+        "x,x2,params,samples,seed,mean,stderr",
+        [
+            ([0.8], [-0.5], SHIFTED, 100_000, 11, "0x1.1881120814c0fp-2", "0x1.63c0d6491893dp-12"),
+            ([1.3], [0.4], RbfParams(0.5, 0.7), 300_000, 5, "0x1.8165f4daf66c1p-2", "0x1.39d502268d71dp-11"),
+            ([0.0], [0.7], RbfParams(1.0, 0.5), 1000, 2, "0x1.3ba80f3d199d3p-5", "0x1.76dbd82b59831p-10"),
+            ([-2.0], [0.0], RbfParams(0.5, 1.0), 1000, 3, "0x1.87a3d20b82052p-2", "0x1.4fea87426b9cbp-7"),
+        ],
+        ids=["one_block", "three_blocks", "x_zero", "x2_zero"],
+    )
+    def test_d_1_keeps_the_two_bump_estimate(self, x, x2, params, samples, seed, mean, stderr):
+        # R is 1 x 2, so r11 = 0, H = hypot(h, 0) = h and the scale h / H is 1: the bits of B(g0 r00) B(g0 r01)
+        est = kernel_mc(np.array(x), np.array(x2), params, samples, seed)
+        assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [lambda x: (x, np.zeros(3)), lambda x: (np.zeros(3), np.zeros(3)), lambda x: (x[:1], x[1:2])],
+        ids=["x2_zero", "both_zero", "d_1"],
+    )
+    def test_zero_r11_keeps_the_width(self, monkeypatch, pair):
+        # hypot(h, 0) == h exactly: the integrated bump is the bump itself, at a scale of exactly 1
+        widths = []
+
+        def bump(u, c, h):
+            widths.append(h)
+            return bumps(u, c, h)
+
+        monkeypatch.setattr(kernel, "bumps", bump)
+        x, x2 = pair(np.array([0.8, -0.5, 0.3]))
+        est = kernel_mc(x, x2, RbfParams(1.0, 0.3), 1000, seed=4)
+        assert set(widths) == {0.3}
+        assert math.isfinite(est.mean) and math.isfinite(est.stderr)
+        closed = kernel_closed(x, x2, RbfParams(1.0, 0.3))  # at x = x2 = 0 the integrand is constant: stderr 0
+        assert abs(closed - est.mean) <= 4.0 * est.stderr + 1e-12 * closed
+
+    def test_conditional_draw_lowers_the_standard_error(self):
+        # the mean over g1 given g0 adds no variance: against the two-draw integrand B(g.R[:, 0]) B(g.R[:, 1])
+        # on (n, 2) draws through basis.mc_mean, over 16 fixed pairs at each of d = 2 and 5 and the shipped RBFs
+        rng = np.random.default_rng(2024)
+        for d in (2, 5):
+            ratios = []
+            for i in range(16):
+                x, x2 = rng.standard_normal((2, d))
+                params = RbfParams(center=float(i % 2), width=(0.5, 1.0)[i // 2 % 2])
+
+                def bump(z, params=params):
+                    return bumps(z, params.center, params.width)
+
+                r = np.linalg.qr(np.stack([x, x2], axis=1), mode="r")
+                two_draw = basis.mc_mean(i, 20_000, r[:, 1:].T, bump, lambda g, r=r, bump=bump: bump(g @ r[:, 0]))
+                ratios.append(kernel_mc(x, x2, params, 20_000, seed=i).stderr / two_draw[1][0])
+            assert np.median(ratios) < 0.9, (d, ratios)
 
 
 class TestTaylorDerivs:
