@@ -16,12 +16,11 @@ from typing import Annotated, Literal
 
 from . import basis, data, kernel, model, optim
 
-# Field types with the bounds the parser enforces: a lower bound, and an upper one for counts that size an array.
+# Field types with the range the parser enforces: a lower bound, and an upper one for every count.
+MAX_ROWS = 2**32  # a count's ceiling, and that of a product of counts: 32 GiB per float64 column of that many rows
 Seed = Annotated[int, 0]
-Count = Annotated[int, 1]
+Count = Annotated[int, 1, MAX_ROWS]
 NonNegative = Annotated[float, 0.0]
-MAX_ROWS = 2**32  # rows of one array: data.n, test_points, series.grid_points; 32 GiB per float64 column
-Rows = Annotated[int, 1, MAX_ROWS]
 
 
 class ConfigError(ValueError):
@@ -99,13 +98,15 @@ def _derive(config, **values) -> None:
 class KernelVerifyConfig:
     seed: Seed
     trials: Count = 20
-    samples: Annotated[int, 2] = 1_000_000
+    samples: Annotated[int, 2, MAX_ROWS] = 1_000_000
     dims: tuple[Count, ...] = (2, 5)
     centers: tuple[float, ...] = (0.0, 1.0)
     widths: tuple[float, ...] = (0.5, 1.0)
     rbfs: tuple[kernel.RbfParams, ...] = field(init=False)  # centers x widths
 
     def __post_init__(self):
+        jobs = len(self.dims) * len(self.centers) * len(self.widths) * self.trials
+        _check(jobs <= MAX_ROWS, f"trials x dims x centers x widths must be at most {MAX_ROWS} jobs, got {jobs}")
         _derive(self, rbfs=tuple(kernel.RbfParams(c, h) for c in self.centers for h in self.widths))
 
 
@@ -129,7 +130,7 @@ class SeriesSection:
     widths: tuple[float, ...] = (0.5, 1.0)
     centers: tuple[float, ...] = (0.0, 1.0, 2.0)
     n_terms: Count = 80
-    grid_points: Rows = 101
+    grid_points: Count = 101
     tol: NonNegative = 1e-8
     rbfs: tuple[kernel.RbfParams, ...] = field(init=False)  # widths x centers
 
@@ -142,17 +143,11 @@ class SeriesSection:
 
 @dataclass(frozen=True)
 class TaylorVerifyConfig:
-    p_values: tuple[NonNegative, ...] = (0.0, 0.5, 1.0, 2.0, 5.0)
-    n_max: Annotated[int, 2] = 16
-    rel_tol: NonNegative = 1e-8
+    # p up to -log of the least normal double keeps the seed e^-p of every y^(n) a normal double
+    p_values: tuple[Annotated[float, 0.0, -math.log(sys.float_info.min)], ...] = (0.0, 0.5, 1.0, 2.0, 5.0)
+    # every derivative up to order 171 is a double at every p (kernel.taylor_derivs); y^(172) at p = 0 is not
+    n_max: Annotated[int, 2, 171] = 16
     series: SeriesSection = field(default_factory=SeriesSection)
-
-    def __post_init__(self):
-        # every derivative up to order 171 is a double at every p (kernel.taylor_derivs); y^(172) at p = 0 is not
-        _check(self.n_max <= 171, f"n_max must be at most 171, the last order whose derivatives fit, got {self.n_max}")
-        # a subnormal seed y^(0) = e^-p would leave each y^(n) fewer bits than rel_tol needs, or none
-        big = [p for p in self.p_values if math.exp(-p) < sys.float_info.min]
-        _check(not big, f"p_values entries must keep e^-p a normal double (p <= 708.3964185322641), got {big}")
 
 
 @dataclass(frozen=True)
@@ -166,8 +161,8 @@ class RateStudyConfig:
     seed: Seed
     m_values: tuple[Count, ...] = (32, 64, 128, 256, 512, 1024, 2048)
     trials: Count = 10
-    test_points: Rows = 2000
-    ref_samples: Annotated[int, 2] = 1_000_000  # draws of the reference's cross-check, which needs a standard error
+    test_points: Count = 2000
+    ref_samples: Annotated[int, 2, MAX_ROWS] = 1_000_000  # the reference's cross-check draws: a standard error needs two
     rbf: RbfSection = field(default_factory=RbfSection)
     b1: tuple[float, ...] = (1.0, 0.0)
     b2: tuple[float, ...] = (0.0, 1.0)
@@ -175,6 +170,8 @@ class RateStudyConfig:
 
     def __post_init__(self):
         _check(len(set(self.m_values)) >= 2, f"m_values must hold two distinct widths, got {list(self.m_values)}")
+        banks = self.trials * len(self.m_values)
+        _check(banks <= MAX_ROWS, f"trials x m_values must be at most {MAX_ROWS} banks, got {banks}")
         _check(len(self.b1) == len(self.b2), "b1 and b2 must have equal length")
         lo, hi = self.slope_range
         _check(lo <= hi, f"slope_range must be [lo, hi] with lo <= hi, got {[lo, hi]}")
@@ -185,7 +182,7 @@ class TargetSection:
     sigma: Literal[data.SIGMA_KINDS]
     b1: tuple[float, ...]
     b2: tuple[float, ...]
-    mc_samples: int = data.TargetSpec.mc_samples
+    mc_samples: Annotated[int, 1000, MAX_ROWS] = data.TargetSpec.mc_samples
     seed: Seed | None = None  # the mode's default seed when left out
 
     def spec(self, default_seed: int) -> data.TargetSpec:
@@ -206,7 +203,7 @@ class DataSection:
 @dataclass(frozen=True)
 class ModelSection:
     n_features: Count
-    n_basis: Annotated[int, 2]
+    n_basis: Annotated[int, 2, MAX_ROWS]
     support: tuple[float, float] = (-2.0, 2.0)
     width: float | None = None  # two grid spacings when left out
     grid: basis.ActivationGrid = field(init=False)
@@ -218,22 +215,26 @@ class ModelSection:
 
 
 @dataclass(frozen=True)
+class TrainSection(optim.TrainConfig):  # train-compare compares each model's last epoch, so it takes one at least
+    epochs: Annotated[int, 1, MAX_ROWS] = optim.TrainConfig.epochs
+
+
+@dataclass(frozen=True)
 class TrainCompareConfig:
     seed: Seed
     target: TargetSection
     data: DataSection
     model: ModelSection
-    train: optim.TrainConfig = field(default_factory=optim.TrainConfig)
+    train: TrainSection = field(default_factory=TrainSection)
     baselines: tuple[Literal[tuple(model.BASELINE_ACTIVATIONS)], ...] = ("relu", "tanh", "rbf1", "rbf2")
     mse_ratio_max: float = 0.5
-    activation_grid_points: Annotated[int, 2] = 401
+    activation_grid_points: Annotated[int, 2, MAX_ROWS] = 401
     min_activation_correlation: float = 0.9
     spec: data.TargetSpec = field(init=False)
 
     def __post_init__(self):
         spec = self.target.spec(default_seed=self.seed)
         _check(self.data.dim == spec.dim, f"data dim {self.data.dim} does not match len(target b1) = {spec.dim}")
-        _check(self.train.epochs >= 1, f"train epochs must be >= 1, got {self.train.epochs}")
         _check(len(set(self.baselines)) == len(self.baselines), f"baselines must differ, got {list(self.baselines)}")
         _derive(self, spec=spec)
 
@@ -241,7 +242,7 @@ class TrainCompareConfig:
 @dataclass(frozen=True)
 class ExportActivationConfig:
     checkpoint: str
-    grid_points: Annotated[int, 2] = 401
+    grid_points: Annotated[int, 2, MAX_ROWS] = 401
     target: TargetSection | None = None
     min_activation_correlation: float | None = None  # checked only against a target
     spec: data.TargetSpec | None = field(init=False)

@@ -233,6 +233,19 @@ class TestQuadrature:
         assert got == pytest.approx(want, rel=1e-15, abs=0)
         assert (got == 0.0) == (kind != "bump")
 
+    @pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
+    def test_mirror_symmetry(self, kind):
+        # w and -w have one law and max(p, q) = -min(-p, -q), so E_w[sigma(w.x) max(b1.w, b2.w)] is
+        # E_w[sigma(-w.x) max(-b1.w, -b2.w)]: sigma, b1, b2 and sigma(-z), -b1, -b2 are one target
+        sigma, (lo, hi), knots = _kind_sigma(kind)
+        rng = np.random.default_rng(29)
+        X = np.vstack([1.5 * rng.standard_normal((200, 3)), np.zeros((1, 3))])
+        b1, b2 = rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)
+        got = expected_max_quadrature(X, sigma, (lo, hi), knots, b1, b2)
+        mirrored = expected_max_quadrature(X, lambda z: sigma(-z), (-hi, -lo), tuple(-k for k in knots[::-1]), -b1, -b2)
+        assert np.max(np.abs(got)) > 0.1
+        assert np.max(np.abs(mirrored - got)) <= 1e-15
+
     @pytest.mark.parametrize("kind", ["s1", "s2", "s3", "bump"])
     @pytest.mark.parametrize("x", [-2.3, 0.4, 1.7])
     def test_theta_zero_in_one_dimension(self, kind, x):

@@ -254,7 +254,7 @@ class TestRunTaylorVerify:
     def test_recurrence_table_written(self, tmp_path):
         run("taylor-verify", {"series": {"n_terms": 80}}, str(tmp_path))
         lines = (tmp_path / "taylor_recurrence.txt").read_text().splitlines()
-        assert lines[0] == "p\tn\trecurrence\tclosed_form\trel_err\tpass"
+        assert lines[0] == "p\tn\trecurrence\tclosed_form\tpass"
         assert len(lines) == 1 + 5 * 17
 
 
@@ -403,10 +403,10 @@ class TestRunTrainCompare:
         assert "target (sigma s1, b1 [1.0, 0.0], b2 [-1.0, 0.0])" in err and "degenerate target" in err
 
 
-def _checkpoint(tmp_path):
-    """A checkpoint whose activation is the quadrature construction of s1 on [-2, 2]."""
+def _checkpoint(tmp_path, kind="s1", mirror=1.0):
+    """A checkpoint whose activation is the quadrature construction of sigma(mirror z) on [-2, 2]."""
     grid = basis.build_grid(-2.0, 2.0, 100, 2.0 * 4.0 / 100)
-    weights = basis.quadrature_weights(grid, data.sigma_eval_array("s1", grid.centers))
+    weights = basis.quadrature_weights(grid, data.sigma_eval_array(kind, mirror * grid.centers))
     bank = model.sample_features(2, 5, seed=1)
     ckpt = tmp_path / "model.npz"
     model.save_model(model.RflafModel(bank=bank, grid=grid, a=weights, v=np.ones(5)), ckpt)
@@ -430,6 +430,19 @@ class TestRunExportActivation:
         assert len(lines) == 202
         summary = (out / "export_activation_summary.txt").read_text()
         assert "correlation" in summary
+
+    @pytest.mark.parametrize("mirror,side", [(1.0, "sigma(z)"), (-1.0, "sigma(-z)")])
+    def test_takes_and_names_the_better_orientation(self, mirror, side, tmp_path):
+        # sigma with b1, b2 is the target of sigma(-z) with -b1, -b2: either activation fits s2's target
+        cfg = {"checkpoint": str(_checkpoint(tmp_path, "s2", mirror)), "target": {"sigma": "s2", "b1": [1.0, 0.0],
+               "b2": [0.0, 1.0]}, "min_activation_correlation": 0.9}
+        out = tmp_path / "out"
+        assert run("export-activation", cfg, str(out)) == 0
+        corr_line = (out / "export_activation_summary.txt").read_text().splitlines()[3]
+        assert corr_line.startswith("activation correlation: ") and corr_line.endswith(f" against {side}")
+        assert float(corr_line.split()[2]) >= 0.9
+        zs, true_vals = np.loadtxt(out / "activation_true.txt", skiprows=1).T
+        assert np.array_equal(true_vals, data.sigma_eval_array("s2", mirror * zs))
 
     def test_missing_checkpoint_is_config_error(self, tmp_path):
         cfg = {"checkpoint": str(tmp_path / "nope.npz")}
@@ -578,6 +591,20 @@ EDGE_CONFIGS = [
     ("rate-study", "rate_study.json", "test_points", 2**62, 2),  # numpy: "array is too big", exit 1
     ("taylor-verify", "taylor_verify.json", "series.grid_points", 2**62, 2),  # numpy: "array is too big", exit 1
     ("train-compare", "train_compare_s1.json", "target.b1", [1e300, 0.0], 2),  # "calib must be finite", exit 1
+    # every count is at most MAX_ROWS = 2**32, and so is each product of counts that sizes a list
+    ("kernel-verify", "kernel_verify.json", "dims", [2**62], 2),  # numpy: "array is too big", exit 1
+    ("kernel-verify", "kernel_verify.json", "trials", 2**30, 2),  # 8 settings x 2**30 trials: 2**33 jobs
+    ("export-activation", "export_activation.json", "grid_points", 2**62, 2),  # numpy: "array is too big", exit 1
+    ("train-compare", "train_compare_s1.json", "model.n_features", 2**62, 2),
+    ("train-compare", "train_compare_s1.json", "activation_grid_points", 2**62, 2),
+    ("train-compare", "train_compare_s1.json", "target.mc_samples", 2**62, 2),
+    ("rate-study", "rate_study.json", "m_values", [2**62, 64], 2),
+    ("rate-study", "rate_study.json", "ref_samples", 2**62, 2),
+    ("rate-study", "rate_study.json", "trials", 2**30, 2),  # 7 widths x 2**30 trials: 7 * 2**30 banks
+    ("taylor-verify", "taylor_verify.json", "series.n_terms", 2**62, 2),
+    # -log of the least normal double: e^-p stays normal there, and not at the next double
+    ("taylor-verify", "taylor_verify.json", "p_values", [708.3964185322641], 0),
+    ("taylor-verify", "taylor_verify.json", "p_values", [708.3964185322642], 2),
 ]
 
 
@@ -638,7 +665,8 @@ def _sets(raw, path) -> bool:
     return True
 
 
-# Keys that no shipped config set; each now exits 2 as unknown.
+# Keys that went, each now unknown: none but rel_tol was set by a shipped config, and no rel_tol could change the
+# verdict of a recurrence that meets its closed form exactly.
 REMOVED_KEYS = [
     ("kernel-verify", "kernel_verify.json", "min_passes", 19),
     ("taylor-verify", "taylor_verify.json", "seed", 1),
@@ -649,7 +677,19 @@ REMOVED_KEYS = [
     ("train-compare", "train_compare_s1.json", "train.adam_eps", 1e-8),
     ("export-activation", "export_activation.json", "seed", 1),
     ("bounds", "bounds.json", "seed", 1),
+    ("taylor-verify", "taylor_verify.json", "rel_tol", 1e-8),  # the recurrence meets the closed form exactly
 ]
+
+
+# The int keys with no upper bound, each with its reason; every other int key has one on its field type.
+UNCAPPED_INTS = {
+    "seed": "a seed takes the int64 range",
+    "target.seed": "a seed takes the int64 range",
+    "data.dim": "it must equal len(target b1)",
+    "n_basis": "bounds: it enters the bound formulas only, and 2**63 - 1 exits 0",
+    "n_features": "bounds: it enters the bound formulas only",
+    "train.batch_size": "it only slices the rows: a batch past them is one full batch",
+}
 
 
 class TestConfigSurface:
@@ -663,7 +703,7 @@ class TestConfigSurface:
                 if any(_sets(raw, path) for raw in shipped):
                     covered.add((cls.__name__, key))
         assert sorted(set(uses) - covered) == []
-        assert len(uses) == 63
+        assert len(uses) == 62
 
     @pytest.mark.parametrize("mode,name,path,value", REMOVED_KEYS, ids=[f"{m}-{p}" for m, _, p, _ in REMOVED_KEYS])
     def test_removed_key_exits_2_as_unknown(self, mode, name, path, value, tmp_path, capsys):
@@ -676,6 +716,20 @@ class TestConfigSurface:
         cfg_path = _write_config(tmp_path, cfg)
         assert main([mode, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
         assert f"unknown key '{key}'" in capsys.readouterr().err
+
+    def test_every_int_key_has_a_ceiling(self):
+        # the field types as configs._value reads them: `T | None`, then a tuple's entries, then Annotated bounds
+        uncapped = set()
+        for config_cls, _, _ in MODES.values():
+            for cls, key, path in _key_paths(config_cls):
+                tp = typing.get_type_hints(cls, include_extras=True)[key]
+                for origin in ((typing.Union, types.UnionType), (tuple,)):
+                    if typing.get_origin(tp) in origin:
+                        tp = typing.get_args(tp)[0]
+                base, *bounds = typing.get_args(tp) if typing.get_origin(tp) is typing.Annotated else (tp,)
+                if base is int and len(bounds) < 2:
+                    uncapped.add(".".join(path))
+        assert uncapped == set(UNCAPPED_INTS)
 
 
 _KERNEL_SMALL = {"seed": 3, "trials": 2, "samples": 5000, "dims": [2], "centers": [0.0], "widths": [1.0]}
