@@ -53,6 +53,7 @@ MC_BLOCK = 1 << 17
 MIN_WIDTH = 2.0**-511
 
 __all__ = [
+    "MAX_ROWS",
     "check_count",
     "ActivationGrid",
     "build_grid",
@@ -72,6 +73,10 @@ __all__ = [
 ]
 
 
+# Every count's ceiling, and that of a product of counts: 32 GiB per float64 column of that many rows.
+MAX_ROWS = 2**32
+
+
 def check_count(name: str, count, least: int) -> None:
     """ValueError naming name unless count is an integer (a numpy one too, never a bool) of at least least."""
     if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < least:
@@ -88,15 +93,27 @@ class ActivationGrid:
     n_basis: int
     width: float
     centers: np.ndarray = field(init=False, repr=False, compare=False)
+    # Cells from a point's cell to the farthest center banded_activation
+    # evaluates for it.  Each center lies in its own partition cell, so every
+    # center more than ceil(sqrt(2 * BAND_CUTOFF) h / spacing) cells from a
+    # point's cell is at least sqrt(2 * BAND_CUTOFF) h away from it.
+    reach: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.support_lo, self.support_hi
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"invalid support [{lo}, {hi}]")
+        if not 0 < hi - lo < math.inf:  # false for a NaN or infinite end too
+            raise ValueError(f"invalid support [{lo}, {hi}]: hi - lo must be positive and finite")
         check_count("n_basis", self.n_basis, 1)
         if not MIN_WIDTH <= self.width < math.inf:
             raise ValueError(f"width must be finite and at least MIN_WIDTH = 2**-511, got {self.width}")
+        reach = math.sqrt(2.0 * BAND_CUTOFF) * self.width / self.spacing if self.spacing > 0 else math.inf
+        if reach == math.inf:
+            raise ValueError(
+                f"support [{lo}, {hi}] is too short for n_basis {self.n_basis} and width {self.width}: spacing "
+                f"{self.spacing} must be positive and sqrt(2 * BAND_CUTOFF) * width / spacing finite"
+            )
         object.__setattr__(self, "centers", lo + np.arange(1, self.n_basis + 1) * self.spacing)
+        object.__setattr__(self, "reach", math.ceil(reach))
 
     @property
     def spacing(self) -> float:
@@ -107,25 +124,13 @@ class ActivationGrid:
         return self.support_hi - self.support_lo
 
     @property
-    def reach(self) -> int:
-        """Cells from a point's cell to the farthest center banded_activation evaluates for it.
-
-        Each center lies in its own partition cell, so every center more than
-        ceil(sqrt(2 * BAND_CUTOFF) h / spacing) cells from a point's cell is at
-        least sqrt(2 * BAND_CUTOFF) h away from it.
-        """
-        return math.ceil(math.sqrt(2.0 * BAND_CUTOFF) * self.width / self.spacing)
-
-    @property
     def band_width(self) -> int:
         """At most this many centers are evaluated per point by banded_activation: those within reach."""
         return min(self.n_basis, 2 * self.reach + 1)
 
 
-def build_grid(support_lo: float, support_hi: float, n_basis: int, width: float) -> ActivationGrid:
-    """ActivationGrid of at least 2 centers from plain numbers."""
-    check_count("n_basis", n_basis, 2)
-    return ActivationGrid(float(support_lo), float(support_hi), int(n_basis), float(width))
+# An alias of ActivationGrid for the benchmark's layer probes, which call build_grid(lo, hi, n_basis, width).
+build_grid = ActivationGrid
 
 
 def bumps(u: np.ndarray, c, h: float) -> np.ndarray:

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from typing import Annotated, Literal
 
 from . import basis, data, kernel, model, optim
+from .basis import MAX_ROWS
 
 # Field types with the range the parser enforces: a lower bound, and an upper one for every count.
-MAX_ROWS = 2**32  # a count's ceiling, and that of a product of counts: 32 GiB per float64 column of that many rows
 Seed = Annotated[int, 0]
 Count = Annotated[int, 1, MAX_ROWS]
 NonNegative = Annotated[float, 0.0]
@@ -151,19 +151,13 @@ class TaylorVerifyConfig:
 
 
 @dataclass(frozen=True)
-class RbfSection(kernel.RbfParams):  # rate-study's rbf: either key may be left out
-    center: float = 1.0
-    width: float = 1.0
-
-
-@dataclass(frozen=True)
 class RateStudyConfig:
     seed: Seed
     m_values: tuple[Count, ...] = (32, 64, 128, 256, 512, 1024, 2048)
     trials: Count = 10
     test_points: Count = 2000
     ref_samples: Annotated[int, 2, MAX_ROWS] = 1_000_000  # the reference's cross-check draws: a standard error needs two
-    rbf: RbfSection = field(default_factory=RbfSection)
+    rbf: kernel.RbfParams = field(default_factory=lambda: kernel.RbfParams(1.0, 1.0))
     b1: tuple[float, ...] = (1.0, 0.0)
     b2: tuple[float, ...] = (0.0, 1.0)
     slope_range: tuple[float, float] = (-0.65, -0.35)
@@ -203,7 +197,7 @@ class DataSection:
 @dataclass(frozen=True)
 class ModelSection:
     n_features: Count
-    n_basis: Annotated[int, 2, MAX_ROWS]
+    n_basis: Count
     support: tuple[float, float] = (-2.0, 2.0)
     width: float | None = None  # two grid spacings when left out
     grid: basis.ActivationGrid = field(init=False)
@@ -211,12 +205,7 @@ class ModelSection:
     def __post_init__(self):
         lo, hi = self.support
         width = 2.0 * (hi - lo) / self.n_basis if self.width is None else self.width
-        _derive(self, grid=basis.build_grid(lo, hi, self.n_basis, width))
-
-
-@dataclass(frozen=True)
-class TrainSection(optim.TrainConfig):  # train-compare compares each model's last epoch, so it takes one at least
-    epochs: Annotated[int, 1, MAX_ROWS] = optim.TrainConfig.epochs
+        _derive(self, grid=basis.ActivationGrid(lo, hi, self.n_basis, width))
 
 
 @dataclass(frozen=True)
@@ -225,7 +214,7 @@ class TrainCompareConfig:
     target: TargetSection
     data: DataSection
     model: ModelSection
-    train: TrainSection = field(default_factory=TrainSection)
+    train: optim.TrainConfig = field(default_factory=optim.TrainConfig)
     baselines: tuple[Literal[tuple(model.BASELINE_ACTIVATIONS)], ...] = ("relu", "tanh", "rbf1", "rbf2")
     mse_ratio_max: float = 0.5
     activation_grid_points: Annotated[int, 2, MAX_ROWS] = 401

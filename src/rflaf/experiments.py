@@ -243,13 +243,13 @@ def _run_train_compare(cfg: configs.TrainCompareConfig, out_dir: str) -> list:
     ss = np.random.SeedSequence([cfg.seed, 0x7121]).spawn(3 + 2 * len(cfg.baselines))
     shuffle, bank_seed, init_seed, *baseline_seeds = (int(s.generate_state(1)[0]) for s in ss)  # two per baseline
     lines = [f"calibration constant: {_fmt(calib)}", _check_line("target quadrature", check)]
-    bank = model.sample_features(dim, cfg.model.n_features, bank_seed)
+    bank = model.FeatureBank(dim, cfg.model.n_features, bank_seed)
     name = "rflaf"  # the model in training, as a Diverged check names it
     try:
         trained, history = optim.train(optim.new_rflaf_model(bank, grid, init_seed), dataset, cfg.train, shuffle)
         histories = {name: history}
         for name, b_bank_seed, b_init_seed in zip(cfg.baselines, baseline_seeds[::2], baseline_seeds[1::2]):
-            b_bank = model.sample_features(dim, cfg.model.n_features + cfg.model.n_basis, b_bank_seed)
+            b_bank = model.FeatureBank(dim, cfg.model.n_features + cfg.model.n_basis, b_bank_seed)
             b_model = optim.new_baseline_model(b_bank, name, b_init_seed)
             histories[name] = optim.train_baseline(b_model, dataset, cfg.train, shuffle)[1]
     except optim.Diverged as exc:  # the run stops there and writes no other artifact

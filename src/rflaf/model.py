@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from . import basis
-from .basis import ActivationGrid, build_grid, bumps, row_dot
+from .basis import ActivationGrid, bumps, row_dot
 
 __all__ = [
     "FeatureBank",
@@ -107,7 +107,7 @@ class BaselineRfModel:
         object.__setattr__(self, "v", v)
 
 
-# Draw the feature bank: sample_features(dim, n_features, seed).
+# An alias of FeatureBank for the benchmark's layer probes, which call sample_features(dim, n_features, seed).
 sample_features = FeatureBank
 
 
@@ -178,24 +178,25 @@ def baseline_features(model: BaselineRfModel, X: np.ndarray) -> np.ndarray:
 
 
 def save_model(model: RflafModel, path) -> None:
-    """Checkpoint holding the bank seed, dimensions, grid geometry, and weights.
+    """Checkpoint holding the bank seed, dimensions, grid geometry, and weights, written to path as given.
 
     The bank matrix itself is not stored; it is regenerated from the seed on
     load, so a round trip reproduces forward outputs bit-exactly.
     """
-    np.savez(
-        path,
-        format_version=np.int64(CHECKPOINT_VERSION),
-        bank_seed=np.int64(model.bank.seed),
-        dim=np.int64(model.bank.dim),
-        n_features=np.int64(model.bank.n_features),
-        support_lo=np.float64(model.grid.support_lo),
-        support_hi=np.float64(model.grid.support_hi),
-        n_basis=np.int64(model.grid.n_basis),
-        width=np.float64(model.grid.width),
-        a=model.a,
-        v=model.v,
-    )
+    with open(path, "wb") as file:  # np.savez would append .npz to a path without it
+        np.savez(
+            file,
+            format_version=np.int64(CHECKPOINT_VERSION),
+            bank_seed=np.int64(model.bank.seed),
+            dim=np.int64(model.bank.dim),
+            n_features=np.int64(model.bank.n_features),
+            support_lo=np.float64(model.grid.support_lo),
+            support_hi=np.float64(model.grid.support_hi),
+            n_basis=np.int64(model.grid.n_basis),
+            width=np.float64(model.grid.width),
+            a=model.a,
+            v=model.v,
+        )
 
 
 def _field(data, name: str, kind: type):
@@ -213,9 +214,9 @@ def load_model(path) -> RflafModel:
             version = _field(data, "format_version", int)
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
-            bank = sample_features(*(_field(data, name, int) for name in ("dim", "n_features", "bank_seed")))
+            bank = FeatureBank(*(_field(data, name, int) for name in ("dim", "n_features", "bank_seed")))
             lo, hi, width = (_field(data, name, float) for name in ("support_lo", "support_hi", "width"))
-            grid = build_grid(lo, hi, _field(data, "n_basis", int), width)
+            grid = ActivationGrid(lo, hi, _field(data, "n_basis", int), width)
             a, v = data["a"], data["v"]
             for name, value in (("a", a), ("v", v)):
                 if value.dtype.kind != "f":  # RflafModel would drop an imaginary part or parse strings

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .model import (
     # the one forward pass; train looks it up here at call time
     forward_batch as predict_batch,
 )
-from .basis import ActivationGrid, check_count, kernel_workers, row_dot
+from .basis import MAX_ROWS, ActivationGrid, check_count, kernel_workers, row_dot
 
 __all__ = [
     "Diverged",
@@ -84,7 +85,7 @@ class TrainConfig:
     lambda1: float = 1e-3
     lambda2: float = 1e-4
     learning_rate: float = 1e-3
-    epochs: int = 5
+    epochs: Annotated[int, 1, MAX_ROWS] = 5  # train-compare compares each model's last epoch
     batch_size: int = 256
 
     def __post_init__(self):
@@ -92,7 +93,7 @@ class TrainConfig:
             raise ValueError(f"lambda1 and lambda2 must be nonnegative and finite, got {self.lambda1}, {self.lambda2}")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        check_count("epochs", self.epochs, 0)
+        check_count("epochs", self.epochs, 1)
         check_count("batch_size", self.batch_size, 1)
 
 

@@ -74,6 +74,12 @@ class TestBuildGrid:
                     (0.0, 1.0, 0, 0.1), (0.0, 1.0, 4, 0.0), (0.0, 1.0, 4, float("inf"))]:
             with pytest.raises(ValueError):
                 ActivationGrid(*bad)
+        # spacing 0 (ZeroDivisionError in the reach), a reach past the doubles (OverflowError), and an infinite
+        # length (every center inf), each reached only by the kernel before
+        for bad in [(0.0, 5e-324, 2, 1.0), (0.0, 5e-324, 1, 1.0), (0.0, 1e-300, 2, 1e300), (0.0, 1.0, 1, 1e308),
+                    (-1e308, 1e308, 2, 1.0)]:
+            with pytest.raises(ValueError, match="support"):
+                ActivationGrid(*bad)
 
     @pytest.mark.parametrize("width", [1e-160, 1e-170])
     def test_rejects_width_below_floor(self, width):
@@ -92,8 +98,6 @@ class TestBuildGrid:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             build_grid(1.0, 0.0, 4, 0.1)
-        with pytest.raises(ValueError):
-            build_grid(0.0, 1.0, 1, 0.1)
         with pytest.raises(ValueError):
             build_grid(0.0, 1.0, 4, 0.0)
 

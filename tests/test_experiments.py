@@ -379,6 +379,17 @@ class TestRunTrainCompare:
         assert summary[2:] == ["training rflaf: non-finite loss at epoch 0, step 2: FAIL", "overall: FAIL"]
         assert sorted(path.name for path in out.iterdir()) == ["train_compare_summary.txt"]
 
+    def test_one_center_model_round_trips_through_export(self, tmp_path, capsys):
+        # the paper's RF model with a single RBF is RFLAF with one grid center: load_model rejected its checkpoint
+        cfg = self._config()
+        cfg["model"]["n_basis"] = 1
+        out = tmp_path / "out"
+        assert main(["train-compare", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) in (0, 1)
+        export = {"checkpoint": str(out / "model_rflaf.npz"), "target": cfg["target"]}
+        cfg_path = _write_config(tmp_path, export)
+        assert main(["export-activation", "--config", cfg_path, "--out", str(tmp_path / "export")]) in (0, 1)
+        assert "error" not in capsys.readouterr().err
+
     def test_rejects_mismatched_baseline_width(self, tmp_path):
         cfg = dict(self._config(), baseline_width=77)
         with pytest.raises(ConfigError, match="baseline_width"):
@@ -542,7 +553,8 @@ BAD_CONFIGS = [
     ("train-compare", _train_compare_config(baselines=["relu", "relu"]), "baselines"),
     ("train-compare", _train_compare_config(**{"model.width": 1e-160}), "width"),
     ("kernel-verify", {"seed": 1, "widths": [1e-170]}, "width"),
-    ("rate-study", {"seed": 1, "rbf": {"width": 1e-160}}, "width"),
+    ("rate-study", {"seed": 1, "rbf": {"center": 1.0, "width": 1e-160}}, "width"),
+    ("rate-study", {"seed": 1, "rbf": {"width": 1.0}}, "center"),  # rbf is a kernel.RbfParams: both keys or neither
 ]
 
 
@@ -605,6 +617,10 @@ EDGE_CONFIGS = [
     # -log of the least normal double: e^-p stays normal there, and not at the next double
     ("taylor-verify", "taylor_verify.json", "p_values", [708.3964185322641], 0),
     ("taylor-verify", "taylor_verify.json", "p_values", [708.3964185322642], 2),
+    # the grid's spacing must be positive and finite, and its reach finite
+    ("train-compare", "train_compare_s1.json", "model.support", [0.0, 5e-324], 2),  # ZeroDivisionError, exit 1
+    ("train-compare", "train_compare_s1.json", "model.support", [-1e308, 1e308], 2),  # every center inf, exit 1
+    ("train-compare", "train_compare_s1.json", "model.width", 1e308, 2),  # OverflowError in the reach, exit 1
 ]
 
 

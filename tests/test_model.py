@@ -144,7 +144,7 @@ class TestForward:
             m = int(rng.integers(1, 9))
             d = int(rng.integers(1, 5))
             bank = sample_features(d, m, seed=int(rng.integers(2**31)))
-            grid = build_grid(-2.0, 2.0, max(2, n_basis), 0.5)
+            grid = build_grid(-2.0, 2.0, n_basis, 0.5)
             a = rng.standard_normal(grid.n_basis)
             v = rng.standard_normal(m)
             model = RflafModel(bank=bank, grid=grid, a=a, v=v)
@@ -373,22 +373,25 @@ class TestCheckpoint:
         dim=st.integers(1, 6),
         m=st.integers(1, 40),
         seed=st.integers(0, 2**63 - 1),
-        n_basis=st.integers(2, 60),
+        n_basis=st.integers(1, 60),
         lo=st.floats(-5.0, 5.0),
         length=st.floats(0.01, 10.0),
         width=st.floats(0.001, 5.0),
+        name=st.sampled_from(["model.npz", "model", "model.ckpt"]),
     )
-    def test_round_trip_over_random_geometry(self, tmp_path_factory, dim, m, seed, n_basis, lo, length, width):
+    def test_round_trip_over_random_geometry(self, tmp_path_factory, dim, m, seed, n_basis, lo, length, width, name):
+        # every grid ActivationGrid accepts, one center included, and any path: save_model writes the path it is given
         rng = np.random.default_rng(seed)
         model = RflafModel(
             bank=FeatureBank(dim, m, seed),
-            grid=build_grid(lo, lo + length, n_basis, width),
+            grid=ActivationGrid(lo, lo + length, n_basis, width),
             a=rng.standard_normal(n_basis),
             v=rng.standard_normal(m),
         )
-        path = tmp_path_factory.mktemp("ckpt") / "model.npz"
-        save_model(model, path)
-        loaded = load_model(path)
+        folder = tmp_path_factory.mktemp("ckpt")
+        save_model(model, folder / name)
+        assert [p.name for p in folder.iterdir()] == [name]
+        loaded = load_model(folder / name)
         assert (loaded.bank, loaded.grid) == (model.bank, model.grid)
         assert loaded.a.tobytes() == model.a.tobytes() and loaded.v.tobytes() == model.v.tobytes()
         X = rng.standard_normal((7, dim)) * 3.0

@@ -82,3 +82,36 @@ def test_package_imports_form_no_cycle():
         assert leaves, {name: sorted(imports - done) for name, imports in graph.items() if name not in done}
         done |= leaves
     assert [name for name, text in _sources().items() if "TYPE_CHECKING" in text] == []
+
+
+def _names(tree):
+    """Every name, attribute and imported name in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+            yield getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+
+
+def test_records_built_through_their_classes():
+    # build_grid and sample_features are aliases that bench/ calls: src/ names each once, to bind it to its class
+    for alias, home, cls in (("build_grid", "basis.py", "ActivationGrid"), ("sample_features", "model.py", "FeatureBank")):
+        sites = [name for name, text in _sources().items() for found in _names(ast.parse(text)) if found == alias]
+        assert sites == [home], (alias, sites)
+        assert f"\n{alias} = {cls}\n" in _sources()[home], alias
+
+
+def test_one_row_ceiling():
+    # MAX_ROWS, the ceiling of every count, is assigned in basis beside check_count, and imported elsewhere
+    sites = [
+        name
+        for name, text in _sources().items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "MAX_ROWS" for t in node.targets)
+    ]
+    assert sites == ["basis.py"]
+
+
+def test_no_config_class_restates_a_record():
+    # a config section that is a domain record is that record's class: no subclass with a second rule or defaults
+    tree = ast.parse(_sources()["configs.py"])
+    bases = {node.name: [ast.unparse(b) for b in node.bases] for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert {name: found for name, found in bases.items() if found} == {"ConfigError": ["ValueError"]}
